@@ -3,8 +3,10 @@
 Imports gdpsim from ``src/`` of the current directory, runs every
 ``(label, config)`` of the workload through ``build_world``, the ``step`` loop,
 ``derive_metrics`` and ``write_outputs``, checks the outputs and prints one
-JSON object as its last line of standard output. With ``--trace 1`` the
-tracer wraps the program's callables first and the result carries its totals.
+JSON object as its last line of standard output. Times are taken on the
+program clock of ``hostspeed.Sampler`` and reported scaled to the nominal
+host, with the unscaled totals under ``wall``. With ``--trace 1`` the tracer
+wraps the program's callables first and the result carries its totals.
 """
 
 import argparse
@@ -12,9 +14,11 @@ import hashlib
 import json
 import resource
 import shutil
+import statistics
 import sys
-import time
 from pathlib import Path
+
+import hostspeed
 
 
 def sha256_file(path: Path) -> str:
@@ -62,17 +66,21 @@ def run(workload: str, seed: int, trace: bool, work: Path) -> dict:
     from tracer import Tracer
     from workloads import WORKLOADS
 
+    sampler = hostspeed.Sampler()
+    clock = sampler.clock
     tracer = None
     if trace:
-        tracer = Tracer()
+        tracer = Tracer(clock)
         tracer.install()
     depth = {"world.mempool_depth.max": 0, "world.unpaneled_depth.max": 0,
              "arbitration.open_disputes.max": 0}
     out = {"setup_s": 0.0, "run_s": 0.0, "output_s": 0.0, "txns": 0,
            "ticks": [], "arrival": [], "growth_q2": [], "growth_q4": [],
            "digests": {}, "problems": {},
+           "wall": {"setup_s": 0.0, "run_s": 0.0, "output_s": 0.0},
            "cryptography": cryptography.__version__}
-    clock = time.perf_counter
+    sections = []  # per label: program-clock spans, scaled once sampling ends
+    sampler.start()
     for label, cfg in WORKLOADS[workload](seed):
         if tracer is not None:
             tracer.active = True
@@ -83,7 +91,7 @@ def run(workload: str, seed: int, trace: bool, work: Path) -> dict:
         for _ in range(cfg.duration_ticks):
             start = clock()
             world_mod.step(world)
-            ticks.append(clock() - start)
+            ticks.append((start, clock()))
             if tracer is not None:
                 open_disputes = sum(1 for d in world.disputes.values()
                                     if d.stage is not DisputeStage.CLOSED)
@@ -101,23 +109,32 @@ def run(workload: str, seed: int, trace: bool, work: Path) -> dict:
         out["peak_rss_mb"] = rss_kib / 1024
         if tracer is not None:
             tracer.active = False
+        sections.append((cfg, (t0, t1), ticks, (t2, t3)))
 
-        out["setup_s"] += t1 - t0
-        out["run_s"] += t2 - t1
-        out["output_s"] += t3 - t2
         out["txns"] += report["transactions"]["submitted"]
-        out["ticks"].extend(ticks)
-        # arrival period: ticks 1..A, the loaded part of the run
-        arrival = cfg.duration_ticks - cfg.drain_ticks
-        out["arrival"].extend(ticks[:arrival])
-        out["growth_q2"].extend(ticks[arrival // 4:arrival // 2])
-        out["growth_q4"].extend(ticks[3 * arrival // 4:arrival])
         out["digests"][label] = sha256_file(out_dir / "events.jsonl")
         problems = check_outputs(root, workload, seed, label, world, report)
         if problems:
             out["problems"][label] = problems
         shutil.rmtree(out_dir)
         del world, report
+    sampler.stop()
+    for cfg, setup, spans, output in sections:
+        ticks = [sampler.scaled(*span) for span in spans]
+        out["setup_s"] += sampler.scaled(*setup)
+        out["run_s"] += sum(ticks)
+        out["output_s"] += sampler.scaled(*output)
+        out["wall"]["setup_s"] += setup[1] - setup[0]
+        out["wall"]["run_s"] += sum(b - a for a, b in spans)
+        out["wall"]["output_s"] += output[1] - output[0]
+        out["ticks"].extend(ticks)
+        # arrival period: ticks 1..A, the loaded part of the run
+        arrival = cfg.duration_ticks - cfg.drain_ticks
+        out["arrival"].extend(ticks[:arrival])
+        out["growth_q2"].extend(ticks[arrival // 4:arrival // 2])
+        out["growth_q4"].extend(ticks[3 * arrival // 4:arrival])
+    out["reference"] = {"passes": len(sampler.took),
+                        "median_s": statistics.median(sampler.took)}
     if tracer is not None:
         out["trace"] = tracer.snapshot()
         out["depth"] = depth

@@ -2,15 +2,16 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload sweep --seed 1 --seconds 42 --trace 0
+    python3 perfbench/run.py --workload sweep --seed 1 --seconds 40 --trace 0
 
 Each repetition runs ``child.py`` in a fresh process, one at a time, until
 ``--seconds`` would be exceeded (at least ``MIN_REPS`` repetitions). With
 ``--trace 0`` every repetition is untraced and the end-to-end metrics are
 reported; with ``--trace 1`` traced and untraced repetitions alternate and the
-per-layer metrics are reported. Metric names and units come from
-``BENCHMARK.json``. The last line of standard output is the result object;
-the full record, machine included, goes to ``.perfbench/``.
+per-layer metrics are reported. Host times are scaled to a nominal host by
+``hostspeed.py``. Metric names and units come from ``BENCHMARK.json``. The
+last line of standard output is the result object; the full record, machine
+included, goes to ``.perfbench/``.
 """
 
 import argparse
@@ -23,6 +24,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import hostspeed
 
 HERE = Path(__file__).resolve().parent
 MIN_REPS = 3
@@ -72,17 +75,24 @@ def run_child(root: Path, work: Path, workload: str, seed: int, traced: bool,
 
 
 def end_to_end_values(reps: list) -> dict:
-    ticks = [t for r in reps for t in r["ticks"]]
-    q2 = [t for r in reps for t in r["growth_q2"]]
-    q4 = [t for r in reps for t in r["growth_q4"]]
     med = statistics.median
+
+    def per_tick(key):
+        # every repetition of a seed runs the same ticks, so the median over
+        # repetitions of each tick leaves its own cost and drops host noise
+        return [med(times) for times in zip(*(r[key] for r in reps))]
+
+    ticks = per_tick("ticks")
+    arrival = per_tick("arrival")
+    q2 = per_tick("growth_q2")
+    q4 = per_tick("growth_q4")
     return {
         "setup_s": med(r["setup_s"] for r in reps),
         "run_s": med(r["run_s"] for r in reps),
         "output_s": med(r["output_s"] for r in reps),
         "txns_per_s": med(r["txns"] / r["run_s"] for r in reps),
         "tick_p50_ms": med(ticks) * 1e3,
-        "tick_p99_ms": med(percentile(r["arrival"], 99) for r in reps) * 1e3,
+        "tick_p99_ms": percentile(arrival, 99) * 1e3,
         "tick_growth": med(q4) / med(q2),
         "peak_rss_mb": med(r["peak_rss_mb"] for r in reps),
     }
@@ -255,6 +265,11 @@ def main() -> int:
     metrics = {m["name"]: {"value": values[m["name"]], "unit": m["unit"]}
                for m in declared}
     record["metrics"] = metrics
+    # unscaled program-clock seconds and the reference pace, for comparison
+    record["wall"] = {key: statistics.median(r["wall"][key] for r in untraced)
+                      for key in ("setup_s", "run_s", "output_s")}
+    record["reference_median_s"] = statistics.median(
+        r["reference"]["median_s"] for r in untraced)
     record["problems"] = problems
     state.mkdir(exist_ok=True)
     out_file = state / (f"{args.workload}-seed{args.seed}"
@@ -268,6 +283,11 @@ def main() -> int:
     print(f"workload={args.workload} seed={args.seed} trace={args.trace} "
           f"repetitions={len(reps)} (traced {len(traced)}, untraced "
           f"{len(untraced)}) record={out_file.relative_to(root)}")
+    w = record["wall"]
+    print(f"unscaled program time: setup {w['setup_s']:.4f} s, run "
+          f"{w['run_s']:.4f} s, output {w['output_s']:.4f} s; reference pass "
+          f"{record['reference_median_s'] * 1e3:.3f} ms (nominal "
+          f"{hostspeed.NOMINAL_S * 1e3:.3f} ms)")
     if args.trace:
         for target in traced[0]["trace"]["absent"]:
             print(f"absent trace target: {target}")

@@ -131,7 +131,8 @@ COUNTERS = (
 class Tracer:
     """Span totals for every target; ``active`` gates recording."""
 
-    def __init__(self):
+    def __init__(self, clock=time.perf_counter):
+        self.clock = clock
         self.active = False
         self.stats = {}      # target -> [calls, total_s, self_s]
         self.counters = {}   # target -> {counter: value}
@@ -177,7 +178,7 @@ class Tracer:
 
     def _wrap(self, fn, stats, counters, hook):
         stack = self._stack
-        clock = time.perf_counter
+        clock = self.clock
         tracer = self
 
         @functools.wraps(fn)
