@@ -77,9 +77,9 @@ class DeviceActor:
         nonce, _ = stochastic.solve_puzzle(base, difficulty, max_attempts)
         return nonce
 
-    def serve_sync(self, from_height: int):
-        """Blocks above from_height from this node's own ledger copy."""
-        return list(self.ledger_ref.blocks[from_height + 1:])
+    def serve_sync(self, world, from_height: int):
+        """Canonical blocks above from_height up to this node's height."""
+        return world.canonical.blocks[from_height + 1:world.heights[self.pub] + 1]
 
     # --- arbitration policies ---
 
@@ -179,8 +179,8 @@ class ForgedSyncNode(DeviceActor):
 
     role = "forged_sync_node"
 
-    def serve_sync(self, from_height: int):
-        real = list(self.ledger_ref.blocks[from_height + 1:])
+    def serve_sync(self, world, from_height: int):
+        real = super().serve_sync(world, from_height)
         if not real:
             return real
         forged = []

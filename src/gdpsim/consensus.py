@@ -1,8 +1,9 @@
 """Witness-informed consensus over a hash-chained ledger.
 
 Rounds use a deterministic round-robin proposer, stake-plus-reputation
-weighted votes, and a strict-majority commit threshold. Every node keeps its
-own ledger copy; synchronization re-verifies transferred blocks end to end,
+weighted votes, and a strict-majority commit threshold. A node's chain is
+``world.canonical.blocks[:world.heights[node] + 1]``; synchronization
+re-verifies transferred blocks end to end before raising a node's height,
 so a forged batch can never land (it is rejected, and stochastic sync
 inspection pins the penalty on the propagator).
 """
@@ -87,7 +88,7 @@ def genesis_block() -> LedgerBlock:
 
 
 class Ledger:
-    """One node's chain copy plus derived per-sender nonce watermarks."""
+    """The canonical chain plus its tip's committed ids and nonce watermarks."""
 
     def __init__(self):
         self.blocks: list[LedgerBlock] = [genesis_block()]
@@ -102,9 +103,6 @@ class Ledger:
     def head(self) -> Digest:
         return self.blocks[-1].block_digest
 
-    def next_expected_nonce(self, sender: bytes) -> int:
-        return self.nonce_watermark.get(sender, -1) + 1
-
     def append(self, block: LedgerBlock, txn_registry: dict) -> None:
         self.blocks.append(block)
         for tid in block.txn_ids:
@@ -113,6 +111,21 @@ class Ledger:
             if txn is not None:
                 prev = self.nonce_watermark.get(txn.sender, -1)
                 self.nonce_watermark[txn.sender] = max(prev, txn.nonce)
+
+    def state_at(self, height: int, txn_registry: dict) -> tuple:
+        """(committed ids, nonce watermarks) at ``height``: kept by ``append``
+        at the tip, folded from the prefix below it."""
+        if height == self.height:
+            return self.committed_ids, self.nonce_watermark
+        prefix = Ledger()
+        for block in self.blocks[1:height + 1]:
+            prefix.append(block, txn_registry)
+        return prefix.committed_ids, prefix.nonce_watermark
+
+
+def node_head(world, node: bytes) -> Digest:
+    """Head of a node's chain: the canonical block at its height."""
+    return world.canonical.blocks[world.heights[node]].block_digest
 
 
 def active_stake_total(world) -> float:
@@ -145,10 +158,10 @@ def current_proposer(world) -> Optional[bytes]:
     return nodes[world.round_no % len(nodes)]
 
 
-def _chainable(world, ledger: Ledger, ordered_ids: list, cap: int) -> list:
-    """Keep ids whose nonces chain gaplessly on top of the ledger, oldest
+def _chainable(world, watermark: dict, ordered_ids: list, cap: int) -> list:
+    """Keep ids whose nonces chain gaplessly on top of the watermarks, oldest
     first; verdict records always chain."""
-    expected = dict(ledger.nonce_watermark)
+    expected = dict(watermark)
     out = []
     for tid in ordered_ids:
         if len(out) >= cap:
@@ -186,34 +199,37 @@ def propose_block(world, node: bytes, rng=None) -> Proposal:
             if world.transactions[tid].status is TxnStatus.WITNESSED]
     if not pool and not pending_verdicts:
         raise EmptyMempool(node.hex())
-    ledger = world.ledgers[node]
+    _, watermark = world.canonical.state_at(world.heights[node], world.transactions)
+    head = node_head(world, node)
     ordered = pending_verdicts + mempool_order(world, pool)
-    chosen = _chainable(world, ledger, ordered, world.cfg.consensus.batch_cap)
+    chosen = _chainable(world, watermark, ordered, world.cfg.consensus.batch_cap)
     if not chosen:
         raise EmptyMempool("no chainable transactions")
     ids = tuple(chosen)
     secret = world.actors[node].keypair.secret_key
-    sig = sign(secret, proposal_digest(node, ids, ledger.head, world.tick))
-    proposal = Proposal(proposer=node, txn_ids=ids, parent_block=ledger.head,
+    sig = sign(secret, proposal_digest(node, ids, head, world.tick))
+    proposal = Proposal(proposer=node, txn_ids=ids, parent_block=head,
                         tick=world.tick, signature=sig)
     world.log.append(world.tick, "proposal", actor=node.hex(),
                      subject=proposal.digest.hex(), txn_count=len(ids),
-                     parent=ledger.head.hex())
+                     parent=head.hex())
     return proposal
 
 
 def honest_accept(world, node: bytes, proposal: Proposal) -> bool:
     """Validation phase rule: witness quorum, nonce continuity, no replay."""
-    ledger = world.ledgers[node]
-    if proposal.parent_block != ledger.head:
-        known = any(b.block_digest == proposal.parent_block for b in ledger.blocks)
+    height = world.heights[node]
+    if proposal.parent_block != node_head(world, node):
+        known = any(b.block_digest == proposal.parent_block
+                    for b in world.canonical.blocks[:height + 1])
         if not known:
             raise UnknownParent(proposal.parent_block.hex())
         return False  # stale proposal extending an old block
     quorum = world.cfg.panel.effective_quorum()
-    expected = dict(ledger.nonce_watermark)
+    committed_ids, watermark = world.canonical.state_at(height, world.transactions)
+    expected = dict(watermark)
     for tid in proposal.txn_ids:
-        if tid in ledger.committed_ids:
+        if tid in committed_ids:
             return False
         if tid in world.verdict_registry:
             continue
@@ -264,8 +280,9 @@ def tally(votes, total_weight: float, threshold: float) -> tuple:
 
 def commit_block(world, proposal: Proposal, votes: list,
                  total_weight: float) -> Optional[LedgerBlock]:
-    """Commitment phase: strict weighted majority appends the block to every
-    active node's ledger; a rejected proposal returns its transactions."""
+    """Commitment phase: strict weighted majority appends the block and
+    advances each active node at its parent; a rejected proposal returns its
+    transactions."""
     from .transmission import evaluate_witnesses
 
     if world.canonical.head != proposal.parent_block:
@@ -294,9 +311,8 @@ def commit_block(world, proposal: Proposal, votes: list,
     recipients = active_nodes(world)
     world.canonical.append(block, world.transactions)
     for node in recipients:
-        ledger = world.ledgers[node]
-        if ledger.head == block.parent:
-            ledger.append(block, world.transactions)
+        if world.heights[node] == height - 1:
+            world.heights[node] = height
     world.log.append(world.tick, "block_committed", subject=block.block_digest.hex(),
                      height=height, proposer=proposal.proposer.hex(),
                      txn_ids=[t.hex() for t in proposal.txn_ids],
@@ -348,15 +364,6 @@ def resolve_vote_conflict(world, proposal: Proposal, votes: list,
             "remaining": remaining, "outcomes": outcomes}
 
 
-@dataclass
-class SyncReport:
-    source: bytes
-    target: bytes
-    from_height: int
-    to_height: int
-    blocks_transferred: int
-
-
 def verify_batch(world, start_head: Digest, start_height: int,
                  batch: list) -> None:
     """Full re-verification of a transferred block batch: chain linkage,
@@ -397,33 +404,23 @@ def verify_batch(world, start_head: Digest, start_height: int,
         prev_height = block.height
 
 
-def synchronize(world, node_a: bytes, node_b: bytes) -> SyncReport:
-    """The lower node adopts missing blocks after full re-verification.
+def synchronize(world, node_a: bytes, node_b: bytes) -> int:
+    """The lower node adopts the missing blocks the higher one serves, after
+    full re-verification; returns the number of blocks adopted."""
+    ha, hb = world.heights[node_a], world.heights[node_b]
+    if ha == hb:
+        return 0
+    source, target = (node_a, node_b) if ha > hb else (node_b, node_a)
+    from_height = world.heights[target]
 
-    Equal-height divergence is impossible under single-proposer rounds; if it
-    ever appears it is a fatal integrity failure, not a fork to resolve.
-    """
-    la, lb = world.ledgers[node_a], world.ledgers[node_b]
-    if la.height == lb.height:
-        if la.head != lb.head:
-            raise ChainIntegrityViolation(
-                "equal-height divergence between "
-                f"{node_a.hex()[:8]} and {node_b.hex()[:8]}")
-        return SyncReport(node_a, node_b, lb.height, lb.height, 0)
-    source, target = (node_a, node_b) if la.height > lb.height else (node_b, node_a)
-    ls, lt = world.ledgers[source], world.ledgers[target]
-    from_height = lt.height
-
-    batch = world.actors[source].serve_sync(lt.height)
-    verify_batch(world, lt.head, lt.height, batch)
-    for block in batch:
-        lt.append(block, world.transactions)
-    report = SyncReport(source=source, target=target, from_height=from_height,
-                        to_height=lt.height, blocks_transferred=len(batch))
+    batch = world.actors[source].serve_sync(world, from_height)
+    verify_batch(world, node_head(world, target), from_height, batch)
+    to_height = from_height + len(batch)
+    world.heights[target] = to_height
     world.log.append(world.tick, "sync", actor=source.hex(), subject=target.hex(),
                      blocks=len(batch), from_height=from_height,
-                     to_height=lt.height)
-    return report
+                     to_height=to_height)
+    return len(batch)
 
 
 def verify_chain(world, blocks: list) -> None:
@@ -431,7 +428,3 @@ def verify_chain(world, blocks: list) -> None:
     if not blocks or blocks[0].block_digest != genesis_block().block_digest:
         raise ChainIntegrityViolation("chain does not start at genesis")
     verify_batch(world, blocks[0].block_digest, 0, blocks[1:])
-
-
-def export_ledger_rows(ledger: Ledger) -> list:
-    return ledger.blocks[1:]

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from .consensus import genesis_block
 from .events import (
     EventLog,
     write_alerts_csv,
@@ -221,16 +222,16 @@ def snapshot_state(world) -> dict:
         profile = world.devices[pub]
         acct = world.stake_accounts.get(pub)
         rep = world.reputation_accounts.get(pub)
+        height = world.heights.get(pub)
         devices[pub.hex()] = {
             "status": profile.status.value,
             "staked": round(acct.staked, 9) if acct else None,
             "liquid": round(acct.liquid, 9) if acct else None,
             "offenses": acct.offense_count if acct else None,
             "score": round(rep.score, 9) if rep else None,
-            "ledger_height": world.ledgers[pub].height
-                             if pub in world.ledgers else None,
-            "ledger_head": world.ledgers[pub].head.hex()
-                           if pub in world.ledgers else None,
+            "ledger_height": height,
+            "ledger_head": world.canonical.blocks[height].block_digest.hex()
+                           if height is not None else None,
         }
     txn_status: dict = {}
     for tid in sorted(world.transactions):
@@ -262,7 +263,8 @@ def write_snapshot(world, path: Path) -> None:
 
 
 class ReplayState:
-    """Mirror of protocol-visible state folded purely from events."""
+    """Mirror of protocol-visible state folded purely from events; a node's
+    chain is its height into the replayed canonical chain."""
 
     def __init__(self):
         self.device_status: dict = {}
@@ -270,7 +272,8 @@ class ReplayState:
         self.liquid: dict = {}
         self.offenses: dict = {}
         self.score: dict = {}
-        self.ledger: dict = {}          # pub hex -> list of block digests
+        self.heights: dict = {}         # pub hex -> height into canonical
+        self.canonical: list = [genesis_block().block_digest.hex()]
         self.txn_status: dict = {}
         self.treasury = 0.0
         self.bond_escrow = 0.0
@@ -282,12 +285,12 @@ class ReplayState:
 def replay_events(events, cfg) -> ReplayState:
     """Fold the event log into a ReplayState.
 
-    Covers lifecycle status, token flows, and per-node chains; numeric
-    account balances are reconstructed from incentive deltas.
+    Covers lifecycle status, token flows, the canonical chain and each
+    node's height into it; numeric account balances are reconstructed from
+    incentive deltas.
     """
     st = ReplayState()
     inc = cfg.incentives
-    canonical: list = []
 
     for ev in events:
         st.tick = max(st.tick, ev.tick)
@@ -295,7 +298,7 @@ def replay_events(events, cfg) -> ReplayState:
         d = ev.detail
         if kind == "device_finalized":
             st.device_status[ev.subject] = "Active"
-            st.ledger[ev.subject] = []
+            st.heights[ev.subject] = 0
         elif kind == "quarantine":
             st.device_status[ev.subject] = "Quarantined"
         elif kind == "quarantine_release":
@@ -343,14 +346,13 @@ def replay_events(events, cfg) -> ReplayState:
                 st.liquid[subject] = st.liquid.get(subject, 0.0) + delta
                 st.bond_escrow -= delta
         elif kind == "block_committed":
-            canonical.append(ev.subject)
+            st.canonical.append(ev.subject)
             for node in d["recipients"]:
-                chain = st.ledger.get(node)
-                if chain is not None and len(chain) == d["height"] - 1:
-                    chain.append(ev.subject)
+                if st.heights.get(node) == d["height"] - 1:
+                    st.heights[node] = d["height"]
         elif kind == "sync":
-            source_chain = st.ledger.get(ev.actor, [])
-            st.ledger[ev.subject] = list(source_chain[:d["to_height"]])
+            st.heights[ev.subject] = min(d["to_height"],
+                                         st.heights.get(ev.actor, 0))
         elif kind == "txn_created":
             st.txn_status[ev.subject] = "Pending"
         elif kind == "txn_status":
@@ -383,9 +385,17 @@ def replay_matches_world(world) -> dict:
                 st.liquid.get(pub_hex, 0.0) - dev["liquid"]) > 1e-6:
             mismatches[f"liquid:{pub_hex}"] = (st.liquid.get(pub_hex, 0.0),
                                                dev["liquid"])
-        chain = st.ledger.get(pub_hex)
-        if chain is not None and dev["ledger_height"] != len(chain):
-            mismatches[f"height:{pub_hex}"] = (len(chain), dev["ledger_height"])
+        height = st.heights.get(pub_hex)
+        if height is not None:
+            if dev["ledger_height"] != height:
+                mismatches[f"height:{pub_hex}"] = (height, dev["ledger_height"])
+            if dev["ledger_head"] != st.canonical[height]:
+                mismatches[f"head:{pub_hex}"] = (st.canonical[height],
+                                                 dev["ledger_head"])
+    for key, replayed in (("canonical_height", len(st.canonical) - 1),
+                          ("canonical_head", st.canonical[-1])):
+        if live[key] != replayed:
+            mismatches[key] = (replayed, live[key])
     if abs(st.treasury - live["treasury"]) > 1e-6:
         mismatches["treasury"] = (st.treasury, live["treasury"])
     for tid, status in live["transactions"].items():

@@ -82,7 +82,7 @@ class World:
         self.mempool: list = []            # witnessed txn ids
         self.unpaneled: list = []          # txns waiting for witnesses
         self.aggregation_due: dict = {}    # tick -> [txn ids]
-        self.ledgers: dict = {}            # pub -> Ledger
+        self.heights: dict = {}            # pub -> height into canonical
         self.canonical = consensus.Ledger()
         self.pending_block: Optional[PendingBlock] = None
         self.stake_accounts: dict = {}
@@ -99,7 +99,6 @@ class World:
         self.feedback_log: list = []
         self.baselines: dict = {}          # stream id -> StreamBaseline
         self.epoch_contrib: dict = {}      # pub -> correct attestations this epoch
-        self.rep_trajectory: list = []     # (tick, role, mean score)
         self.compromise_schedule: list = []
         self.gt_scrambler = None           # test hook: metrics-side corruption
         self._txn_counts_this_tick: dict = {}
@@ -154,8 +153,7 @@ def onboard_actor(world: World, actor: DeviceActor, stake: float,
                          subject=actor.pub.hex(), reason="stake")
         return None
     world.actors[actor.pub] = actor
-    world.ledgers[actor.pub] = consensus.Ledger()
-    actor.ledger_ref = world.ledgers[actor.pub]
+    world.heights[actor.pub] = 0
     # stochastic onboarding integration: some fresh devices get re-validated
     if stochastic.should_inspect(world.rng_inspection,
                                  world.cfg.inspection.rate_device,
@@ -262,18 +260,17 @@ def _environment(world: World) -> None:
 def _sync_lagging(world: World) -> None:
     canonical_height = world.canonical.height
     behind = [p for p in world.active_devices()
-              if world.ledgers[p].height < canonical_height]
+              if world.heights[p] < canonical_height]
     for target in behind:
         sources = [p for p in world.active_devices()
-                   if world.ledgers[p].height > world.ledgers[target].height]
+                   if world.heights[p] > world.heights[target]]
         if not sources:
             continue
         # an adversarial propagator races to answer first
         eager = [p for p in sources if world.actors[p].role == "forged_sync_node"]
         pool = eager or sources
         source = world.rng_consensus.derive("sync", world.tick, target).choice(pool)
-        ledger_t = world.ledgers[target]
-        head0, height0 = ledger_t.head, ledger_t.height
+        head0, height0 = consensus.node_head(world, target), world.heights[target]
         try:
             consensus.synchronize(world, source, target)
         except ChainIntegrityViolation as exc:
@@ -282,7 +279,7 @@ def _sync_lagging(world: World) -> None:
         if stochastic.should_inspect(world.rng_inspection,
                                      world.cfg.inspection.rate_sync_verify,
                                      "sync", world.tick, source, target):
-            batch = world.actors[source].serve_sync(height0)
+            batch = world.actors[source].serve_sync(world, height0)
             stochastic.verify_sync_integrity(world, source, target, batch,
                                              head0, height0)
 
@@ -362,6 +359,8 @@ def _arrivals(world: World) -> None:
         size = world.rng_arrival.randint(cfg.payload_min, cfg.payload_max)
         advertised, true_digest = world.actors[sender].make_payload(world, size)
         txn = transmission.submit_transaction(world, sender, receiver, advertised)
+        counts = world._txn_counts_this_tick
+        counts[sender] = counts.get(sender, 0) + 1
         tampered = advertised != true_digest
         world.ground_truth[txn.id] = GroundTruth(true_digest, tampered, size)
         flag = tampered
@@ -630,7 +629,6 @@ def _sample_metrics(world: World) -> None:
     for role in sorted(by_role):
         scores = by_role[role]
         mean = sum(scores) / len(scores)
-        world.rep_trajectory.append((world.tick, role, round(mean, 9)))
         world.log.append(world.tick, "rep_sample", subject=role,
                          mean=round(mean, 9), n=len(scores))
 
@@ -646,13 +644,7 @@ def step(world: World) -> int:
     anomaly.release_due_quarantines(world)
     _sync_lagging(world)
 
-    created_before = set(world.transactions)
     _arrivals(world)
-    for tid, txn in world.transactions.items():
-        if tid not in created_before:
-            world._txn_counts_this_tick[txn.sender] = \
-                world._txn_counts_this_tick.get(txn.sender, 0) + 1
-
     _aggregate_due(world)
     _land_pending(world)
     _consensus_round(world)

@@ -21,7 +21,7 @@ from gdpsim.cli import main as cli_main
 from gdpsim.config import AdversarySpec
 from gdpsim.consensus import Vote, tally, vote_weight, active_stake_total
 from gdpsim.incentives import deterrence_margin, simulate_cheater_average_payoff
-from gdpsim.metrics import derive_metrics, replay_matches_world
+from gdpsim.metrics import derive_metrics, replay_matches_world, snapshot_state
 from gdpsim.primitives import SeededRng, digest
 from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 from gdpsim.transmission import Verdict, aggregation_oracle
@@ -358,15 +358,16 @@ def _check_invariants(world, cfg):
     for rep in world.reputation_accounts.values():
         if not 0.0 <= rep.score <= 1.0:
             problems.append(f"score out of bounds: {rep.score}")
-    # chain integrity replay + prefix consistency of honest ledgers
+    # chain integrity replay + every node's chain is a canonical prefix
     try:
         consensus.verify_chain(world, world.canonical.blocks)
     except Exception as exc:
         problems.append(f"canonical chain: {exc}")
-    canon = [b.block_digest for b in world.canonical.blocks]
-    for pub, ledger in world.ledgers.items():
-        chain = [b.block_digest for b in ledger.blocks]
-        if chain != canon[:len(chain)]:
+    snapshot = snapshot_state(world)["devices"]
+    for pub, height in world.heights.items():
+        if (height > world.canonical.height
+                or snapshot[pub.hex()]["ledger_head"]
+                != world.canonical.blocks[height].block_digest.hex()):
             problems.append(f"ledger of {pub.hex()[:8]} not a prefix")
     # committed transactions carry attestation quorum
     quorum = cfg.panel.effective_quorum()

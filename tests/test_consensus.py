@@ -4,7 +4,6 @@ import pytest
 
 from gdpsim import consensus, transmission
 from gdpsim.consensus import (
-    Ledger,
     Vote,
     cast_vote,
     commit_block,
@@ -215,34 +214,26 @@ def test_synchronize_adopts_missing_blocks(world):
     _grow_chain(world, 3)
     nodes = consensus.active_nodes(world)
     a, b = nodes[0], nodes[1]
-    # put b behind by truncating its ledger copy
-    truncated = Ledger()
-    for block in world.ledgers[b].blocks[1:2]:
-        truncated.append(block, world.transactions)
-    world.ledgers[b] = truncated
-    world.actors[b].ledger_ref = truncated
-    report = synchronize(world, a, b)
-    assert report.blocks_transferred == 2
-    assert world.ledgers[b].height == world.ledgers[a].height
-    assert world.ledgers[b].head == world.ledgers[a].head
+    # put b behind by lowering its height
+    world.heights[b] = 1
+    assert synchronize(world, a, b) == 2
+    assert world.heights[b] == world.heights[a]
+    assert consensus.node_head(world, b) == consensus.node_head(world, a)
 
 
 def test_synchronize_equal_heads_noop(world):
     _grow_chain(world, 1)
     nodes = consensus.active_nodes(world)
-    report = synchronize(world, nodes[0], nodes[1])
-    assert report.blocks_transferred == 0
+    assert synchronize(world, nodes[0], nodes[1]) == 0
 
 
 def test_synchronize_rejects_tampered_block(world):
     _grow_chain(world, 2)
     nodes = consensus.active_nodes(world)
     a, b = nodes[0], nodes[1]
-    truncated = Ledger()
-    world.ledgers[b] = truncated
-    world.actors[b].ledger_ref = truncated
+    world.heights[b] = 0
 
-    real = world.ledgers[a].blocks
+    real = world.canonical.blocks
     forged_ids = tuple(digest(t + b"spoof") for t in real[1].txn_ids)
     forged = consensus.LedgerBlock(
         height=1, parent=real[1].parent, txn_ids=forged_ids,
@@ -252,32 +243,36 @@ def test_synchronize_rejects_tampered_block(world):
         proposal_tick=real[1].proposal_tick)
 
     class ForgingServer:
-        def serve_sync(self, from_height):
+        def serve_sync(self, world, from_height):
             return [forged] + real[2:]
 
     world.actors[a].serve_sync = ForgingServer().serve_sync
-    before = world.ledgers[b].height
+    before = world.heights[b]
     with pytest.raises(ChainIntegrityViolation):
         synchronize(world, a, b)
-    assert world.ledgers[b].height == before  # unchanged
+    assert world.heights[b] == before  # unchanged
 
 
-def test_equal_height_divergence_is_fatal(world):
-    _grow_chain(world, 1)
-    nodes = consensus.active_nodes(world)
-    a, b = nodes[0], nodes[1]
-    block = world.ledgers[b].blocks[1]
-    rogue = consensus.LedgerBlock(
-        height=1, parent=block.parent, txn_ids=(digest(b"other"),),
-        proposer=block.proposer, votes=block.votes,
-        block_digest=digest(b"divergent"),
-        accept_weight=block.accept_weight, total_weight=block.total_weight,
-        proposal_tick=block.proposal_tick)
-    diverged = Ledger()
-    diverged.append(rogue, world.transactions)
-    world.ledgers[b] = diverged
-    with pytest.raises(ChainIntegrityViolation):
-        synchronize(world, a, b)
+def test_lagging_node_judges_from_its_own_height(world):
+    _grow_chain(world, 2)  # sender nonces 0-1 at height 1, 2-3 at height 2
+    proposer, node = consensus.active_nodes(world)[:2]
+    world.heights[node] = 1
+
+    def on_block(height, ids):
+        return consensus.Proposal(
+            proposer=proposer, txn_ids=tuple(ids),
+            parent_block=world.canonical.blocks[height].block_digest,
+            tick=world.tick, signature=None)
+
+    above = world.canonical.blocks[2].txn_ids[0]
+    assert not honest_accept(world, node, on_block(1, [above]))
+    # a fresh nonce 2 chains on the node's watermark (1), not the tip's (3)
+    world.next_nonce[world.transactions[above].sender] = 2
+    [retry] = witness_and_pool(world, 1)
+    assert retry != above and world.transactions[retry].nonce == 2
+    assert honest_accept(world, node, on_block(1, [retry]))
+    world.heights[node] = 2
+    assert not honest_accept(world, node, on_block(2, [retry]))
 
 
 def test_verify_chain_replay(world):

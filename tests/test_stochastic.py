@@ -182,8 +182,8 @@ def test_sync_integrity_honest_batch_passes(world):
     world.mempool.append(list(world.transactions)[0])
     block = grow_chain_with_verdict(world)
     source = world.active_devices()[0]
-    batch = world.actors[source].serve_sync(0)
-    genesis = world.ledgers[source].blocks[0]
+    batch = world.actors[source].serve_sync(world, 0)
+    genesis = world.canonical.blocks[0]
     outcome = verify_sync_integrity(world, source, world.active_devices()[1],
                                     batch, genesis.block_digest, 0)
     assert outcome.passed
@@ -196,7 +196,7 @@ def test_sync_integrity_forged_batch_penalized(world):
     world.mempool.append(list(world.transactions)[0])
     block = grow_chain_with_verdict(world)
     source = world.active_devices()[0]
-    real = world.actors[source].serve_sync(0)
+    real = world.actors[source].serve_sync(world, 0)
     forged_ids = (digest(b"not the real txn"),)
     forged = consensus.LedgerBlock(
         height=real[0].height, parent=real[0].parent, txn_ids=forged_ids,
@@ -206,7 +206,7 @@ def test_sync_integrity_forged_batch_penalized(world):
         accept_weight=real[0].accept_weight,
         total_weight=real[0].total_weight,
         proposal_tick=real[0].proposal_tick)
-    genesis = world.ledgers[source].blocks[0]
+    genesis = world.canonical.blocks[0]
     outcome = verify_sync_integrity(world, source, world.active_devices()[1],
                                     [forged], genesis.block_digest, 0)
     assert not outcome.passed

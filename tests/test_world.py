@@ -97,6 +97,21 @@ def test_replay_fold_matches_live_state():
         assert mismatches == {}, f"{name}: {mismatches}"
 
 
+def test_replay_fold_catches_a_foreign_head():
+    import dataclasses
+    from gdpsim.primitives import digest
+    cfg = get_scenario("baseline")
+    cfg.duration_ticks, cfg.drain_ticks = 60, 20
+    world = run_world(cfg)
+    tip = world.canonical.blocks[-1]
+    world.canonical.blocks[-1] = dataclasses.replace(
+        tip, block_digest=digest(b"foreign"))
+    mismatches = replay_matches_world(world)
+    at_tip = {f"head:{p.hex()}" for p, h in world.heights.items()
+              if h == tip.height}
+    assert at_tip and set(mismatches) == at_tip | {"canonical_head"}
+
+
 def test_metrics_rederivable_from_written_log(tmp_path):
     from gdpsim.events import read_events_jsonl, write_events_jsonl
     cfg = get_scenario("baseline")
@@ -194,7 +209,7 @@ def test_forged_sync_scenario_catches_propagator():
               if a.role == "forged_sync_node"][0]
     assert world.devices[forger].status is DeviceStatus.BANNED
     # the victim still caught up from an honest source afterwards
-    heights = {world.ledgers[p].height for p in world.active_devices()}
+    heights = {world.heights[p] for p in world.active_devices()}
     assert len(heights) == 1
 
 
