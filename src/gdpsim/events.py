@@ -27,18 +27,26 @@ class EventLog:
     """Total-ordered append-only log; indices double as event references.
 
     Events arrive in non-decreasing tick order, which lets window queries
-    bisect instead of scanning.
+    bisect instead of scanning. A key index maps each event's subject and
+    actor (once when they are equal) to the refs that name it; refs enter in
+    append order, so every key's list is ascending and bisects by ref.
     """
 
     def __init__(self):
         self._events: list[Event] = []
         self._ticks: list[int] = []
+        self._refs_by_key: dict[str, list[int]] = {}
 
     def append(self, tick: int, kind: str, actor: str = "", subject: str = "",
                **detail) -> int:
+        ref = len(self._events)
         self._events.append(Event(tick, kind, actor, subject, detail))
         self._ticks.append(tick)
-        return len(self._events) - 1
+        index = self._refs_by_key
+        index.setdefault(subject, []).append(ref)
+        if actor != subject:
+            index.setdefault(actor, []).append(ref)
+        return ref
 
     def __len__(self) -> int:
         return len(self._events)
@@ -52,20 +60,28 @@ class EventLog:
     def exists(self, ref) -> bool:
         return isinstance(ref, int) and 0 <= ref < len(self._events)
 
+    def refs_of(self, key: str) -> list[int]:
+        """Ascending refs of the events whose subject or actor is ``key``.
+
+        The list is the index's own; callers read it and never mutate it.
+        """
+        return self._refs_by_key.get(key, [])
+
     def slice_around(self, center_tick: int, radius: int,
                      subject: str = None) -> list[tuple[int, Event]]:
-        """Events within +-radius ticks, as (ref, event) pairs."""
+        """Events within +-radius ticks, as (ref, event) pairs; with a
+        subject, only those whose subject or actor is that key."""
         lo = max(0, center_tick - radius)
         hi = center_tick + radius
         start = bisect_left(self._ticks, lo)
         stop = bisect_right(self._ticks, hi)
-        out = []
-        for ref in range(start, stop):
-            ev = self._events[ref]
-            if subject is not None and ev.subject != subject and ev.actor != subject:
-                continue
-            out.append((ref, ev))
-        return out
+        if subject is None:
+            refs = range(start, stop)
+        else:
+            keyed = self.refs_of(subject)
+            refs = keyed[bisect_left(keyed, start):bisect_left(keyed, stop)]
+        events = self._events
+        return [(ref, events[ref]) for ref in refs]
 
     def by_kind(self, *kinds: str) -> list[Event]:
         wanted = set(kinds)

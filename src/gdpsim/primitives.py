@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -52,15 +54,16 @@ class Signature:
 
 
 # parsed key objects are cached; reparsing dominates signing time otherwise
-_private_keys: dict = {}
+_private_keys: dict = {}   # secret -> (parsed private key, raw public key)
 _public_keys: dict = {}
 
 
-def _private(secret: bytes) -> Ed25519PrivateKey:
-    key = _private_keys.get(secret)
-    if key is None:
-        key = _private_keys[secret] = Ed25519PrivateKey.from_private_bytes(secret)
-    return key
+def _private(secret: bytes) -> tuple[Ed25519PrivateKey, bytes]:
+    entry = _private_keys.get(secret)
+    if entry is None:
+        key = Ed25519PrivateKey.from_private_bytes(secret)
+        entry = _private_keys[secret] = (key, key.public_key().public_bytes_raw())
+    return entry
 
 
 def _public(public: bytes) -> Ed25519PublicKey:
@@ -73,14 +76,13 @@ def _public(public: bytes) -> Ed25519PublicKey:
 def generate_keypair(rng: "SeededRng") -> KeyPair:
     """Derive a keypair from the seeded stream (keeps worlds reproducible)."""
     secret = rng.bytes(32)
-    public = _private(secret).public_key().public_bytes_raw()
+    _, public = _private(secret)
     return KeyPair(public_key=public, secret_key=secret)
 
 
 def sign(secret: bytes, message: bytes) -> Signature:
     """Deterministic Ed25519 signature over the message."""
-    private = _private(secret)
-    public = private.public_key().public_bytes_raw()
+    private, public = _private(secret)
     return Signature(sig=private.sign(message), signer=public)
 
 
@@ -199,6 +201,18 @@ class SeededRng:
         return out
 
 
+def weighted_index(rng: SeededRng, weights: list) -> int:
+    """Index of one draw proportional to positive ``weights``.
+
+    The draw is the first index whose running sum exceeds
+    ``rng.random() * sum(weights)``, and the last index when rounding leaves
+    none. ``sum`` and ``accumulate`` add in list order, as a running loop
+    would, so the pick is the same float for float.
+    """
+    x = rng.random() * sum(weights)
+    return min(bisect_right(list(accumulate(weights)), x), len(weights) - 1)
+
+
 def sample_without_replacement(rng: SeededRng, population, weights, k: int) -> list:
     """Weighted sampling without replacement by successive draws.
 
@@ -208,24 +222,17 @@ def sample_without_replacement(rng: SeededRng, population, weights, k: int) -> l
     """
     if len(weights) != len(population):
         raise ValueError("population and weights must have equal length")
-    entries = [(item, w) for item, w in zip(population, weights) if w > 0]
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
-    if k > len(entries):
+    items = [item for item, w in zip(population, weights) if w > 0]
+    positive = [w for w in weights if w > 0]
+    if k > len(items):
         raise InsufficientPopulation(
-            f"need {k} positively weighted items, have {len(entries)}"
+            f"need {k} positively weighted items, have {len(items)}"
         )
     out = []
     for _ in range(k):
-        total = sum(w for _, w in entries)
-        x = rng.random() * total
-        acc = 0.0
-        idx = len(entries) - 1
-        for i, (_, w) in enumerate(entries):
-            acc += w
-            if x < acc:
-                idx = i
-                break
-        out.append(entries[idx][0])
-        entries.pop(idx)
+        idx = weighted_index(rng, positive)
+        out.append(items.pop(idx))
+        positive.pop(idx)
     return out

@@ -9,8 +9,10 @@ panel, and witness accuracy is settled against the consensus outcome.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Optional
 
 from . import incentives
@@ -23,7 +25,7 @@ from .errors import (
     RevealTooEarly,
 )
 from .onboarding import DeviceStatus
-from .primitives import Digest, Signature, digest, sign
+from .primitives import Digest, Signature, digest, sign, weighted_index
 
 
 class TxnStatus(Enum):
@@ -97,59 +99,52 @@ def submit_transaction(world, sender: bytes, receiver: bytes,
     return txn
 
 
-def _eligible_witnesses(world, txn: DataTransaction, exclude=frozenset()):
-    out = []
-    for pub, profile in world.devices.items():
-        if profile.status is not DeviceStatus.ACTIVE:
-            continue
-        if pub == txn.sender or pub == txn.receiver or pub in exclude:
-            continue
-        out.append(pub)
-    return out
-
-
 def select_witnesses(world, txn: DataTransaction, rng,
                      exclude=frozenset()) -> list:
     """Reputation-weighted panel with an operator-group diversity cap.
 
     Sender and receiver are never eligible; at most ``diversity`` witnesses
-    may share an operator group.
+    may share an operator group. Active, positively weighted candidates are
+    gathered once in device order; each draw pops its pick, and a group's
+    remaining members leave the pool when it reaches the cap.
     """
     cfg = world.cfg.panel
-    candidates = _eligible_witnesses(world, txn, exclude)
-    weights = {pub: world.reputation_accounts[pub].score for pub in candidates}
-    groups = {pub: world.devices[pub].operator_group for pub in candidates}
+    accounts = world.reputation_accounts
+    active, sender, receiver = DeviceStatus.ACTIVE, txn.sender, txn.receiver
+    pool, weights, groups = [], [], []
+    for pub, profile in world.devices.items():
+        if profile.status is not active:
+            continue
+        if pub == sender or pub == receiver or pub in exclude:
+            continue
+        score = accounts[pub].score
+        if score > 0:
+            pool.append(pub)
+            weights.append(score)
+            groups.append(profile.operator_group)
 
-    # capacity check under the diversity cap
-    per_group: dict = {}
-    for pub in candidates:
-        if weights[pub] > 0:
-            per_group[groups[pub]] = per_group.get(groups[pub], 0) + 1
-    capacity = sum(min(n, cfg.diversity) for n in per_group.values())
+    left = Counter(groups)   # operator group -> its members still in the pool
+    capacity = sum(map(min, left.values(), repeat(cfg.diversity)))
     if capacity < cfg.k:
         raise InsufficientWitnesses(
             f"capacity {capacity} under diversity cap, need k={cfg.k}")
 
     panel = []
     group_use: dict = {}
-    remaining = list(candidates)
     while len(panel) < cfg.k:
-        pool = [p for p in remaining
-                if group_use.get(groups[p], 0) < cfg.diversity and weights[p] > 0]
         if not pool:
             raise InsufficientWitnesses("pool exhausted under diversity cap")
-        total = sum(weights[p] for p in pool)
-        x = rng.random() * total
-        acc = 0.0
-        chosen = pool[-1]
-        for p in pool:
-            acc += weights[p]
-            if x < acc:
-                chosen = p
-                break
-        panel.append(chosen)
-        group_use[groups[chosen]] = group_use.get(groups[chosen], 0) + 1
-        remaining.remove(chosen)
+        idx = weighted_index(rng, weights)
+        panel.append(pool.pop(idx))
+        weights.pop(idx)
+        group = groups.pop(idx)
+        left[group] -= 1
+        group_use[group] = group_use.get(group, 0) + 1
+        if group_use[group] >= cfg.diversity and left[group]:
+            keep = [i for i, g in enumerate(groups) if g != group]
+            pool = [pool[i] for i in keep]
+            weights = [weights[i] for i in keep]
+            groups = [groups[i] for i in keep]
     return panel
 
 
@@ -264,8 +259,9 @@ def aggregation_oracle(reveals: list, quorum: int) -> str:
 
 def _txn_to_arbitration(world, txn: DataTransaction) -> dict:
     from .arbitration import open_dispute
-    refs = [ref for ref, ev in enumerate(world.log)
-            if ev.subject == txn.id.hex()]
+    subject = txn.id.hex()
+    refs = [ref for ref in world.log.refs_of(subject)
+            if world.log[ref].subject == subject]
     claim = {"category": "attestation_conflict",
              "accused": txn.sender.hex(), "event_refs": refs[-8:]}
     dispute = open_dispute(world, [txn.sender], claim)

@@ -307,7 +307,7 @@ def _run_commit_phase(world: World, txn) -> None:
             if profile is not None and profile.status in (
                     DeviceStatus.ACTIVE, DeviceStatus.QUARANTINED):
                 mismatch_ref = next(
-                    ref for ref in range(len(world.log) - 1, -1, -1)
+                    ref for ref in reversed(world.log.refs_of(witness.hex()))
                     if world.log[ref].kind == "commit_mismatch"
                     and world.log[ref].actor == witness.hex())
                 arbitration.open_dispute(
@@ -566,12 +566,14 @@ def _revalidations(world: World) -> None:
         if world.tick - profile.last_revalidation_tick >= period:
             ok = onboarding.revalidate_device(world, profile, world.tick)
             if not ok:
-                ref = len(world.log) - 1
-                refs = [i for i, ev in enumerate(world.log)
-                        if ev.subject == pub.hex() and ev.kind == "revalidation"]
+                ref = next(
+                    (i for i in reversed(world.log.refs_of(pub.hex()))
+                     if world.log[i].subject == pub.hex()
+                     and world.log[i].kind == "revalidation"),
+                    len(world.log) - 1)
                 arbitration.open_dispute(
                     world, [pub], {"category": "anomaly", "accused": pub.hex(),
-                                   "event_refs": refs[-1:] or [ref]})
+                                   "event_refs": [ref]})
 
 
 def _progress_disputes(world: World) -> None:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from gdpsim import incentives
 from gdpsim.anomaly import StreamBaseline
+from gdpsim.events import EventLog
 from gdpsim.incentives import Severity, conservation_gap, deterrence_margin
 from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import SeededRng, sample_without_replacement
@@ -55,6 +56,33 @@ def test_weighted_sample_respects_support(weights, seed):
     picked = sample_without_replacement(SeededRng(seed), population, weights, k)
     assert len(set(picked)) == k
     assert set(picked) <= set(positive)
+
+
+keys = st.sampled_from(["", "a", "b", "c"])
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=3), keys, keys,
+                          st.booleans()),
+                max_size=60),
+       st.integers(min_value=-5, max_value=40),
+       st.integers(min_value=-3, max_value=20),
+       st.one_of(st.none(), keys))
+@settings(max_examples=300, deadline=None)
+def test_slice_around_matches_brute_force(rows, center, radius, subject):
+    log = EventLog()
+    tick = 0
+    for step, actor, key, self_subject in rows:
+        tick += step
+        log.append(tick, "k", actor=actor, subject=actor if self_subject else key)
+    lo, hi = max(0, center - radius), center + radius
+    expected = [(ref, ev) for ref, ev in enumerate(log)
+                if lo <= ev.tick <= hi
+                and (subject is None or ev.subject == subject or ev.actor == subject)]
+    assert log.slice_around(center, radius, subject=subject) == expected
+    if subject is not None:
+        assert log.refs_of(subject) == [
+            ref for ref, ev in enumerate(log)
+            if ev.subject == subject or ev.actor == subject]
 
 
 @given(st.lists(st.sampled_from(["valid", "invalid", "missing"]),

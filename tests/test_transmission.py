@@ -116,6 +116,74 @@ def test_selection_insufficient_witnesses(world):
         select_witnesses(world, txn, SeededRng(7))
 
 
+def _k_pass_select(world, txn, rng, exclude=frozenset()):
+    """Reference panel draw: one filtered pass over the candidates per seat."""
+    cfg = world.cfg.panel
+    candidates = [pub for pub, profile in world.devices.items()
+                  if profile.status is transmission.DeviceStatus.ACTIVE
+                  and pub not in (txn.sender, txn.receiver)
+                  and pub not in exclude]
+    weights = {pub: world.reputation_accounts[pub].score for pub in candidates}
+    groups = {pub: world.devices[pub].operator_group for pub in candidates}
+    per_group = {}
+    for pub in candidates:
+        if weights[pub] > 0:
+            per_group[groups[pub]] = per_group.get(groups[pub], 0) + 1
+    if sum(min(n, cfg.diversity) for n in per_group.values()) < cfg.k:
+        raise InsufficientWitnesses("capacity")
+    panel = []
+    group_use = {}
+    remaining = list(candidates)
+    while len(panel) < cfg.k:
+        pool = [p for p in remaining
+                if group_use.get(groups[p], 0) < cfg.diversity and weights[p] > 0]
+        if not pool:
+            raise InsufficientWitnesses("pool exhausted")
+        total = sum(weights[p] for p in pool)
+        x = rng.random() * total
+        acc = 0.0
+        chosen = pool[-1]
+        for p in pool:
+            acc += weights[p]
+            if x < acc:
+                chosen = p
+                break
+        panel.append(chosen)
+        group_use[groups[chosen]] = group_use.get(groups[chosen], 0) + 1
+        remaining.remove(chosen)
+    return panel
+
+
+def test_select_witnesses_matches_k_pass_reference():
+    world = mini_world(n_witness_pool=24)
+    txn = make_txn(world)
+    gen = SeededRng(2024)
+    devices = list(world.devices)
+    outcomes = set()
+    for case in range(400):
+        for pub in devices:
+            world.reputation_accounts[pub].score = (
+                0.0 if gen.bernoulli(0.25) else gen.random())
+            world.devices[pub].operator_group = f"g{gen.below(1 + case % 9)}"
+            world.devices[pub].status = (
+                transmission.DeviceStatus.QUARANTINED if gen.bernoulli(0.1)
+                else transmission.DeviceStatus.ACTIVE)
+        world.cfg.panel.k = 1 + gen.below(6)
+        world.cfg.panel.diversity = 1 + gen.below(3)
+        exclude = frozenset(p for p in devices if gen.bernoulli(0.2))
+        seed = gen.next_u64()
+        try:
+            expected = _k_pass_select(world, txn, SeededRng(seed), exclude)
+        except InsufficientWitnesses:
+            with pytest.raises(InsufficientWitnesses):
+                select_witnesses(world, txn, SeededRng(seed), exclude)
+            outcomes.add("raised")
+            continue
+        assert select_witnesses(world, txn, SeededRng(seed), exclude) == expected
+        outcomes.add("panel")
+    assert outcomes == {"panel", "raised"}
+
+
 def test_commit_happy_and_hidden(world):
     txn = make_txn(world)
     open_panel(world, txn, SeededRng(8))
@@ -275,9 +343,16 @@ def test_escalation_cap_opens_dispute(world):
     _aggregate_with_pattern(world, txn, ["valid", "valid", "valid",
                                          "invalid", "invalid"])
     txn.escalations = world.cfg.panel.max_escalations
+    before = len(world.log)
     outcome = transmission.reescalate_disputed(world, txn, SeededRng(15))
     assert outcome["action"] == "arbitration"
     assert outcome["dispute"] in world.disputes
+    # the claim cites the txn's last eight events logged before the hand-off
+    txn_refs = [ref for ref in range(before)
+                if world.log[ref].subject == txn.id.hex()]
+    assert len(txn_refs) > 8
+    claim = world.disputes[outcome["dispute"]].claim
+    assert claim["event_refs"] == txn_refs[-8:]
 
 
 def test_evaluate_all_honest_committed(world):
