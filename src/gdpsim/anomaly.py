@@ -47,10 +47,12 @@ class QuarantineRecord:
 class StreamBaseline:
     """Ring window of the last W samples with stable running mean/variance.
 
-    Welford updates while the window fills; once it rolls, each eviction
-    triggers a two-pass recomputation over the buffer. Downdating formulas
-    cancel catastrophically when a large sample leaves the window, and the
-    stats here must match a direct recomputation to 1e-9 relative error.
+    Welford updates while the window fills. Once it rolls, a window of
+    integral samples (every in-world stream: counts, 0/1 flags, sizes) takes
+    its stats from exact integer sums, so each push is O(1) and the mean and
+    variance are correctly rounded. A window holding any non-integral sample
+    falls back to a two-pass recomputation over the buffer, which matches a
+    direct recomputation to 1e-9 relative error.
     """
 
     def __init__(self, stream_id: str, window: int):
@@ -61,17 +63,39 @@ class StreamBaseline:
         self.n = 0
         self.mean = 0.0
         self.m2 = 0.0
+        # exact sums of x and x*x over the window's integral samples, and the
+        # count of its non-integral ones (fractions, inf, nan)
+        self.s1 = 0
+        self.s2 = 0
+        self.n_fractional = 0
         # two-sided CUSUM accumulators over standardized residuals
         self.cusum_pos = 0.0
         self.cusum_neg = 0.0
 
     def push(self, sample: float) -> None:
+        if float(sample).is_integer():
+            k = int(sample)
+            self.s1 += k
+            self.s2 += k * k
+        else:
+            self.n_fractional += 1
         if len(self.buf) == self.window:
-            self.buf.popleft()
+            old = self.buf.popleft()
+            if float(old).is_integer():
+                k = int(old)
+                self.s1 -= k
+                self.s2 -= k * k
+            else:
+                self.n_fractional -= 1
             self.buf.append(sample)
-            self.n = len(self.buf)
-            self.mean = sum(self.buf) / self.n
-            self.m2 = sum((x - self.mean) ** 2 for x in self.buf)
+            n = self.n
+            if self.n_fractional == 0:
+                s1 = self.s1
+                self.mean = s1 / n
+                self.m2 = (n * self.s2 - s1 * s1) / n
+            else:
+                self.mean = sum(self.buf) / n
+                self.m2 = sum((x - self.mean) ** 2 for x in self.buf)
         else:
             self.buf.append(sample)
             self.n += 1

@@ -367,8 +367,12 @@ def resolve_vote_conflict(world, proposal: Proposal, votes: list,
 def verify_batch(world, start_head: Digest, start_height: int,
                  batch: list) -> None:
     """Full re-verification of a transferred block batch: chain linkage,
-    content digests, vote bindings/signatures, and the commit threshold."""
+    content digests, vote bindings/signatures, and the commit threshold.
+
+    Verification is a pure function, so a vote signature that verified once
+    is remembered in ``world.verified_votes`` and not checked again."""
     threshold = world.cfg.consensus.commit_threshold
+    verified = world.verified_votes
     prev_digest = start_head
     prev_height = start_height
     for block in batch:
@@ -387,11 +391,14 @@ def verify_batch(world, start_head: Digest, start_height: int,
             if v.proposal_digest != expected_pd:
                 raise ChainIntegrityViolation(
                     f"vote bound to foreign proposal at height {block.height}")
-            if not verify(v.validator,
-                          vote_message(v.proposal_digest, v.accept, v.weight),
-                          v.signature):
-                raise ChainIntegrityViolation(
-                    f"forged vote by {v.validator.hex()} at height {block.height}")
+            key = (v.validator,
+                   vote_message(v.proposal_digest, v.accept, v.weight),
+                   v.signature)
+            if key not in verified:
+                if not verify(*key):
+                    raise ChainIntegrityViolation(
+                        f"forged vote by {v.validator.hex()} at height {block.height}")
+                verified.add(key)
             if v.accept:
                 accept += v.weight
         if abs(accept - block.accept_weight) > 1e-9:

@@ -5,6 +5,7 @@ lines as they complete. The heavyweight scenario sweeps scale the built-in
 scenarios through config overrides only.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -19,9 +20,11 @@ from gdpsim import consensus, transmission
 from gdpsim.anomaly import StreamBaseline, detect_changepoint, observe
 from gdpsim.cli import main as cli_main
 from gdpsim.config import AdversarySpec
+from gdpsim.events import write_events_jsonl
 from gdpsim.consensus import Vote, tally, vote_weight, active_stake_total
 from gdpsim.incentives import deterrence_margin, simulate_cheater_average_payoff
-from gdpsim.metrics import derive_metrics, replay_matches_world, snapshot_state
+from gdpsim.metrics import (derive_metrics, replay_matches_world,
+                            snapshot_digest, snapshot_state)
 from gdpsim.primitives import SeededRng, digest
 from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 from gdpsim.transmission import Verdict, aggregation_oracle
@@ -30,6 +33,7 @@ from gdpsim.world import build_world, run_world
 from conftest import mini_world
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+DIGESTS_PATH = GOLDEN_DIR / "digests.json"
 
 
 def _report(text):
@@ -239,10 +243,17 @@ def test_criterion_7_determinism_gate(tmp_path, update_goldens):
 
     GOLDEN_DIR.mkdir(exist_ok=True)
     mismatched = []
+    digests = {}
     for name in sorted(BUILTIN_SCENARIOS):
         cfg = get_scenario(name)
         world = run_world(cfg)
         report = derive_metrics(world.log, cfg)
+        events_path = tmp_path / f"{name}.events.jsonl"
+        write_events_jsonl(world.log, events_path)
+        digests[name] = {
+            "events_sha256": hashlib.sha256(events_path.read_bytes()).hexdigest(),
+            "snapshot_digest": snapshot_digest(world),
+        }
         golden_path = GOLDEN_DIR / f"{name}.report.json"
         if update_goldens:
             golden_path.write_text(json.dumps(report, indent=2,
@@ -253,9 +264,20 @@ def test_criterion_7_determinism_gate(tmp_path, update_goldens):
         golden = json.loads(golden_path.read_text())
         if golden != report:
             mismatched.append(name)
+    if update_goldens:
+        DIGESTS_PATH.write_text(json.dumps(digests, indent=2,
+                                           sort_keys=True) + "\n")
+        return
     assert not mismatched, f"golden regression: {mismatched}"
+    assert DIGESTS_PATH.exists(), \
+        "golden digests missing; run pytest --update-goldens"
+    golden_digests = json.loads(DIGESTS_PATH.read_text())
+    moved = sorted(name for name in set(golden_digests) | set(digests)
+                   if golden_digests.get(name) != digests.get(name))
+    assert not moved, f"events.jsonl or snapshot digest moved: {moved}"
     _report("PASS criterion 7: identical config+seed reruns byte-identical; "
-            f"golden reports match for all {len(BUILTIN_SCENARIOS)} scenarios")
+            "golden reports, events.jsonl and snapshot digests match for all "
+            f"{len(BUILTIN_SCENARIOS)} scenarios")
 
 
 # ------------------------------------------------------------------ #

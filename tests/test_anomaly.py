@@ -1,5 +1,6 @@
 import math
 import statistics
+from fractions import Fraction
 
 import pytest
 
@@ -17,6 +18,8 @@ from gdpsim.anomaly import (
 from gdpsim.errors import AlreadyQuarantined
 from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import SeededRng, digest
+from gdpsim.scenarios import get_scenario
+from gdpsim.world import run_world
 
 
 
@@ -69,6 +72,44 @@ def test_welford_matches_batch_recompute():
         if len(window) >= 2:
             direct_std = statistics.stdev(window)
             assert abs(b.std() - direct_std) <= 1e-9 * max(1.0, direct_std)
+
+
+def _assert_exact(b, window):
+    ints = [int(x) for x in window]
+    n, s1, s2 = len(ints), sum(ints), sum(v * v for v in ints)
+    assert b.mean == float(Fraction(s1, n))
+    assert b.m2 == float(Fraction(n * s2 - s1 * s1, n))
+
+
+def test_fractional_sample_falls_back_then_exact_again():
+    w = 10
+    b = StreamBaseline("s", w)
+    rng = SeededRng(56)
+    # a large offset makes a two-pass m2 miss correct rounding often enough
+    # that a window stuck on the fallback path fails the exact check
+    base = 10 ** 6
+    stream = [float(base + rng.below(20)) for _ in range(4 * w)]
+    enters = 2 * w
+    stream[enters] = base + 7.25  # joins after the roll, leaves w pushes later
+    for i, x in enumerate(stream):
+        b.push(x)
+        window = stream[max(0, i + 1 - w):i + 1]
+        mean = statistics.fmean(window)
+        assert abs(b.mean - mean) <= 1e-9 * max(1.0, abs(mean))
+        if len(window) >= 2:
+            std = statistics.stdev(window)
+            assert abs(b.std() - std) <= 1e-9 * max(1.0, std)
+        if i >= enters + w:
+            _assert_exact(b, window)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_samples_do_not_raise(bad):
+    w = 5
+    b = StreamBaseline("s", w)
+    stream = [1.0] * (w + 2) + [bad] + [2.0, 3.0] * w
+    feed(b, stream)
+    _assert_exact(b, stream[-w:])
 
 
 def test_point_alert_rate_calibrated():
@@ -217,6 +258,25 @@ def test_investigate_benign_spike_no_dispute(world):
     report = investigate(world, ref)
     assert report.violations == []
     assert report.dispute_id is None
+
+
+def test_investigate_subjectless_alert_reads_the_empty_key():
+    # payload-size alerts carry no subject, so their investigation slices
+    # the events that name "" as subject or actor
+    world = run_world(get_scenario("equivocation"))
+    radius = world.cfg.anomaly.investigate_radius
+    expected = {}
+    for ref, alert in enumerate(world.log):
+        if alert.kind == "alert" and alert.subject == "":
+            lo, hi = max(0, alert.tick - radius), alert.tick + radius
+            expected[ref] = [ev for ev in world.log if lo <= ev.tick <= hi
+                             and (ev.subject == "" or ev.actor == "")]
+    assert expected
+    for ref, events in expected.items():
+        assert any(ev.subject != "" for ev in events)  # actor-side matches
+        report = investigate(world, ref)
+        assert report.subject == ""
+        assert report.events == events
 
 
 def test_investigate_window_clamped(world):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -251,6 +252,46 @@ def test_synchronize_rejects_tampered_block(world):
     with pytest.raises(ChainIntegrityViolation):
         synchronize(world, a, b)
     assert world.heights[b] == before  # unchanged
+
+
+def test_resync_does_not_reverify_vote_signatures(world, monkeypatch):
+    _grow_chain(world, 3)
+    a, b = consensus.active_nodes(world)[:2]
+    calls = []
+    real_verify = consensus.verify
+
+    def counting_verify(*args):
+        calls.append(args)
+        return real_verify(*args)
+
+    monkeypatch.setattr(consensus, "verify", counting_verify)
+    world.heights[b] = 0
+    assert synchronize(world, a, b) == 3
+    assert len(calls) == sum(len(blk.votes)
+                             for blk in world.canonical.blocks[1:])
+    calls.clear()
+    world.heights[b] = 0
+    assert synchronize(world, a, b) == 3  # the same blocks again
+    assert calls == []
+
+
+@pytest.mark.parametrize("forgery", ["weight", "signature"])
+def test_verified_vote_cache_still_rejects_altered_votes(world, forgery):
+    _grow_chain(world, 2)
+    verify_chain(world, world.canonical.blocks)  # every genuine vote verified
+    victim = world.canonical.blocks[1]
+    first, second = victim.votes[0], victim.votes[1]
+    if forgery == "weight":
+        votes = (dataclasses.replace(first, weight=first.weight * 2),
+                 *victim.votes[1:])
+    else:
+        votes = (dataclasses.replace(first, signature=second.signature),
+                 dataclasses.replace(second, signature=first.signature),
+                 *victim.votes[2:])
+    tampered = list(world.canonical.blocks)
+    tampered[1] = dataclasses.replace(victim, votes=votes)
+    with pytest.raises(ChainIntegrityViolation, match="forged vote"):
+        verify_chain(world, tampered)
 
 
 def test_lagging_node_judges_from_its_own_height(world):

@@ -2,6 +2,7 @@
 
 import math
 import statistics
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
@@ -33,6 +34,27 @@ def test_window_stats_match_batch(stream, window):
         if len(tail) >= 2:
             std = statistics.stdev(tail)
             assert abs(b.std() - std) <= 1e-9 * max(1.0, std)
+
+
+integral_floats = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    st.integers(min_value=-2 ** 60, max_value=2 ** 60)).map(float)
+
+
+@given(st.integers(min_value=2, max_value=50),
+       st.lists(integral_floats, min_size=101, max_size=200))
+@settings(max_examples=100, deadline=None)
+def test_integral_window_stats_are_correctly_rounded(window, stream):
+    b = StreamBaseline("s", window)
+    for i, x in enumerate(stream):
+        b.push(x)
+        if i < window:
+            continue  # Welford while the window fills
+        tail = [int(v) for v in stream[i + 1 - window:i + 1]]
+        s1 = sum(tail)
+        s2 = sum(v * v for v in tail)
+        assert b.mean == float(Fraction(s1, window))
+        assert b.m2 == float(Fraction(window * s2 - s1 * s1, window))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
