@@ -192,7 +192,7 @@ def quarantine(world, subject: bytes, reason_ref) -> QuarantineRecord:
         raise AlreadyQuarantined(subject.hex())
     if profile.status is DeviceStatus.QUARANTINED:
         raise AlreadyQuarantined(subject.hex())
-    profile.status = DeviceStatus.QUARANTINED
+    world.set_status(subject, DeviceStatus.QUARANTINED)
     record = QuarantineRecord(subject=subject, start_tick=world.tick,
                               reason=reason_ref)
     world.quarantines[subject] = record
@@ -210,9 +210,8 @@ def release_due_quarantines(world) -> list[bytes]:
             continue
         if world.tick - record.start_tick >= period:
             record.released_tick = world.tick
-            profile = world.devices[subject]
-            if profile.status is DeviceStatus.QUARANTINED:
-                profile.status = DeviceStatus.ACTIVE
+            if world.devices[subject].status is DeviceStatus.QUARANTINED:
+                world.set_status(subject, DeviceStatus.ACTIVE)
             world.log.append(world.tick, "quarantine_release",
                              subject=subject.hex())
             released.append(subject)

@@ -80,16 +80,10 @@ def _conflict_free(world, dispute: Dispute, extra_excluded=frozenset()):
     party_set = set(dispute.parties)
     party_groups = {world.devices[p].operator_group
                     for p in dispute.parties if p in world.devices}
-    out = []
-    for pub, profile in world.devices.items():
-        if profile.status is not DeviceStatus.ACTIVE:
-            continue
-        if pub in party_set or pub in extra_excluded:
-            continue
-        if profile.operator_group in party_groups:
-            continue
-        out.append(pub)
-    return out
+    view = world.active_view()
+    return [pub for pub, group in zip(view.active, view.groups)
+            if group not in party_groups and pub not in party_set
+            and pub not in extra_excluded]
 
 
 def _weighted_draw(world, rng, pool: list, k: int) -> list:

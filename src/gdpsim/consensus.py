@@ -129,8 +129,8 @@ def node_head(world, node: bytes) -> Digest:
 
 
 def active_stake_total(world) -> float:
-    return sum(a.staked for p, a in world.stake_accounts.items()
-               if world.devices[p].status is DeviceStatus.ACTIVE)
+    accounts = world.stake_accounts
+    return sum(accounts[p].staked for p in world.active_devices())
 
 
 def vote_weight(world, node: bytes, total_stake: float = None) -> float:
@@ -147,8 +147,7 @@ def vote_weight(world, node: bytes, total_stake: float = None) -> float:
 
 
 def active_nodes(world) -> list:
-    return [pub for pub, profile in world.devices.items()
-            if profile.status is DeviceStatus.ACTIVE]
+    return world.active_devices()
 
 
 def current_proposer(world) -> Optional[bytes]:

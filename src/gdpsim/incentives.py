@@ -178,9 +178,8 @@ def apply_penalty(world, owner: bytes, severity: Severity,
 
 
 def _ban(world, owner: bytes, permanent: bool, cause: str) -> IncentiveEvent:
-    profile = world.devices.get(owner)
-    if profile is not None:
-        profile.status = DeviceStatus.BANNED
+    if owner in world.devices:
+        world.set_status(owner, DeviceStatus.BANNED)
     if permanent:
         world.ban_until[owner] = None
         return _emit(world, owner, IncentiveKind.PERM_BAN, 0.0, cause)
@@ -196,7 +195,7 @@ def release_due_bans(world) -> list[bytes]:
             del world.ban_until[owner]
             profile = world.devices.get(owner)
             if profile is not None and profile.status is DeviceStatus.BANNED:
-                profile.status = DeviceStatus.ACTIVE
+                world.set_status(owner, DeviceStatus.ACTIVE)
             world.log.append(world.tick, "ban_release", subject=owner.hex())
             released.append(owner)
     return released

@@ -275,6 +275,7 @@ def finalize_device(world, session: OnboardingSession, stake_deposit: float,
         enrolled_secret=session.enrolled_secret,
     )
     world.devices[session.device] = profile
+    world.set_status(session.device, DeviceStatus.ACTIVE)  # enters the active view
     incentives.open_account(world, session.device, stake_deposit, world.tick,
                             world.cfg.onboarding.initial_reputation)
     world.log.append(world.tick, "device_finalized", subject=session.device.hex(),

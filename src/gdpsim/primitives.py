@@ -204,13 +204,14 @@ class SeededRng:
 def weighted_index(rng: SeededRng, weights: list) -> int:
     """Index of one draw proportional to positive ``weights``.
 
-    The draw is the first index whose running sum exceeds
-    ``rng.random() * sum(weights)``, and the last index when rounding leaves
-    none. ``sum`` and ``accumulate`` add in list order, as a running loop
-    would, so the pick is the same float for float.
+    The draw is the first index whose running sum exceeds ``rng.random()``
+    times the total, and the last index when rounding leaves none. The total
+    is the last running sum, added in list order as a ``t += w`` loop would,
+    so the pick does not depend on how a Python version's ``sum`` rounds.
     """
-    x = rng.random() * sum(weights)
-    return min(bisect_right(list(accumulate(weights)), x), len(weights) - 1)
+    acc = list(accumulate(weights))
+    x = rng.random() * acc[-1]
+    return min(bisect_right(acc, x), len(acc) - 1)
 
 
 def sample_without_replacement(rng: SeededRng, population, weights, k: int) -> list:

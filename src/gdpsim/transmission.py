@@ -9,10 +9,8 @@ panel, and witness accuracy is settled against the consensus outcome.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
 from typing import Optional
 
 from . import incentives
@@ -99,48 +97,66 @@ def submit_transaction(world, sender: bytes, receiver: bytes,
     return txn
 
 
+def _groups_losing(view, drop: set, k: int, diversity: int) -> dict:
+    """How many members each operator group loses to the positions in
+    ``drop``; raises when the rest of the active view cannot seat ``k``
+    witnesses under the diversity cap."""
+    removed: dict = {}
+    for i in drop:
+        group = view.groups[i]
+        removed[group] = removed.get(group, 0) + 1
+    capacity = view.capacity(diversity)
+    for group, lost in removed.items():
+        n = view.group_counts[group]
+        capacity -= min(n, diversity) - min(n - lost, diversity)
+    if capacity < k:
+        raise InsufficientWitnesses(
+            f"capacity {capacity} under diversity cap, need k={k}")
+    return removed
+
+
 def select_witnesses(world, txn: DataTransaction, rng,
                      exclude=frozenset()) -> list:
     """Reputation-weighted panel with an operator-group diversity cap.
 
     Sender and receiver are never eligible; at most ``diversity`` witnesses
-    may share an operator group. Active, positively weighted candidates are
-    gathered once in device order; each draw pops its pick, and a group's
-    remaining members leave the pool when it reaches the cap.
+    may share an operator group. The candidates are the world's active view
+    in device order, less the ineligible and non-positively weighted
+    positions; the view's seat capacity, adjusted for those positions only,
+    rejects an unseatable panel before any weight is read. Each draw pops
+    its pick, and a group's remaining members leave the pool when it
+    reaches the cap.
     """
     cfg = world.cfg.panel
-    accounts = world.reputation_accounts
-    active, sender, receiver = DeviceStatus.ACTIVE, txn.sender, txn.receiver
-    pool, weights, groups = [], [], []
-    for pub, profile in world.devices.items():
-        if profile.status is not active:
-            continue
-        if pub == sender or pub == receiver or pub in exclude:
-            continue
-        score = accounts[pub].score
-        if score > 0:
-            pool.append(pub)
-            weights.append(score)
-            groups.append(profile.operator_group)
+    k, diversity = cfg.k, cfg.diversity
+    view = world.active_view()
+    position, counts = view.position, view.group_counts
+    drop = {position[p] for p in (txn.sender, txn.receiver, *exclude)
+            if p in position}
+    removed = _groups_losing(view, drop, k, diversity)
 
-    left = Counter(groups)   # operator group -> its members still in the pool
-    capacity = sum(map(min, left.values(), repeat(cfg.diversity)))
-    if capacity < cfg.k:
-        raise InsufficientWitnesses(
-            f"capacity {capacity} under diversity cap, need k={cfg.k}")
+    accounts = world.reputation_accounts
+    weights = [accounts[p].score for p in view.active]
+    if min(weights) <= 0:
+        unweighted = {i for i, w in enumerate(weights) if w <= 0} - drop
+        if unweighted:
+            drop |= unweighted
+            removed = _groups_losing(view, drop, k, diversity)
+    pool, groups = list(view.active), list(view.groups)
+    for i in sorted(drop, reverse=True):
+        del pool[i], weights[i], groups[i]
 
     panel = []
     group_use: dict = {}
-    while len(panel) < cfg.k:
+    while len(panel) < k:
         if not pool:
             raise InsufficientWitnesses("pool exhausted under diversity cap")
         idx = weighted_index(rng, weights)
         panel.append(pool.pop(idx))
         weights.pop(idx)
         group = groups.pop(idx)
-        left[group] -= 1
-        group_use[group] = group_use.get(group, 0) + 1
-        if group_use[group] >= cfg.diversity and left[group]:
+        used = group_use[group] = group_use.get(group, 0) + 1
+        if used >= diversity and counts[group] - removed.get(group, 0) > used:
             keep = [i for i, g in enumerate(groups) if g != group]
             pool = [pool[i] for i in keep]
             weights = [weights[i] for i in keep]

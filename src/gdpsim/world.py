@@ -11,6 +11,7 @@ so a (config, seed) pair fully determines every emitted byte.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -52,6 +53,32 @@ class PendingBlock:
     votes: list
     total_weight: float
     land_tick: int
+
+
+class ActiveView:
+    """The active devices, derived from ``world.devices`` in one pass.
+
+    Built lazily after any ``World.set_status`` call and never changed in
+    place, so a caller iterating ``active`` keeps its snapshot while
+    statuses change under it. A re-activated device is back at its original
+    slot, in ``world.devices`` order.
+    """
+
+    def __init__(self, devices: dict):
+        self.active = [p for p, prof in devices.items()
+                       if prof.status is DeviceStatus.ACTIVE]
+        self.position = {p: i for i, p in enumerate(self.active)}
+        self.groups = [devices[p].operator_group for p in self.active]
+        self.group_counts = Counter(self.groups)  # group -> active members
+        self.senders: Optional[list] = None  # filled by World.sender_pool
+        self._capacity = (None, 0)         # (diversity, capacity) memo
+
+    def capacity(self, diversity: int) -> int:
+        """Panel seats the active devices offer under the diversity cap."""
+        if self._capacity[0] != diversity:
+            self._capacity = (diversity, sum(
+                min(n, diversity) for n in self.group_counts.values()))
+        return self._capacity[1]
 
 
 class World:
@@ -99,6 +126,8 @@ class World:
         self.verdict_registry: dict = {}
         self.feedback_log: list = []
         self.baselines: dict = {}          # stream id -> StreamBaseline
+        self.txrate_streams: dict = {}     # pub -> (pub hex, its txrate baseline)
+        self._view: Optional[ActiveView] = None
         self.epoch_contrib: dict = {}      # pub -> correct attestations this epoch
         self.compromise_schedule: list = []
         self.gt_scrambler = None           # test hook: metrics-side corruption
@@ -113,13 +142,28 @@ class World:
             self.baselines[stream_id] = b
         return b
 
+    def set_status(self, pub: bytes, status: DeviceStatus) -> None:
+        """The one writer of device status; marks the active view stale."""
+        self.devices[pub].status = status
+        self._view = None
+
+    def active_view(self) -> ActiveView:
+        """The current view, rebuilt first if a status changed since."""
+        if self._view is None:
+            self._view = ActiveView(self.devices)
+        return self._view
+
     def active_devices(self) -> list:
-        return [p for p, prof in self.devices.items()
-                if prof.status is DeviceStatus.ACTIVE]
+        """Active pubs in device order; read-only, shared with the view."""
+        return self.active_view().active
 
     def sender_pool(self) -> list:
-        return [p for p in self.active_devices()
-                if self.actors[p].role in ("honest_client", "tampering_sender")]
+        view = self.active_view()
+        if view.senders is None:
+            view.senders = [p for p in view.active
+                            if self.actors[p].role in ("honest_client",
+                                                       "tampering_sender")]
+        return view.senders
 
 
 def onboard_actor(world: World, actor: DeviceActor, stake: float,
@@ -251,9 +295,8 @@ def _environment(world: World) -> None:
             record = world.quarantines.get(target)
             if record is not None and record.released_tick is None:
                 record.released_tick = world.tick
-                profile = world.devices[target]
-                if profile.status is DeviceStatus.QUARANTINED:
-                    profile.status = DeviceStatus.ACTIVE
+                if world.devices[target].status is DeviceStatus.QUARANTINED:
+                    world.set_status(target, DeviceStatus.ACTIVE)
                 world.log.append(world.tick, "quarantine_release",
                                  subject=target.hex())
 
@@ -370,7 +413,7 @@ def _arrivals(world: World) -> None:
         world.log.append(world.tick, "txn_created", actor=sender.hex(),
                          subject=txn.id.hex(), receiver=receiver.hex(),
                          nonce=txn.nonce, size=size, tampered=flag)
-        _feed_stream(world, "paysize", "", float(size))
+        _feed_stream(world, world.baseline("paysize"), "", float(size))
         if not _try_open_panel(world, txn):
             world.unpaneled.append(txn.id)
 
@@ -386,8 +429,8 @@ def _aggregate_due(world: World) -> None:
             att = txn.attestations.get(witness)
             rejected = (att is not None and not att.equivocated
                         and att.revealed_verdict is Verdict.INVALID)
-            _feed_stream(world, f"wreject:{witness.hex()[:16]}", witness.hex(),
-                         1.0 if rejected else 0.0)
+            _feed_stream(world, world.baseline(f"wreject:{witness.hex()[:16]}"),
+                         witness.hex(), 1.0 if rejected else 0.0)
         if status is TxnStatus.WITNESSED:
             world.mempool.append(tid)
             _witness_deep_flags(world, txn)
@@ -480,8 +523,8 @@ def _consensus_round(world: World) -> None:
         else:
             vote = consensus.cast_vote(world, node, proposal, policy_vote,
                                        stake_total)
-        _feed_stream(world, f"voteagainst:{node.hex()[:16]}", node.hex(),
-                     0.0 if vote.accept else 1.0)
+        _feed_stream(world, world.baseline(f"voteagainst:{node.hex()[:16]}"),
+                     node.hex(), 0.0 if vote.accept else 1.0)
         votes.append(vote)
 
     delay = stochastic.random_commit_delay(
@@ -529,8 +572,8 @@ def _land_pending(world: World) -> None:
             stochastic.deep_inspect_transaction(world, txn)
 
 
-def _feed_stream(world: World, stream_id: str, subject: str, value: float) -> None:
-    b = world.baseline(stream_id)
+def _feed_stream(world: World, b: anomaly.StreamBaseline, subject: str,
+                 value: float) -> None:
     acfg = world.cfg.anomaly
     cp = anomaly.detect_changepoint(b, value, world.tick, subject,
                                     drift=acfg.cusum_drift, limit=acfg.cusum_limit)
@@ -554,9 +597,13 @@ def _feed_stream(world: World, stream_id: str, subject: str, value: float) -> No
 
 def _per_tick_streams(world: World) -> None:
     counts = world._txn_counts_this_tick
+    streams = world.txrate_streams
     for pub in world.active_devices():
-        _feed_stream(world, f"txrate:{pub.hex()[:16]}", pub.hex(),
-                     float(counts.get(pub, 0)))
+        stream = streams.get(pub)
+        if stream is None:
+            hexed = pub.hex()
+            stream = streams[pub] = (hexed, world.baseline(f"txrate:{hexed[:16]}"))
+        _feed_stream(world, stream[1], stream[0], float(counts.get(pub, 0)))
     counts.clear()
 
 

@@ -74,7 +74,7 @@ def test_open_dispute_unknown_party(world, accused):
     claim = claim_for(world, accused)
     with pytest.raises(UnknownParty):
         open_dispute(world, [b"\xaa" * 32], claim)
-    world.devices[accused].status = DeviceStatus.BANNED
+    world.set_status(accused, DeviceStatus.BANNED)
     with pytest.raises(UnknownParty):
         open_dispute(world, [accused], claim)
 

@@ -46,7 +46,7 @@ def test_performance_reward_clamped(world, owner):
 
 
 def test_performance_reward_banned(world, owner):
-    world.devices[owner].status = DeviceStatus.BANNED
+    world.set_status(owner, DeviceStatus.BANNED)
     before = world.stake_accounts[owner].liquid
     with pytest.raises(SubjectBanned):
         apply_performance_reward(world, owner, cause="test")
@@ -183,7 +183,7 @@ def test_reputation_bounds_fuzzed(world, owner):
                 incentives.restore_reputation(world, owner, 0.1, cause="fuzz")
         except SubjectBanned:
             release_due_bans(world)
-            world.devices[owner].status = DeviceStatus.ACTIVE
+            world.set_status(owner, DeviceStatus.ACTIVE)
             world.ban_until.pop(owner, None)
         assert 0.0 <= rep.score <= 1.0
 

@@ -3,15 +3,16 @@
 import math
 import statistics
 from fractions import Fraction
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from gdpsim import incentives
+from gdpsim import arbitration, consensus, incentives
 from gdpsim.anomaly import StreamBaseline
 from gdpsim.events import EventLog
 from gdpsim.incentives import Severity, conservation_gap, deterrence_margin
 from gdpsim.onboarding import DeviceStatus
-from gdpsim.primitives import SeededRng, sample_without_replacement
+from gdpsim.primitives import SeededRng, sample_without_replacement, weighted_index
 from gdpsim.transmission import aggregation_oracle
 
 from conftest import mini_world
@@ -168,3 +169,63 @@ def test_deterrence_margin_properties(p, reward, forfeit):
         assert math.isclose(margin, reward * (1 - p), abs_tol=1e-12)
     if p == 1.0:
         assert math.isclose(margin, -forfeit, abs_tol=1e-12)
+
+
+@given(st.lists(st.floats(min_value=1e-300, max_value=1e12, allow_nan=False,
+                          allow_infinity=False), min_size=1, max_size=60),
+       st.integers(min_value=0, max_value=2 ** 64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_weighted_index_matches_running_loop(weights, seed):
+    x = SeededRng(seed).random()
+    total = 0.0
+    for w in weights:
+        total += w
+    x *= total
+    expected = len(weights) - 1
+    acc = 0.0
+    for i, w in enumerate(weights):
+        acc += w
+        if x < acc:
+            expected = i
+            break
+    assert weighted_index(SeededRng(seed), weights) == expected
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=10),
+                          st.sampled_from(list(DeviceStatus))),
+                min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_active_view_never_goes_stale(changes):
+    world = mini_world(operator_groups=3)
+    devices = list(world.devices)
+    for index, status in changes:
+        before = world.active_devices()
+        snapshot = list(before)
+        world.set_status(devices[index % len(devices)], status)
+        assert before == snapshot  # a caller's list is never edited in place
+
+        active = [p for p, prof in world.devices.items()
+                  if prof.status is DeviceStatus.ACTIVE]
+        view = world.active_view()
+        assert world.active_devices() == active
+        assert consensus.active_nodes(world) == active
+        assert view.position == {p: i for i, p in enumerate(active)}
+        groups = [world.devices[p].operator_group for p in active]
+        assert view.groups == groups
+        counts = {g: groups.count(g) for g in set(groups)}
+        assert view.group_counts == counts
+        for diversity in (1, 2, 3):
+            assert view.capacity(diversity) == sum(
+                min(n, diversity) for n in counts.values())
+        assert world.sender_pool() == [
+            p for p in active
+            if world.actors[p].role in ("honest_client", "tampering_sender")]
+        assert consensus.active_stake_total(world) == sum(
+            a.staked for p, a in world.stake_accounts.items()
+            if world.devices[p].status is DeviceStatus.ACTIVE)
+        party = devices[0]
+        party_group = world.devices[party].operator_group
+        assert arbitration._conflict_free(
+            world, SimpleNamespace(parties=[party])) == [
+            p for p in active
+            if p != party and world.devices[p].operator_group != party_group]

@@ -57,7 +57,7 @@ def test_select_exactly_k_eligible(world):
     eligible = [p for p in world.active_devices()
                 if p not in (txn.sender, txn.receiver)]
     for extra in eligible[world.cfg.panel.k:]:
-        world.devices[extra].status = transmission.DeviceStatus.QUARANTINED
+        world.set_status(extra, transmission.DeviceStatus.QUARANTINED)
     panel = select_witnesses(world, txn, SeededRng(5))
     assert sorted(panel) == sorted(eligible[:world.cfg.panel.k])
 
@@ -111,9 +111,21 @@ def test_selection_insufficient_witnesses(world):
     txn = make_txn(world)
     for pub in world.active_devices():
         if pub not in (txn.sender, txn.receiver):
-            world.devices[pub].status = transmission.DeviceStatus.QUARANTINED
+            world.set_status(pub, transmission.DeviceStatus.QUARANTINED)
     with pytest.raises(InsufficientWitnesses):
         select_witnesses(world, txn, SeededRng(7))
+
+
+def test_unseatable_panel_fails_before_reading_weights(world):
+    # a retry that cannot seat a panel is refused from the cached seat
+    # counts alone: no score is read and no random number drawn
+    txn = make_txn(world)
+    others = [p for p in world.active_devices()
+              if p not in (txn.sender, txn.receiver)]
+    exclude = frozenset(others[world.cfg.panel.k - 1:])
+    world.reputation_accounts = {}
+    with pytest.raises(InsufficientWitnesses):
+        select_witnesses(world, txn, None, exclude)
 
 
 def _k_pass_select(world, txn, rng, exclude=frozenset()):
@@ -159,28 +171,39 @@ def test_select_witnesses_matches_k_pass_reference():
     txn = make_txn(world)
     gen = SeededRng(2024)
     devices = list(world.devices)
+    statuses = list(transmission.DeviceStatus)
     outcomes = set()
-    for case in range(400):
-        for pub in devices:
-            world.reputation_accounts[pub].score = (
-                0.0 if gen.bernoulli(0.25) else gen.random())
-            world.devices[pub].operator_group = f"g{gen.below(1 + case % 9)}"
-            world.devices[pub].status = (
-                transmission.DeviceStatus.QUARANTINED if gen.bernoulli(0.1)
-                else transmission.DeviceStatus.ACTIVE)
-        world.cfg.panel.k = 1 + gen.below(6)
-        world.cfg.panel.diversity = 1 + gen.below(3)
-        exclude = frozenset(p for p in devices if gen.bernoulli(0.2))
+
+    def draw_matches_reference(exclude):
         seed = gen.next_u64()
         try:
             expected = _k_pass_select(world, txn, SeededRng(seed), exclude)
         except InsufficientWitnesses:
             with pytest.raises(InsufficientWitnesses):
                 select_witnesses(world, txn, SeededRng(seed), exclude)
-            outcomes.add("raised")
-            continue
+            return "raised"
         assert select_witnesses(world, txn, SeededRng(seed), exclude) == expected
-        outcomes.add("panel")
+        return "panel"
+
+    for case in range(400):
+        for pub in devices:
+            world.reputation_accounts[pub].score = (
+                0.0 if gen.bernoulli(0.25) else gen.random())
+            # groups never change in a run; the regrouping reaches the active
+            # view because every set_status call below marks it stale
+            world.devices[pub].operator_group = f"g{gen.below(1 + case % 9)}"
+            world.set_status(pub, transmission.DeviceStatus.QUARANTINED
+                             if gen.bernoulli(0.1)
+                             else transmission.DeviceStatus.ACTIVE)
+        world.cfg.panel.k = 1 + gen.below(6)
+        world.cfg.panel.diversity = 1 + gen.below(3)
+        exclude = frozenset(p for p in devices if gen.bernoulli(0.2))
+        outcomes.add(draw_matches_reference(exclude))
+        # statuses change on the same world between draws, re-activation too
+        for pub in devices:
+            if gen.bernoulli(0.2):
+                world.set_status(pub, gen.choice(statuses))
+        outcomes.add(draw_matches_reference(exclude))
     assert outcomes == {"panel", "raised"}
 
 

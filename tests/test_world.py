@@ -1,7 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import gdpsim
 from gdpsim import metrics
 from gdpsim.config import AdversarySpec, ScenarioConfig
 from gdpsim.errors import InvalidConfig
@@ -235,3 +238,51 @@ def test_quarantine_exclusion_is_total():
                 assert not quarantined_at(w, ev.tick)
         elif ev.kind in ("vote", "proposal"):
             assert not quarantined_at(ev.actor, ev.tick)
+
+
+def _status_writes(tree):
+    """(line, enclosing function) of each ``.status`` store that does not
+    assign a ``TxnStatus`` member, and of each ``setattr(..., "status", ...)``."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Attribute) and sub.attr == "status":
+                    value = node.value
+                    txn_member = (isinstance(value, ast.Attribute)
+                                  and isinstance(value.value, ast.Name)
+                                  and value.value.id == "TxnStatus")
+                    if not txn_member:
+                        found.append((node.lineno, func))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "status"):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_device_status_has_one_writer():
+    """Every device-status write goes through ``World.set_status``: a write
+    around it would leave the cached active view serving stale devices."""
+    package = Path(gdpsim.__file__).parent
+    bypasses = []
+    for path in sorted(package.glob("*.py")):
+        for line, func in _status_writes(ast.parse(path.read_text())):
+            if not (path.name == "world.py" and func == "set_status"):
+                bypasses.append(f"{path.name}:{line} in {func}")
+    assert bypasses == []
+    assert _status_writes(ast.parse(
+        "def f(p):\n    p.status = DeviceStatus.BANNED\n")) == [(2, "f")]
