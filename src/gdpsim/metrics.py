@@ -286,8 +286,8 @@ def replay_events(events, cfg) -> ReplayState:
     """Fold the event log into a ReplayState.
 
     Covers lifecycle status, token flows, the canonical chain and each
-    node's height into it; numeric account balances are reconstructed from
-    incentive deltas.
+    node's height into it; numeric account balances, scores and offense
+    counts are reconstructed from incentive deltas.
     """
     st = ReplayState()
     inc = cfg.incentives
@@ -322,11 +322,13 @@ def replay_events(events, cfg) -> ReplayState:
                                             + inc.perf_rep_bonus)
             elif ikind == "StakeForfeit":
                 amount = -delta
-                # bond forfeitures drain the escrow, stake ones the account
+                # bond forfeitures drain the escrow; a stake forfeiture is
+                # one offense (every penalty that forfeits counts one)
                 if d["cause"].startswith("appeal:"):
                     st.bond_escrow -= amount
                 else:
                     st.staked[subject] = st.staked.get(subject, 0.0) - amount
+                    st.offenses[subject] = st.offenses.get(subject, 0) + 1
                 st.treasury += amount
             elif ikind == "ReputationPenalty":
                 if st.device_status.get(subject) != "Banned":
@@ -385,6 +387,15 @@ def replay_matches_world(world) -> dict:
                 st.liquid.get(pub_hex, 0.0) - dev["liquid"]) > 1e-6:
             mismatches[f"liquid:{pub_hex}"] = (st.liquid.get(pub_hex, 0.0),
                                                dev["liquid"])
+        if dev["score"] is not None and (
+                pub_hex not in st.score
+                or abs(st.score[pub_hex] - dev["score"]) > 1e-6):
+            mismatches[f"score:{pub_hex}"] = (st.score.get(pub_hex),
+                                              dev["score"])
+        if dev["offenses"] is not None and (
+                st.offenses.get(pub_hex, 0) != dev["offenses"]):
+            mismatches[f"offenses:{pub_hex}"] = (st.offenses.get(pub_hex, 0),
+                                                 dev["offenses"])
         height = st.heights.get(pub_hex)
         if height is not None:
             if dev["ledger_height"] != height:
@@ -396,8 +407,12 @@ def replay_matches_world(world) -> dict:
                           ("canonical_head", st.canonical[-1])):
         if live[key] != replayed:
             mismatches[key] = (replayed, live[key])
-    if abs(st.treasury - live["treasury"]) > 1e-6:
-        mismatches["treasury"] = (st.treasury, live["treasury"])
+    for key, replayed in (("treasury", st.treasury),
+                          ("bond_escrow", st.bond_escrow),
+                          ("total_minted", st.minted),
+                          ("total_deposited", st.deposited)):
+        if abs(replayed - live[key]) > 1e-6:
+            mismatches[key] = (replayed, live[key])
     for tid, status in live["transactions"].items():
         if st.txn_status.get(tid) != status:
             mismatches[f"txn:{tid}"] = (st.txn_status.get(tid), status)

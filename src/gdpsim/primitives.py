@@ -34,11 +34,6 @@ def digest(data: bytes) -> Digest:
     return hashlib.sha256(data).digest()
 
 
-def hexd(d: bytes) -> str:
-    """Lowercase-hex form used in every report and log file."""
-    return d.hex()
-
-
 @dataclass(frozen=True)
 class KeyPair:
     """Ed25519 identity: 32-byte public key, 32-byte secret seed."""
@@ -47,10 +42,43 @@ class KeyPair:
     secret_key: bytes
 
 
-@dataclass(frozen=True)
 class Signature:
-    sig: bytes
-    signer: bytes  # public key of the producer
+    """Ed25519 signature by ``signer`` (the producer's public key).
+
+    ``sign`` returns one whose bytes are computed the first time ``sig`` is
+    read, from the private key and message it captured at sign time; the
+    key and message are dropped after that read. Ed25519 is deterministic
+    (RFC 8032, 5.1.6), so the bytes are those an eager signature would have
+    had, and no signature byte reaches any output file: a signature that
+    only an audit could read costs no Ed25519 work until the audit runs.
+    ``Signature(sig=..., signer=...)`` builds one from explicit bytes.
+    Equality and hashing are on ``(sig, signer)``, as for any value.
+    """
+
+    __slots__ = ("_sig", "signer", "_key", "_message")
+
+    def __init__(self, sig: bytes, signer: bytes):
+        self._sig = sig
+        self.signer = signer
+        self._key = self._message = None  # set by sign until sig is read
+
+    @property
+    def sig(self) -> bytes:
+        if self._sig is None:
+            self._sig = self._key.sign(self._message)
+            self._key = self._message = None
+        return self._sig
+
+    def __eq__(self, other):
+        if not isinstance(other, Signature):
+            return NotImplemented
+        return self.signer == other.signer and self.sig == other.sig
+
+    def __hash__(self):
+        return hash((self.sig, self.signer))
+
+    def __repr__(self):
+        return f"Signature(sig={self.sig!r}, signer={self.signer!r})"
 
 
 # parsed key objects are cached; reparsing dominates signing time otherwise
@@ -81,9 +109,13 @@ def generate_keypair(rng: "SeededRng") -> KeyPair:
 
 
 def sign(secret: bytes, message: bytes) -> Signature:
-    """Deterministic Ed25519 signature over the message."""
+    """Deterministic Ed25519 signature over the message, computed on first
+    read of its ``sig`` (see ``Signature``). The parsed key is captured now,
+    so a later change of the signer's keypair cannot alter the bytes."""
     private, public = _private(secret)
-    return Signature(sig=private.sign(message), signer=public)
+    signature = Signature(None, public)
+    signature._key, signature._message = private, message
+    return signature
 
 
 def verify(public: bytes, message: bytes, signature: Signature) -> bool:

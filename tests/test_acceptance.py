@@ -102,6 +102,7 @@ def test_criterion_2_safety_boundary_and_detection():
     cfg.duration_ticks = 1450
     cfg.drain_ticks = 150
     world = run_world(cfg)
+    assert replay_matches_world(world) == {}
     report = derive_metrics(world.log, cfg)
     t = report["transactions"]
     n = t["false_commit_count"]  # tampered AND committed

@@ -1,14 +1,23 @@
-import pytest
+import dataclasses
 
+import pytest
+from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+from gdpsim import primitives
+from gdpsim.actors import DeviceActor
 from gdpsim.errors import InsufficientPopulation
 from gdpsim.primitives import (
     SeededRng,
+    Signature,
     digest,
     generate_keypair,
     sample_without_replacement,
     sign,
     verify,
 )
+from gdpsim.scenarios import get_scenario
+from gdpsim.transmission import Attestation, Verdict
+from gdpsim.world import build_world, step
 
 # SHA-256 of the empty string, as published in FIPS 180-4 test vectors.
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -49,6 +58,79 @@ def test_sign_binds_key():
     kp2 = generate_keypair(SeededRng(4))
     sig = sign(kp1.secret_key, b"message")
     assert not verify(kp2.public_key, b"message", sig)
+
+
+def _eager(secret: bytes, message: bytes) -> bytes:
+    return Ed25519PrivateKey.from_private_bytes(secret).sign(message)
+
+
+class _CountingKey:
+    """Stands in for a cached private key; records every real signing."""
+
+    def __init__(self, key, signed: list):
+        self._key, self._signed = key, signed
+
+    def sign(self, message: bytes) -> bytes:
+        self._signed.append(message)
+        return self._key.sign(message)
+
+
+def _count_signings(monkeypatch) -> list:
+    """Wrap every cached private key; returns the list of signed messages."""
+    signed = []
+    for secret, (key, public) in list(primitives._private_keys.items()):
+        monkeypatch.setitem(primitives._private_keys, secret,
+                            (_CountingKey(key, signed), public))
+    return signed
+
+
+def test_lazy_and_eager_signatures_are_interchangeable(monkeypatch):
+    kp = generate_keypair(SeededRng(5))
+    msg = b"commit payload"
+    signed = _count_signings(monkeypatch)
+    lazy = sign(kp.secret_key, msg)
+    att = Attestation(witness=kp.public_key, txn_id=digest(b"txn"),
+                      commit=digest(b"commit"), signature=lazy)
+    moved = dataclasses.replace(att, revealed_verdict=Verdict.VALID)
+    assert moved.signature is lazy and signed == []
+    eager = Signature(sig=_eager(kp.secret_key, msg), signer=kp.public_key)
+    assert lazy == eager and hash(lazy) == hash(eager)
+    assert {lazy, eager} == {eager}
+    assert signed == [msg]  # computed once, on the first read
+    assert lazy != sign(kp.secret_key, b"another payload")
+    assert lazy != Signature(sig=eager.sig, signer=b"\x00" * 32)
+
+
+def test_signature_keeps_the_key_it_was_signed_with(monkeypatch):
+    actor = DeviceActor(SeededRng(8))
+    before = actor.keypair
+    signature = sign(before.secret_key, b"commit")
+    actor.keypair = generate_keypair(SeededRng(9))  # rotate the identity
+    monkeypatch.setattr(primitives, "_private_keys", {})  # and every cached key
+    assert signature.signer == before.public_key
+    assert signature.sig == _eager(before.secret_key, b"commit")
+    assert verify(before.public_key, b"commit", signature)
+
+
+def test_unread_signatures_cost_no_ed25519_work(monkeypatch):
+    cfg = get_scenario("forged_sync")  # every sync re-verifies vote signatures
+    cfg.inspection.rate_txn = 0.0      # no deep inspection reads a commit
+    world = build_world(cfg)
+    signed = _count_signings(monkeypatch)
+    read = {}
+    real = Signature.sig
+
+    def recording(self):
+        read[id(self)] = self
+        return real.fget(self)
+
+    monkeypatch.setattr(Signature, "sig", property(recording))
+    for _ in range(140):  # past the outage, so the lagging node syncs
+        step(world)
+    commits = [att.signature for txn in world.transactions.values()
+               for att in txn.attestations.values()]
+    assert commits and not any(id(s) in read for s in commits)
+    assert read and len(signed) == len(read)
 
 
 def test_public_keys_unique():

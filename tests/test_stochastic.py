@@ -3,7 +3,7 @@ import pytest
 from gdpsim import stochastic, transmission
 from gdpsim.errors import InsufficientNodes
 from gdpsim.onboarding import DeviceStatus
-from gdpsim.primitives import SeededRng, digest
+from gdpsim.primitives import SeededRng, digest, sign
 from gdpsim.stochastic import (
     TargetKind,
     challenge_proposer,
@@ -119,6 +119,21 @@ def test_deep_inspect_tampered_fails_with_evidence(world):
     outcome = deep_inspect_transaction(world, txn)
     assert not outcome.passed
     assert any("payload digest mismatch" in e for e in outcome.evidence)
+
+
+def test_deep_inspect_catches_forged_attestation_signatures(world):
+    txn = _witnessed_txn(world, tamper=False)
+    first, second, third = list(txn.attestations.values())[:3]
+    # another witness's unread signature, and the witness's own key over
+    # another message: the first fails on the signer, the second on the bytes
+    first.signature, second.signature = second.signature, first.signature
+    secret = world.actors[third.witness].keypair.secret_key
+    third.signature = sign(secret, digest(b"another txn") + third.commit)
+    outcome = deep_inspect_transaction(world, txn)
+    assert not outcome.passed
+    assert set(outcome.evidence) == {
+        f"attestation signature invalid for {att.witness.hex()[:16]}"
+        for att in (first, second, third)}
 
 
 def test_deep_inspect_failure_routes_downstream(world):

@@ -14,7 +14,7 @@ from gdpsim.metrics import (
     snapshot_digest,
 )
 from gdpsim.onboarding import DeviceStatus
-from gdpsim.scenarios import get_scenario
+from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 from gdpsim.transmission import TxnStatus
 from gdpsim.world import build_world, run_world, step
 
@@ -91,8 +91,7 @@ def test_run_deterministic_event_log():
 
 
 def test_replay_fold_matches_live_state():
-    for name in ("baseline", "collusion_below_quorum", "equivocation",
-                 "key_compromise"):
+    for name in BUILTIN_SCENARIOS:
         cfg = get_scenario(name)
         cfg.duration_ticks = min(cfg.duration_ticks, 150)
         world = run_world(cfg)
@@ -113,6 +112,22 @@ def test_replay_fold_catches_a_foreign_head():
     at_tip = {f"head:{p.hex()}" for p, h in world.heights.items()
               if h == tip.height}
     assert at_tip and set(mismatches) == at_tip | {"canonical_head"}
+
+
+def test_replay_fold_catches_altered_accounts():
+    cfg = get_scenario("baseline")
+    cfg.duration_ticks, cfg.drain_ticks = 60, 20
+    world = run_world(cfg)
+    assert replay_matches_world(world) == {}
+    first, second = sorted(world.reputation_accounts)[:2]
+    world.reputation_accounts[first].score -= 0.25
+    world.stake_accounts[second].offense_count += 1
+    world.total_minted += 1.0
+    world.total_deposited += 1.0
+    world.bond_escrow += 1.0
+    assert set(replay_matches_world(world)) == {
+        f"score:{first.hex()}", f"offenses:{second.hex()}",
+        "total_minted", "total_deposited", "bond_escrow"}
 
 
 def test_metrics_rederivable_from_written_log(tmp_path):
