@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_left, bisect_right
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,17 +89,25 @@ class EventLog:
         return [ev for ev in self._events if ev.kind in wanted]
 
 
-def _stable_detail(detail: dict) -> str:
-    return json.dumps(detail, sort_keys=True, separators=(",", ":"))
+# One encoder serves every output file: json.dumps with these arguments builds
+# a new encoder per call, and a shared one writes the same bytes.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+def encode_event(ev: Event) -> tuple[str, str]:
+    """The event's ``events.jsonl`` line, byte-equal to ``json.dumps`` of the
+    record with sorted keys, and the detail JSON inside it. A tick is an int,
+    which formats as the encoder writes it."""
+    detail = _encode(ev.detail) if ev.detail else "{}"
+    return (f'{{"actor":{_encode(ev.actor)},"detail":{detail},'
+            f'"kind":{_encode(ev.kind)},"subject":{_encode(ev.subject)},'
+            f'"tick":{ev.tick}}}\n'), detail
 
 
 def write_events_jsonl(log: EventLog, path: Path) -> None:
     with open(path, "w") as fh:
         for ev in log:
-            fh.write(json.dumps(
-                {"tick": ev.tick, "kind": ev.kind, "actor": ev.actor,
-                 "subject": ev.subject, "detail": ev.detail},
-                sort_keys=True, separators=(",", ":")) + "\n")
+            fh.write(encode_event(ev)[0])
 
 
 def read_events_jsonl(path: Path) -> list[Event]:
@@ -112,65 +121,54 @@ def read_events_jsonl(path: Path) -> list[Event]:
 
 
 # --- per-module CSV exports (stable column orders are a contract) ----------
+# file, header, the kinds it carries (no kind in two files) and the row built
+# from an event and its detail JSON
 
-TXN_EVENT_KINDS = (
-    "txn_created", "panel_selected", "attestation_commit", "attestation_reveal",
-    "commit_mismatch", "reveal_missing", "txn_status", "txn_escalated",
-    "txn_committed", "witness_eval", "objection",
+CSV_TABLES = (
+    ("transactions.csv", ("tick", "txn_id", "event", "actor", "detail"),
+     ("txn_created", "panel_selected", "attestation_commit",
+      "attestation_reveal", "commit_mismatch", "reveal_missing", "txn_status",
+      "txn_escalated", "txn_committed", "witness_eval", "objection"),
+     lambda ev, dj: (ev.tick, ev.subject, ev.kind, ev.actor, dj)),
+    ("alerts.csv", ("tick", "stream", "subject", "kind", "z_score", "value"),
+     ("alert",),
+     lambda ev, dj: (ev.tick, ev.detail["stream"], ev.subject,
+                     ev.detail["alert_kind"], ev.detail["z_score"],
+                     ev.detail["value"])),
+    ("incentives.csv", ("tick", "subject", "kind", "delta", "cause_ref"),
+     ("incentive",),
+     lambda ev, dj: (ev.tick, ev.subject, ev.detail["incentive_kind"],
+                     ev.detail["delta"], ev.detail["cause"])),
+    ("disputes.csv", ("tick", "dispute_id", "stage", "detail"),
+     ("dispute_opened", "dispute_stage", "verdict", "appeal"),
+     lambda ev, dj: (ev.tick, ev.subject, ev.detail.get("stage", ev.kind), dj)),
+    ("inspections.csv",
+     ("tick", "target_kind", "target", "passed", "evidence_refs"),
+     ("inspection",),
+     lambda ev, dj: (ev.tick, ev.detail["target_kind"], ev.subject,
+                     ev.detail["passed"],
+                     ";".join(str(r) for r in ev.detail.get("evidence", [])))),
 )
 
 
-def write_transactions_csv(log: EventLog, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tick", "txn_id", "event", "actor", "detail"])
+def write_log(log: EventLog, out_dir: Path) -> None:
+    """Write ``events.jsonl`` and every CSV table in one scan of the log,
+    encoding each detail once and streaming each line and row to its file."""
+    with ExitStack() as stack:
+        jsonl = stack.enter_context(open(out_dir / "events.jsonl", "w"))
+        route = {}
+        for name, header, kinds, row in CSV_TABLES:
+            writer = csv.writer(stack.enter_context(
+                open(out_dir / name, "w", newline="")))
+            writer.writerow(header)
+            route.update((kind, (writer.writerow, row)) for kind in kinds)
         for ev in log:
-            if ev.kind in TXN_EVENT_KINDS:
-                w.writerow([ev.tick, ev.subject, ev.kind, ev.actor,
-                            _stable_detail(ev.detail)])
-
-
-def write_alerts_csv(log: EventLog, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tick", "stream", "subject", "kind", "z_score", "value"])
-        for ev in log:
-            if ev.kind == "alert":
-                d = ev.detail
-                w.writerow([ev.tick, d["stream"], ev.subject, d["alert_kind"],
-                            d["z_score"], d["value"]])
-
-
-def write_incentives_csv(log: EventLog, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tick", "subject", "kind", "delta", "cause_ref"])
-        for ev in log:
-            if ev.kind == "incentive":
-                d = ev.detail
-                w.writerow([ev.tick, ev.subject, d["incentive_kind"], d["delta"],
-                            d["cause"]])
-
-
-def write_disputes_csv(log: EventLog, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tick", "dispute_id", "stage", "detail"])
-        for ev in log:
-            if ev.kind in ("dispute_opened", "dispute_stage", "verdict", "appeal"):
-                w.writerow([ev.tick, ev.subject, ev.detail.get("stage", ev.kind),
-                            _stable_detail(ev.detail)])
-
-
-def write_inspections_csv(log: EventLog, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["tick", "target_kind", "target", "passed", "evidence_refs"])
-        for ev in log:
-            if ev.kind == "inspection":
-                d = ev.detail
-                w.writerow([ev.tick, d["target_kind"], ev.subject, d["passed"],
-                            ";".join(str(r) for r in d.get("evidence", []))])
+            line, detail = encode_event(ev)
+            jsonl.write(line)
+            routed = route.get(ev.kind)
+            if routed is not None:
+                writerow, row = routed
+                writerow(row(ev, detail))
 
 
 def write_ledger_csv(blocks, path: Path) -> None:

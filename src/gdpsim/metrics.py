@@ -12,16 +12,7 @@ import json
 from pathlib import Path
 
 from .consensus import genesis_block
-from .events import (
-    EventLog,
-    write_alerts_csv,
-    write_disputes_csv,
-    write_events_jsonl,
-    write_incentives_csv,
-    write_inspections_csv,
-    write_ledger_csv,
-    write_transactions_csv,
-)
+from .events import EventLog, write_ledger_csv, write_log
 from .primitives import digest
 
 REPORT_SCHEMA_VERSION = 1
@@ -428,11 +419,6 @@ def write_outputs(world, report: dict, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n")
-    write_events_jsonl(world.log, out_dir / "events.jsonl")
-    write_transactions_csv(world.log, out_dir / "transactions.csv")
-    write_alerts_csv(world.log, out_dir / "alerts.csv")
-    write_incentives_csv(world.log, out_dir / "incentives.csv")
-    write_disputes_csv(world.log, out_dir / "disputes.csv")
-    write_inspections_csv(world.log, out_dir / "inspections.csv")
+    write_log(world.log, out_dir)
     write_ledger_csv(world.canonical.blocks[1:], out_dir / "ledger.csv")
     write_snapshot(world, out_dir / "snapshot.json")

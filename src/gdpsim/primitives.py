@@ -234,16 +234,19 @@ class SeededRng:
 
 
 def weighted_index(rng: SeededRng, weights: list) -> int:
-    """Index of one draw proportional to positive ``weights``.
+    """Index of one draw proportional to positive ``weights``."""
+    return index_of_draw(rng, list(accumulate(weights)))
+
+
+def index_of_draw(rng: SeededRng, acc: list) -> int:
+    """Index of one draw over the running sums ``acc`` of positive weights.
 
     The draw is the first index whose running sum exceeds ``rng.random()``
     times the total, and the last index when rounding leaves none. The total
     is the last running sum, added in list order as a ``t += w`` loop would,
     so the pick does not depend on how a Python version's ``sum`` rounds.
     """
-    acc = list(accumulate(weights))
-    x = rng.random() * acc[-1]
-    return min(bisect_right(acc, x), len(acc) - 1)
+    return min(bisect_right(acc, rng.random() * acc[-1]), len(acc) - 1)
 
 
 def sample_without_replacement(rng: SeededRng, population, weights, k: int) -> list:

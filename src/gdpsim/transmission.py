@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import Optional
 
 from . import incentives
@@ -23,7 +24,7 @@ from .errors import (
     RevealTooEarly,
 )
 from .onboarding import DeviceStatus
-from .primitives import Digest, Signature, digest, sign, weighted_index
+from .primitives import Digest, Signature, digest, index_of_draw, sign
 
 
 class TxnStatus(Enum):
@@ -125,7 +126,7 @@ def select_witnesses(world, txn: DataTransaction, rng,
     positions; the view's seat capacity, adjusted for those positions only,
     rejects an unseatable panel before any weight is read. Each draw pops
     its pick, and a group's remaining members leave the pool when it
-    reaches the cap.
+    reaches the cap. A pop at ``i`` re-adds only the running sums from ``i``.
     """
     cfg = world.cfg.panel
     k, diversity = cfg.k, cfg.diversity
@@ -148,10 +149,11 @@ def select_witnesses(world, txn: DataTransaction, rng,
 
     panel = []
     group_use: dict = {}
+    acc = list(accumulate(weights))
     while len(panel) < k:
         if not pool:
             raise InsufficientWitnesses("pool exhausted under diversity cap")
-        idx = weighted_index(rng, weights)
+        idx = index_of_draw(rng, acc)
         panel.append(pool.pop(idx))
         weights.pop(idx)
         group = groups.pop(idx)
@@ -161,6 +163,11 @@ def select_witnesses(world, txn: DataTransaction, rng,
             pool = [pool[i] for i in keep]
             weights = [weights[i] for i in keep]
             groups = [groups[i] for i in keep]
+            acc = list(accumulate(weights))
+        elif idx:
+            acc[idx - 1:] = accumulate(weights[idx:], initial=acc[idx - 1])
+        else:
+            acc = list(accumulate(weights))
     return panel
 
 

@@ -280,11 +280,14 @@ def _environment(world: World) -> None:
                     "compromise", world.tick).bytes(32)
                 world.log.append(world.tick, "key_compromised",
                                  subject=victim.hex())
+    devices = []  # sorted only in a tick where an outage starts or ends
     for outage in world.cfg.outages:
-        actives = sorted(world.devices)
-        if not actives:
+        if world.tick not in (outage.start, outage.start + outage.duration):
             continue
-        target = actives[outage.device_index % len(actives)]
+        devices = devices or sorted(world.devices)
+        if not devices:
+            continue
+        target = devices[outage.device_index % len(devices)]
         if world.tick == outage.start:
             profile = world.devices[target]
             if profile.status is DeviceStatus.ACTIVE:

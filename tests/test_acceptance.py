@@ -20,11 +20,10 @@ from gdpsim import consensus, transmission
 from gdpsim.anomaly import StreamBaseline, detect_changepoint, observe
 from gdpsim.cli import main as cli_main
 from gdpsim.config import AdversarySpec
-from gdpsim.events import write_events_jsonl
 from gdpsim.consensus import Vote, tally, vote_weight, active_stake_total
 from gdpsim.incentives import deterrence_margin, simulate_cheater_average_payoff
 from gdpsim.metrics import (derive_metrics, replay_matches_world,
-                            snapshot_digest, snapshot_state)
+                            snapshot_digest, snapshot_state, write_outputs)
 from gdpsim.primitives import SeededRng, digest
 from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 from gdpsim.transmission import Verdict, aggregation_oracle
@@ -249,10 +248,13 @@ def test_criterion_7_determinism_gate(tmp_path, update_goldens):
         cfg = get_scenario(name)
         world = run_world(cfg)
         report = derive_metrics(world.log, cfg)
-        events_path = tmp_path / f"{name}.events.jsonl"
-        write_events_jsonl(world.log, events_path)
+        out_dir = tmp_path / name
+        write_outputs(world, report, out_dir)
+        files = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                 for path in sorted(out_dir.iterdir())}
         digests[name] = {
-            "events_sha256": hashlib.sha256(events_path.read_bytes()).hexdigest(),
+            "events_sha256": files["events.jsonl"],
+            "files_sha256": files,
             "snapshot_digest": snapshot_digest(world),
         }
         golden_path = GOLDEN_DIR / f"{name}.report.json"
@@ -275,10 +277,10 @@ def test_criterion_7_determinism_gate(tmp_path, update_goldens):
     golden_digests = json.loads(DIGESTS_PATH.read_text())
     moved = sorted(name for name in set(golden_digests) | set(digests)
                    if golden_digests.get(name) != digests.get(name))
-    assert not moved, f"events.jsonl or snapshot digest moved: {moved}"
+    assert not moved, f"output file or snapshot digest moved: {moved}"
     _report("PASS criterion 7: identical config+seed reruns byte-identical; "
-            "golden reports, events.jsonl and snapshot digests match for all "
-            f"{len(BUILTIN_SCENARIOS)} scenarios")
+            "golden reports, snapshot digests and the sha256 of every output "
+            f"file match for all {len(BUILTIN_SCENARIOS)} scenarios")
 
 
 # ------------------------------------------------------------------ #
