@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import consensus, onboarding, stochastic, transmission
+from . import anomaly, consensus, onboarding, stochastic, transmission
 from .primitives import KeyPair, SeededRng, digest, generate_keypair
 
 
@@ -86,21 +86,16 @@ class DeviceActor:
     def accepts_mediation(self, dispute, ruling) -> bool:
         return self.pub not in ruling.at_fault
 
-    def _conclusive(self, world, dispute) -> bool:
-        for ref in dispute.claim.get("event_refs", []):
-            ev = world.log[ref]
-            if ev.kind in ("commit_mismatch", "sync_rejected"):
-                return True
-            if ev.kind in ("revalidation", "inspection") and not ev.detail.get(
-                    "passed", True):
-                return True
-        return False
+    def conclusive(self, world, dispute) -> bool:
+        """The claim cites a protocol violation."""
+        return any(anomaly.is_violation(world.log[ref])
+                   for ref in dispute.claim.get("event_refs", []))
 
     def community_vote(self, world, dispute) -> bool:
-        return self._conclusive(world, dispute)
+        return self.conclusive(world, dispute)
 
     def panel_vote(self, world, dispute) -> bool:
-        return self._conclusive(world, dispute)
+        return self.conclusive(world, dispute)
 
 
 class TamperingSender(DeviceActor):

@@ -201,25 +201,36 @@ def quarantine(world, subject: bytes, reason_ref) -> QuarantineRecord:
     return record
 
 
+def release_quarantine(world, subject: bytes) -> None:
+    """End the subject's open quarantine, if it has one; the device turns
+    active again unless a ban superseded the quarantine."""
+    record = world.quarantines.get(subject)
+    if record is None or record.released_tick is not None:
+        return
+    record.released_tick = world.tick
+    if world.devices[subject].status is DeviceStatus.QUARANTINED:
+        world.set_status(subject, DeviceStatus.ACTIVE)
+    world.log.append(world.tick, "quarantine_release", subject=subject.hex())
+
+
 def release_due_quarantines(world) -> list[bytes]:
-    """Auto-release after the review period unless a ban superseded it."""
+    """Auto-release after the review period."""
     period = world.cfg.anomaly.review_period
-    released = []
-    for subject, record in world.quarantines.items():
-        if record.released_tick is not None:
-            continue
-        if world.tick - record.start_tick >= period:
-            record.released_tick = world.tick
-            if world.devices[subject].status is DeviceStatus.QUARANTINED:
-                world.set_status(subject, DeviceStatus.ACTIVE)
-            world.log.append(world.tick, "quarantine_release",
-                             subject=subject.hex())
-            released.append(subject)
+    released = [subject for subject, record in world.quarantines.items()
+                if record.released_tick is None
+                and world.tick - record.start_tick >= period]
+    for subject in released:
+        release_quarantine(world, subject)
     return released
 
 
-_VIOLATION_KINDS = ("commit_mismatch", "sync_rejected")
-_VIOLATION_FLAGGED = ("revalidation", "inspection")  # violations when passed=False
+def is_violation(ev) -> bool:
+    """A logged protocol violation: a commit mismatch, a rejected sync, or a
+    failed revalidation or inspection."""
+    if ev.kind in ("commit_mismatch", "sync_rejected"):
+        return True
+    return (ev.kind in ("revalidation", "inspection")
+            and not ev.detail.get("passed", True))
 
 
 @dataclass
@@ -241,22 +252,16 @@ def investigate(world, alert_ref: int) -> InvestigationReport:
     lo = max(0, alert_ev.tick - radius)
     hi = alert_ev.tick + radius
     events = world.log.slice_around(alert_ev.tick, radius, subject=subject)
-    violations = [
-        (ref, ev) for ref, ev in events
-        if ev.kind in _VIOLATION_KINDS
-        or (ev.kind in _VIOLATION_FLAGGED and not ev.detail.get("passed", True))
-    ]
+    violations = [(ref, ev) for ref, ev in events if is_violation(ev)]
     report = InvestigationReport(subject=subject, alert_ref=alert_ref,
                                  window=(lo, hi),
                                  events=[ev for _, ev in events],
                                  violations=[ev for _, ev in violations])
     dispute_ref = None
     if violations:
-        from .arbitration import open_dispute
+        from .arbitration import can_be_party, open_dispute
         subject_key = bytes.fromhex(subject)
-        profile = world.devices.get(subject_key)
-        if profile is not None and profile.status in (DeviceStatus.ACTIVE,
-                                                      DeviceStatus.QUARANTINED):
+        if can_be_party(world, subject_key):
             claim = {"category": "anomaly", "accused": subject,
                      "event_refs": [ref for ref, _ in violations]}
             dispute = open_dispute(world, [subject_key], claim)

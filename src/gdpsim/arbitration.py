@@ -5,7 +5,8 @@ Every selection (mediator, panel, appeal panel) is reputation-weighted and
 conflict-free: never a party, never a party's operator group, and appeal
 panels are fully disjoint from the original panel. Closing a dispute
 dispatches its remedies exactly once and queues the verdict for inclusion in
-the next ledger block.
+the next ledger block. ``advance`` runs a dispute's current stage; the world
+drives every dispute through it alone.
 """
 
 from __future__ import annotations
@@ -91,15 +92,20 @@ def _weighted_draw(world, rng, pool: list, k: int) -> list:
     return sample_without_replacement(rng, pool, weights, k)
 
 
+def can_be_party(world, pub) -> bool:
+    """Only an active or quarantined device can be a dispute party."""
+    profile = world.devices.get(pub)
+    return profile is not None and profile.status in (DeviceStatus.ACTIVE,
+                                                      DeviceStatus.QUARANTINED)
+
+
 def open_dispute(world, parties: list, claim: dict) -> Dispute:
     """Open at the mediation stage with an algorithmically chosen mediator."""
     refs = claim.get("event_refs", [])
     if not refs or not all(world.log.exists(r) for r in refs):
         raise EmptyClaim("claim must cite existing logged events")
     for party in parties:
-        profile = world.devices.get(party)
-        if profile is None or profile.status not in (DeviceStatus.ACTIVE,
-                                                     DeviceStatus.QUARANTINED):
+        if not can_be_party(world, party):
             raise UnknownParty(party.hex() if isinstance(party, bytes) else str(party))
 
     dispute_id = f"D{world.dispute_seq:05d}"
@@ -122,15 +128,22 @@ def open_dispute(world, parties: list, claim: dict) -> Dispute:
     return dispute
 
 
-def _close(world, dispute: Dispute, verdict: Verdict) -> Verdict:
+def _record_verdict(world, dispute: Dispute, verdict: Verdict, kind: str,
+                    **detail) -> None:
+    """Close on the verdict, queue it for the next block and log it."""
     dispute.decision = verdict
     dispute.stage = DisputeStage.CLOSED
     vid = verdict.id
     world.verdict_registry[vid] = verdict
     world.pending_verdicts.append(vid)
-    world.log.append(world.tick, "verdict", subject=dispute.id,
+    world.log.append(world.tick, kind, subject=dispute.id,
                      at_fault=[p.hex() for p in verdict.at_fault],
-                     body=verdict.deciding_body.value, verdict_id=vid.hex())
+                     verdict_id=vid.hex(), **detail)
+
+
+def _close(world, dispute: Dispute, verdict: Verdict) -> Verdict:
+    _record_verdict(world, dispute, verdict, "verdict",
+                    body=verdict.deciding_body.value)
     _dispatch_remedies(world, dispute, verdict)
     return verdict
 
@@ -182,9 +195,7 @@ def mediate(world, dispute: Dispute, ruling: Optional[Verdict]) -> DisputeStage:
     if accepted:
         _close(world, dispute, ruling)
     else:
-        dispute.stage = DisputeStage.COMMUNITY_REVIEW
-        world.log.append(world.tick, "dispute_stage", subject=dispute.id,
-                         stage=dispute.stage.value)
+        _enter(world, dispute, DisputeStage.COMMUNITY_REVIEW)
     return dispute.stage
 
 
@@ -208,18 +219,19 @@ def community_review(world, dispute: Dispute, rng) -> DisputeStage:
     world.log.append(world.tick, "dispute_stage", subject=dispute.id,
                      stage="CommunityReview", guilty=guilty_weight,
                      clear=clear_weight)
-    if total > 0 and guilty_weight >= threshold * total:
-        accused = _accused(dispute)
-        _close(world, dispute, build_verdict(world, dispute, accused,
-                                             DecidingBody.COMMUNITY))
-    elif total > 0 and clear_weight >= threshold * total:
-        _close(world, dispute, build_verdict(world, dispute, [],
-                                             DecidingBody.COMMUNITY))
+    cut = threshold * total
+    if total > 0 and max(guilty_weight, clear_weight) >= cut:
+        _close(world, dispute, _ruling(world, dispute, guilty_weight >= cut,
+                                       DecidingBody.COMMUNITY))
     else:
-        dispute.stage = DisputeStage.PANEL_SELECTION
-        world.log.append(world.tick, "dispute_stage", subject=dispute.id,
-                         stage=dispute.stage.value)
+        _enter(world, dispute, DisputeStage.PANEL_SELECTION)
     return dispute.stage
+
+
+def _enter(world, dispute: Dispute, stage: DisputeStage, **detail) -> None:
+    dispute.stage = stage
+    world.log.append(world.tick, "dispute_stage", subject=dispute.id,
+                     stage=stage.value, **detail)
 
 
 def _accused(dispute: Dispute) -> list:
@@ -229,24 +241,37 @@ def _accused(dispute: Dispute) -> list:
     return list(dispute.parties[:1])
 
 
+def _ruling(world, dispute: Dispute, guilty: bool, body: DecidingBody) -> Verdict:
+    return build_verdict(world, dispute, _accused(dispute) if guilty else [],
+                         body)
+
+
+def _majority(votes: dict) -> bool:
+    return sum(1 for v in votes.values() if v) > len(votes) / 2
+
+
+def _draw_panel(world, dispute: Dispute, rng, excluded=()) -> list:
+    """Reputation-weighted draw of vetted, conflict-free arbitrators, never
+    the mediator nor anyone in ``excluded``."""
+    size = world.cfg.arbitration.panel_size
+    min_rep = world.cfg.arbitration.arbitrator_min_reputation
+    pool = [p for p in _conflict_free(world, dispute,
+                                      {dispute.mediator, *excluded})
+            if world.devices[p].arbitrator
+            and world.reputation_accounts[p].score >= min_rep]
+    if len(pool) < size:
+        raise InsufficientArbitrators(f"pool of {len(pool)}, need {size}")
+    return _weighted_draw(world, rng, pool, size)
+
+
 def select_panel(world, dispute: Dispute, rng) -> list:
     """Stochastic draw of five vetted arbitrators, conflict-free and
     excluding the mediator."""
     if dispute.stage is not DisputeStage.PANEL_SELECTION:
         raise WrongStage(dispute.stage.value)
-    size = world.cfg.arbitration.panel_size
-    min_rep = world.cfg.arbitration.arbitrator_min_reputation
-    excluded = {dispute.mediator} if dispute.mediator else set()
-    pool = [p for p in _conflict_free(world, dispute, excluded)
-            if world.devices[p].arbitrator
-            and world.reputation_accounts[p].score >= min_rep]
-    if len(pool) < size:
-        raise InsufficientArbitrators(f"pool of {len(pool)}, need {size}")
-    dispute.panel = _weighted_draw(world, rng, pool, size)
-    dispute.stage = DisputeStage.FINAL_ARBITRATION
-    world.log.append(world.tick, "dispute_stage", subject=dispute.id,
-                     stage=dispute.stage.value,
-                     panel=[p.hex() for p in dispute.panel])
+    dispute.panel = _draw_panel(world, dispute, rng)
+    _enter(world, dispute, DisputeStage.FINAL_ARBITRATION,
+           panel=[p.hex() for p in dispute.panel])
     return dispute.panel
 
 
@@ -254,9 +279,7 @@ def arbitrate(world, dispute: Dispute, panel_votes: dict) -> Verdict:
     """Binding majority decision of the arbitration panel."""
     if dispute.stage is not DisputeStage.FINAL_ARBITRATION:
         raise WrongStage(dispute.stage.value)
-    guilty = sum(1 for v in panel_votes.values() if v)
-    at_fault = _accused(dispute) if guilty > len(panel_votes) / 2 else []
-    verdict = build_verdict(world, dispute, at_fault, DecidingBody.PANEL)
+    verdict = _ruling(world, dispute, _majority(panel_votes), DecidingBody.PANEL)
     return _close(world, dispute, verdict)
 
 
@@ -271,43 +294,55 @@ def appeal(world, dispute: Dispute, rng) -> Verdict:
     original = dispute.decision
     appellant = original.at_fault[0] if original.at_fault else dispute.parties[0]
     bond = world.cfg.incentives.appeal_bond
-    incentives.post_bond(world, appellant, bond, cause=f"appeal:{dispute.id}")
+    cause = f"appeal:{dispute.id}"
+    incentives.post_bond(world, appellant, bond, cause=cause)
 
     dispute.appeal_used = True
     dispute.stage = DisputeStage.APPEALED
-    size = world.cfg.arbitration.panel_size
-    min_rep = world.cfg.arbitration.arbitrator_min_reputation
-    excluded = set(dispute.panel) | ({dispute.mediator} if dispute.mediator else set())
-    pool = [p for p in _conflict_free(world, dispute, excluded)
-            if world.devices[p].arbitrator
-            and world.reputation_accounts[p].score >= min_rep]
-    if len(pool) < size:
+    try:
+        appeal_panel = _draw_panel(world, dispute, rng, dispute.panel)
+    except InsufficientArbitrators:
         # refund rather than strand the bond when no disjoint panel exists
         incentives.settle_bond(world, appellant, bond, refunded=True,
-                               cause=f"appeal:{dispute.id}")
-        raise InsufficientArbitrators(f"pool of {len(pool)}, need {size}")
-    appeal_panel = _weighted_draw(world, rng, pool, size)
+                               cause=cause)
+        raise
 
     votes = {p: world.actors[p].panel_vote(world, dispute) for p in appeal_panel}
-    guilty = sum(1 for v in votes.values() if v)
-    at_fault = _accused(dispute) if guilty > len(votes) / 2 else []
-    verdict = build_verdict(world, dispute, at_fault, DecidingBody.APPEAL_PANEL)
-
-    flipped = set(at_fault) != set(original.at_fault)
-    incentives.settle_bond(world, appellant, bond, refunded=flipped,
-                           cause=f"appeal:{dispute.id}")
+    verdict = _ruling(world, dispute, _majority(votes), DecidingBody.APPEAL_PANEL)
+    flipped = set(verdict.at_fault) != set(original.at_fault)
+    incentives.settle_bond(world, appellant, bond, refunded=flipped, cause=cause)
     dispute.remedies_dispatched = False  # the appeal verdict dispatches anew
-    dispute.decision = verdict
-    dispute.stage = DisputeStage.CLOSED
-    vid = verdict.id
-    world.verdict_registry[vid] = verdict
-    world.pending_verdicts.append(vid)
-    world.log.append(world.tick, "appeal", subject=dispute.id,
-                     at_fault=[p.hex() for p in at_fault], flipped=flipped,
-                     panel=[p.hex() for p in appeal_panel], verdict_id=vid.hex())
-    if flipped and not at_fault:
+    _record_verdict(world, dispute, verdict, "appeal", flipped=flipped,
+                    panel=[p.hex() for p in appeal_panel])
+    if flipped and not verdict.at_fault:
         for party in original.at_fault:
-            incentives.restore_reputation(world, party, 0.1,
-                                          cause=f"appeal:{dispute.id}")
+            incentives.restore_reputation(world, party, 0.1, cause=cause)
     _dispatch_remedies(world, dispute, verdict)
     return verdict
+
+
+def advance(world, dispute: Dispute) -> DisputeStage:
+    """Run the dispute's current stage once; the world calls this every tick
+    for every dispute. A closed or appealed dispute does not move."""
+    stage = dispute.stage
+    if stage is DisputeStage.MEDIATION:
+        mediator = world.actors.get(dispute.mediator)
+        conclusive = mediator is not None and mediator.conclusive(world, dispute)
+        mediate(world, dispute, _ruling(world, dispute, conclusive,
+                                        DecidingBody.MEDIATOR))
+    elif stage is DisputeStage.COMMUNITY_REVIEW:
+        community_review(world, dispute, world.rng_arbitration)
+    elif stage is DisputeStage.PANEL_SELECTION:
+        try:
+            select_panel(world, dispute, world.rng_arbitration)
+        except InsufficientArbitrators:
+            # no panel can be seated: the community tally's leaning decides
+            tally = dispute.community_tally
+            _close(world, dispute, _ruling(
+                world, dispute, tally.get("guilty", 0.0) > tally.get("clear", 0.0),
+                DecidingBody.COMMUNITY))
+    elif stage is DisputeStage.FINAL_ARBITRATION:
+        votes = {p: world.actors[p].panel_vote(world, dispute)
+                 for p in dispute.panel}
+        arbitrate(world, dispute, votes)
+    return dispute.stage

@@ -326,7 +326,6 @@ def commit_block(world, proposal: Proposal, votes: list,
             continue
         txn = world.transactions[tid]
         txn.status = TxnStatus.COMMITTED
-        txn.committed_tick = world.tick
         if tid in world.mempool:
             world.mempool.remove(tid)
         world.log.append(world.tick, "txn_committed", subject=tid.hex(),

@@ -49,7 +49,6 @@ class ReputationAccount:
     owner: bytes
     score: float = 0.5
     onboarded_tick: int = 0
-    last_reward_tick: int = 0
     last_bonus_tick: int = -1   # -1: never received a longevity bonus
 
 
@@ -103,7 +102,6 @@ def apply_performance_reward(world, owner: bytes, cause: str) -> IncentiveEvent:
     acct.liquid += cfg.perf_reward
     world.total_minted += cfg.perf_reward
     _adjust_reputation(world, owner, rep.score + cfg.perf_rep_bonus)
-    rep.last_reward_tick = world.tick
     return _emit(world, owner, IncentiveKind.PERF_REWARD, cfg.perf_reward, cause)
 
 

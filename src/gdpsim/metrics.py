@@ -304,7 +304,7 @@ def replay_events(events, cfg) -> ReplayState:
             if ikind == "StakeDeposit":
                 st.staked[subject] = st.staked.get(subject, 0.0) + delta
                 st.deposited += delta
-                st.score.setdefault(subject, inc_initial(cfg))
+                st.score.setdefault(subject, cfg.onboarding.initial_reputation)
             elif ikind in ("PerfReward", "ContribReward", "LongevityBonus"):
                 st.liquid[subject] = st.liquid.get(subject, 0.0) + delta
                 st.minted += delta
@@ -355,10 +355,6 @@ def replay_events(events, cfg) -> ReplayState:
         elif kind == "txn_committed":
             st.txn_status[ev.subject] = "Committed"
     return st
-
-
-def inc_initial(cfg) -> float:
-    return cfg.onboarding.initial_reputation
 
 
 def replay_matches_world(world) -> dict:

@@ -14,7 +14,6 @@ from enum import Enum
 from . import incentives
 from .consensus import verify_batch
 from .errors import ChainIntegrityViolation, InsufficientNodes
-from .onboarding import DeviceStatus
 from .primitives import Digest, digest, verify
 from .transmission import TxnStatus, make_commit
 
@@ -102,11 +101,9 @@ def deep_inspect_transaction(world, txn) -> InspectionOutcome:
         tuple(evidence)))
     if not passed:
         sender = txn.sender
-        profile = world.devices.get(sender)
+        from .arbitration import can_be_party, open_dispute
         # open the dispute while the sender is still an eligible party
-        if profile is not None and profile.status in (DeviceStatus.ACTIVE,
-                                                      DeviceStatus.QUARANTINED):
-            from .arbitration import open_dispute
+        if can_be_party(world, sender):
             open_dispute(world, [sender],
                          {"category": "tampering", "accused": sender.hex(),
                           "event_refs": [len(world.log) - 1]})

@@ -69,7 +69,6 @@ class DataTransaction:
     reveal_deadline_tick: int = 0
     escalations: int = 0
     objected: bool = False
-    committed_tick: Optional[int] = None
 
 
 def txn_id(sender: bytes, receiver: bytes, payload_digest: Digest, nonce: int,

@@ -23,7 +23,6 @@ from .errors import (
     ChainIntegrityViolation,
     CommitMismatch,
     GdpError,
-    InsufficientArbitrators,
     InsufficientStake,
     InsufficientWitnesses,
     UnknownParent,
@@ -295,13 +294,7 @@ def _environment(world: World) -> None:
                                        subject=target.hex())
                 anomaly.quarantine(world, target, reason_ref=ref)
         elif world.tick == outage.start + outage.duration:
-            record = world.quarantines.get(target)
-            if record is not None and record.released_tick is None:
-                record.released_tick = world.tick
-                if world.devices[target].status is DeviceStatus.QUARANTINED:
-                    world.set_status(target, DeviceStatus.ACTIVE)
-                world.log.append(world.tick, "quarantine_release",
-                                 subject=target.hex())
+            anomaly.release_quarantine(world, target)
 
 
 def _sync_lagging(world: World) -> None:
@@ -350,9 +343,7 @@ def _run_commit_phase(world: World, txn) -> None:
         except CommitMismatch:
             # marked and penalized inside the op; equivocation is a protocol
             # violation with cryptographic evidence, so a dispute opens too
-            profile = world.devices.get(witness)
-            if profile is not None and profile.status in (
-                    DeviceStatus.ACTIVE, DeviceStatus.QUARANTINED):
+            if arbitration.can_be_party(world, witness):
                 mismatch_ref = next(
                     ref for ref in reversed(world.log.refs_of(witness.hex()))
                     if world.log[ref].kind == "commit_mismatch"
@@ -629,32 +620,7 @@ def _revalidations(world: World) -> None:
 
 def _progress_disputes(world: World) -> None:
     for dispute in list(world.disputes.values()):
-        if dispute.stage is arbitration.DisputeStage.MEDIATION:
-            accused = arbitration._accused(dispute)
-            conclusive = any(
-                world.actors[p]._conclusive(world, dispute)
-                for p in [dispute.mediator] if p is not None and p in world.actors)
-            ruling = arbitration.build_verdict(
-                world, dispute, accused if conclusive else [],
-                arbitration.DecidingBody.MEDIATOR)
-            arbitration.mediate(world, dispute, ruling)
-        elif dispute.stage is arbitration.DisputeStage.COMMUNITY_REVIEW:
-            arbitration.community_review(world, dispute, world.rng_arbitration)
-        elif dispute.stage is arbitration.DisputeStage.PANEL_SELECTION:
-            try:
-                arbitration.select_panel(world, dispute, world.rng_arbitration)
-            except InsufficientArbitrators:
-                tally = dispute.community_tally
-                guilty = tally.get("guilty", 0.0) > tally.get("clear", 0.0)
-                verdict = arbitration.build_verdict(
-                    world, dispute,
-                    arbitration._accused(dispute) if guilty else [],
-                    arbitration.DecidingBody.COMMUNITY)
-                arbitration._close(world, dispute, verdict)
-        elif dispute.stage is arbitration.DisputeStage.FINAL_ARBITRATION:
-            votes = {p: world.actors[p].panel_vote(world, dispute)
-                     for p in dispute.panel}
-            arbitration.arbitrate(world, dispute, votes)
+        arbitration.advance(world, dispute)
 
 
 def _incentive_upkeep(world: World) -> None:

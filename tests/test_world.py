@@ -301,3 +301,55 @@ def test_device_status_has_one_writer():
     assert bypasses == []
     assert _status_writes(ast.parse(
         "def f(p):\n    p.status = DeviceStatus.BANNED\n")) == [(2, "f")]
+
+
+def _foreign_private_reads(tree):
+    """(line, source) of each read of an underscore name that the module
+    does not define itself: an attribute read through anything but
+    ``self``/``cls``, or a ``from ... import _name``."""
+    defined = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            defined.add(node.attr)
+
+    def private(name):
+        return (name.startswith("_") and not name.startswith("__")
+                and name not in defined)
+
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and private(node.attr)
+                and not (isinstance(node.value, ast.Name)
+                         and node.value.id in ("self", "cls"))):
+            found.append((node.lineno, ast.unparse(node)))
+        elif isinstance(node, ast.ImportFrom):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if private(alias.name))
+    return sorted(found)
+
+
+def test_no_module_reads_another_modules_private_names():
+    """A module reaches another only through its public names, so each
+    module's private helpers (the dispute stage machine's among them) stay
+    its own to change."""
+    package = Path(gdpsim.__file__).parent
+    bypasses = [f"{path.name}:{line} {text}"
+                for path in sorted(package.glob("*.py"))
+                for line, text in _foreign_private_reads(
+                    ast.parse(path.read_text()))]
+    assert bypasses == []
+    sample = ("from .arbitration import _close\n"
+              "class A:\n"
+              "    def f(self, world):\n"
+              "        self._own(world._mine, arbitration._accused(world))\n"
+              "    def _own(self, x, y):\n"
+              "        world._mine = world.actors[0]._conclusive\n")
+    assert _foreign_private_reads(ast.parse(sample)) == [
+        (1, "_close"), (4, "arbitration._accused"),
+        (6, "world.actors[0]._conclusive")]
