@@ -74,7 +74,8 @@ def open_account(world, owner: bytes, staked: float, tick: int,
     """Escrow the onboarding stake deposit and start the reputation record."""
     world.stake_accounts[owner] = StakeAccount(owner=owner, staked=staked)
     world.reputation_accounts[owner] = ReputationAccount(
-        owner=owner, score=initial_reputation, onboarded_tick=tick)
+        owner=owner, onboarded_tick=tick)
+    world.set_score(owner, initial_reputation)
     world.total_deposited += staked
     return _emit(world, owner, IncentiveKind.STAKE_DEPOSIT, staked, "onboarding")
 
@@ -86,11 +87,9 @@ def _is_banned(world, owner: bytes) -> bool:
 
 def _adjust_reputation(world, owner: bytes, new_score: float) -> float:
     """Clamp to [0, 1]; banned owners have their score frozen."""
-    rep = world.reputation_accounts[owner]
-    if _is_banned(world, owner):
-        return rep.score
-    rep.score = min(1.0, max(0.0, new_score))
-    return rep.score
+    if not _is_banned(world, owner):
+        world.set_score(owner, min(1.0, max(0.0, new_score)))
+    return world.reputation_accounts[owner].score
 
 
 def apply_performance_reward(world, owner: bytes, cause: str) -> IncentiveEvent:

@@ -262,7 +262,7 @@ class ReplayState:
         self.staked: dict = {}
         self.liquid: dict = {}
         self.offenses: dict = {}
-        self.score: dict = {}
+        self.scores: dict = {}
         self.heights: dict = {}         # pub hex -> height into canonical
         self.canonical: list = [genesis_block().block_digest.hex()]
         self.txn_status: dict = {}
@@ -304,12 +304,12 @@ def replay_events(events, cfg) -> ReplayState:
             if ikind == "StakeDeposit":
                 st.staked[subject] = st.staked.get(subject, 0.0) + delta
                 st.deposited += delta
-                st.score.setdefault(subject, cfg.onboarding.initial_reputation)
+                st.scores.setdefault(subject, cfg.onboarding.initial_reputation)
             elif ikind in ("PerfReward", "ContribReward", "LongevityBonus"):
                 st.liquid[subject] = st.liquid.get(subject, 0.0) + delta
                 st.minted += delta
                 if ikind == "PerfReward" and st.device_status.get(subject) != "Banned":
-                    st.score[subject] = min(1.0, st.score.get(subject, 0.5)
+                    st.scores[subject] = min(1.0, st.scores.get(subject, 0.5)
                                             + inc.perf_rep_bonus)
             elif ikind == "StakeForfeit":
                 amount = -delta
@@ -323,11 +323,11 @@ def replay_events(events, cfg) -> ReplayState:
                 st.treasury += amount
             elif ikind == "ReputationPenalty":
                 if st.device_status.get(subject) != "Banned":
-                    st.score[subject] = min(1.0, max(
-                        0.0, st.score.get(subject, 0.5) + delta))
+                    st.scores[subject] = min(1.0, max(
+                        0.0, st.scores.get(subject, 0.5) + delta))
             elif ikind == "ReputationRestore":
                 if st.device_status.get(subject) != "Banned":
-                    st.score[subject] = min(1.0, st.score.get(subject, 0.5) + delta)
+                    st.scores[subject] = min(1.0, st.scores.get(subject, 0.5) + delta)
             elif ikind == "TempBan":
                 st.device_status[subject] = "Banned"
             elif ikind == "PermBan":
@@ -375,9 +375,9 @@ def replay_matches_world(world) -> dict:
             mismatches[f"liquid:{pub_hex}"] = (st.liquid.get(pub_hex, 0.0),
                                                dev["liquid"])
         if dev["score"] is not None and (
-                pub_hex not in st.score
-                or abs(st.score[pub_hex] - dev["score"]) > 1e-6):
-            mismatches[f"score:{pub_hex}"] = (st.score.get(pub_hex),
+                pub_hex not in st.scores
+                or abs(st.scores[pub_hex] - dev["score"]) > 1e-6):
+            mismatches[f"score:{pub_hex}"] = (st.scores.get(pub_hex),
                                               dev["score"])
         if dev["offenses"] is not None and (
                 st.offenses.get(pub_hex, 0) != dev["offenses"]):

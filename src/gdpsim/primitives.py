@@ -234,19 +234,103 @@ class SeededRng:
 
 
 def weighted_index(rng: SeededRng, weights: list) -> int:
-    """Index of one draw proportional to positive ``weights``."""
-    return index_of_draw(rng, list(accumulate(weights)))
-
-
-def index_of_draw(rng: SeededRng, acc: list) -> int:
-    """Index of one draw over the running sums ``acc`` of positive weights.
+    """Index of one draw proportional to positive ``weights``.
 
     The draw is the first index whose running sum exceeds ``rng.random()``
     times the total, and the last index when rounding leaves none. The total
     is the last running sum, added in list order as a ``t += w`` loop would,
     so the pick does not depend on how a Python version's ``sum`` rounds.
     """
+    acc = list(accumulate(weights))
     return min(bisect_right(acc, rng.random() * acc[-1]), len(acc) - 1)
+
+
+class FenwickWeights:
+    """Non-negative float weights with exact prefix sums, updated and drawn
+    from in O(log N): a Fenwick tree (Fenwick, "A New Data Structure for
+    Cumulative Frequency Tables", 1994) over integers.
+
+    A weight is held as a count of ``2**-shift`` units, where ``shift`` is
+    the finest binary exponent any weight so far has needed. Every float is
+    then held exactly and every sum is exact, whatever the order of the
+    updates. A weight that needs a finer unit rescales the tree once, in
+    O(N). ``values`` holds each position's units.
+    """
+
+    __slots__ = ("values", "total", "shift", "_tree", "_top")
+
+    def __init__(self, weights):
+        ratios = [w.as_integer_ratio() if w > 0 else (0, 1) for w in weights]
+        self.shift = max((den.bit_length() - 1 for _, den in ratios), default=0)
+        self.values = [num << (self.shift + 1 - den.bit_length())
+                       for num, den in ratios]
+        self.total = sum(self.values)
+        n = len(self.values)
+        tree = self._tree = [0, *self.values]
+        for i in range(1, n + 1):
+            parent = i + (i & -i)
+            if parent <= n:
+                tree[parent] += tree[i]
+        self._top = 1 << (n.bit_length() - 1) if n else 0
+
+    def set(self, i: int, weight: float) -> None:
+        """Make position ``i`` weigh ``weight``, or 0 if it is not positive."""
+        units = 0
+        if weight > 0:
+            num, den = weight.as_integer_ratio()
+            finer = den.bit_length() - 1 - self.shift
+            if finer > 0:
+                self.shift += finer
+                self.values = [v << finer for v in self.values]
+                self._tree = [v << finer for v in self._tree]
+                self.total <<= finer
+            units = num << (self.shift + 1 - den.bit_length())
+        self.add(i, units - self.values[i])
+
+    def add(self, i: int, units: int) -> None:
+        """Add ``units`` to position ``i``; the weight must stay >= 0."""
+        if not units:
+            return
+        self.values[i] += units
+        self.total += units
+        tree, n = self._tree, len(self.values)
+        i += 1
+        while i <= n:
+            tree[i] += units
+            i += i & -i
+
+    def prefix_sum(self, i: int) -> int:
+        """Units held by the first ``i`` positions."""
+        tree, s = self._tree, 0
+        while i:
+            s += tree[i]
+            i &= i - 1
+        return s
+
+    def draw(self, rng: SeededRng) -> int:
+        """Position of one draw proportional to the weights (total > 0).
+
+        ``x`` is ``rng.random()`` times the total rounded once to a float.
+        The draw is the first position whose exact prefix sum exceeds ``x``,
+        and the last positive position when none does: the rule of
+        ``weighted_index``, with exact sums in place of running float sums.
+        """
+        total, unit = self.total, 1 << self.shift
+        num, den = (rng.random() * (total / unit)).as_integer_ratio()
+        rest = num * unit // den  # a sum P exceeds x iff P exceeds floor(x)
+        if rest >= total:
+            rest = total - 1
+        tree, n = self._tree, len(self.values)
+        pos, step = 0, self._top
+        while step:
+            nxt = pos + step
+            if nxt <= n:
+                units = tree[nxt]
+                if units <= rest:
+                    pos = nxt
+                    rest -= units
+            step >>= 1
+        return pos
 
 
 def sample_without_replacement(rng: SeededRng, population, weights, k: int) -> list:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
 from typing import Optional
 
 from . import incentives
@@ -24,7 +23,7 @@ from .errors import (
     RevealTooEarly,
 )
 from .onboarding import DeviceStatus
-from .primitives import Digest, Signature, digest, index_of_draw, sign
+from .primitives import Digest, Signature, digest, sign
 
 
 class TxnStatus(Enum):
@@ -97,22 +96,18 @@ def submit_transaction(world, sender: bytes, receiver: bytes,
     return txn
 
 
-def _groups_losing(view, drop: set, k: int, diversity: int) -> dict:
-    """How many members each operator group loses to the positions in
-    ``drop``; raises when the rest of the active view cannot seat ``k``
-    witnesses under the diversity cap."""
+def _seats_without(view, drop: set, diversity: int) -> int:
+    """Seats the active view offers under the diversity cap once the
+    positions in ``drop`` leave it."""
     removed: dict = {}
     for i in drop:
         group = view.groups[i]
         removed[group] = removed.get(group, 0) + 1
-    capacity = view.capacity(diversity)
+    seats = view.capacity(diversity)
     for group, lost in removed.items():
         n = view.group_counts[group]
-        capacity -= min(n, diversity) - min(n - lost, diversity)
-    if capacity < k:
-        raise InsufficientWitnesses(
-            f"capacity {capacity} under diversity cap, need k={k}")
-    return removed
+        seats -= min(n, diversity) - min(n - lost, diversity)
+    return seats
 
 
 def select_witnesses(world, txn: DataTransaction, rng,
@@ -120,54 +115,64 @@ def select_witnesses(world, txn: DataTransaction, rng,
     """Reputation-weighted panel with an operator-group diversity cap.
 
     Sender and receiver are never eligible; at most ``diversity`` witnesses
-    may share an operator group. The candidates are the world's active view
-    in device order, less the ineligible and non-positively weighted
-    positions; the view's seat capacity, adjusted for those positions only,
-    rejects an unseatable panel before any weight is read. Each draw pops
-    its pick, and a group's remaining members leave the pool when it
-    reaches the cap. A pop at ``i`` re-adds only the running sums from ``i``.
+    may share an operator group. The active view's seat capacity, less the
+    ineligible positions, refuses an unseatable panel before any score is
+    read (``scores_read`` False); less the zero-score positions too, it
+    refuses one after reading them. Each seat is then one descent of the
+    world's witness-weight tree. The ineligible devices, each pick but the
+    last and the rest of any group at its cap are taken out of the tree for
+    the panel and put back after it.
     """
     cfg = world.cfg.panel
     k, diversity = cfg.k, cfg.diversity
     view = world.active_view()
-    position, counts = view.position, view.group_counts
+    position = view.position
     drop = {position[p] for p in (txn.sender, txn.receiver, *exclude)
             if p in position}
-    removed = _groups_losing(view, drop, k, diversity)
+    seats = _seats_without(view, drop, diversity)
+    if seats < k:
+        raise InsufficientWitnesses(
+            f"capacity {seats} under diversity cap, need k={k}",
+            scores_read=False)
+    weights = world.witness_weights()
+    unweighted = {position[p] for p in weights.unscored if p in position} - drop
+    if unweighted:
+        seats = _seats_without(view, drop | unweighted, diversity)
+        if seats < k:
+            raise InsufficientWitnesses(
+                f"capacity {seats} under diversity cap, need k={k}")
 
-    accounts = world.reputation_accounts
-    weights = [accounts[p].score for p in view.active]
-    if min(weights) <= 0:
-        unweighted = {i for i, w in enumerate(weights) if w <= 0} - drop
-        if unweighted:
-            drop |= unweighted
-            removed = _groups_losing(view, drop, k, diversity)
-    pool, groups = list(view.active), list(view.groups)
-    for i in sorted(drop, reverse=True):
-        del pool[i], weights[i], groups[i]
+    tree, index, pubs = weights.tree, weights.index, weights.pubs
+    held = []  # (tree position, units) taken out for this panel
+
+    def take(i):
+        units = tree.values[i]
+        if units:
+            tree.add(i, -units)
+            held.append((i, units))
 
     panel = []
     group_use: dict = {}
-    acc = list(accumulate(weights))
-    while len(panel) < k:
-        if not pool:
-            raise InsufficientWitnesses("pool exhausted under diversity cap")
-        idx = index_of_draw(rng, acc)
-        panel.append(pool.pop(idx))
-        weights.pop(idx)
-        group = groups.pop(idx)
-        used = group_use[group] = group_use.get(group, 0) + 1
-        if used >= diversity and counts[group] - removed.get(group, 0) > used:
-            keep = [i for i, g in enumerate(groups) if g != group]
-            pool = [pool[i] for i in keep]
-            weights = [weights[i] for i in keep]
-            groups = [groups[i] for i in keep]
-            acc = list(accumulate(weights))
-        elif idx:
-            acc[idx - 1:] = accumulate(weights[idx:], initial=acc[idx - 1])
-        else:
-            acc = list(accumulate(weights))
-    return panel
+    try:
+        for i in drop:
+            take(index[view.active[i]])
+        while True:
+            if not tree.total:
+                raise InsufficientWitnesses("pool exhausted under diversity cap")
+            i = tree.draw(rng)
+            pub = pubs[i]
+            panel.append(pub)
+            if len(panel) == k:
+                return panel
+            take(i)
+            group = view.groups[position[pub]]
+            used = group_use[group] = group_use.get(group, 0) + 1
+            if used >= diversity and view.group_counts[group] > used:
+                for member in view.members(group):
+                    take(index[member])
+    finally:
+        for i, units in held:
+            tree.add(i, units)
 
 
 def open_panel(world, txn: DataTransaction, rng, exclude=frozenset()) -> list:
@@ -280,8 +285,16 @@ def aggregation_oracle(reveals: list, quorum: int) -> str:
 
 
 def _txn_to_arbitration(world, txn: DataTransaction) -> dict:
-    from .arbitration import open_dispute
+    """Open a dispute against the sender; a sender that can no longer be a
+    dispute party (banned, say) leaves the txn Disputed with the reason
+    logged."""
+    from .arbitration import can_be_party, open_dispute
     subject = txn.id.hex()
+    if not can_be_party(world, txn.sender):
+        world.log.append(world.tick, "dispute_skipped", subject=subject,
+                         accused=txn.sender.hex(),
+                         reason="sender is neither active nor quarantined")
+        return {"action": "arbitration_skipped"}
     refs = [ref for ref in world.log.refs_of(subject)
             if world.log[ref].subject == subject]
     claim = {"category": "attestation_conflict",

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .events import EventLog
 from .onboarding import DeviceStatus
-from .primitives import Digest, SeededRng
+from .primitives import Digest, FenwickWeights, SeededRng
 from .transmission import TxnStatus, Verdict
 
 
@@ -71,6 +71,7 @@ class ActiveView:
         self.group_counts = Counter(self.groups)  # group -> active members
         self.senders: Optional[list] = None  # filled by World.sender_pool
         self._capacity = (None, 0)         # (diversity, capacity) memo
+        self._members: Optional[dict] = None  # group -> active pubs
 
     def capacity(self, diversity: int) -> int:
         """Panel seats the active devices offer under the diversity cap."""
@@ -78,6 +79,47 @@ class ActiveView:
             self._capacity = (diversity, sum(
                 min(n, diversity) for n in self.group_counts.values()))
         return self._capacity[1]
+
+    def members(self, group: str) -> list:
+        """The active devices of one operator group, in device order."""
+        if self._members is None:
+            self._members = {}
+            for pub, g in zip(self.active, self.groups):
+                self._members.setdefault(g, []).append(pub)
+        return self._members[group]
+
+
+class WitnessWeights:
+    """Witness-draw weights in ``world.devices`` order: a device's
+    reputation score while it is active, else 0, in an exact Fenwick tree.
+
+    Built on the first draw. ``World.set_status`` and ``World.set_score``
+    keep it current, one O(log N) update each; a device added after the
+    build drops it, to be rebuilt on the next draw. ``unscored`` holds the
+    devices, of any status, whose score is not positive.
+    """
+
+    def __init__(self, world: "World"):
+        self.pubs = list(world.devices)
+        self.index = {p: i for i, p in enumerate(self.pubs)}
+        self.unscored: set = set()
+        self.tree = FenwickWeights([self._weight(world, p) for p in self.pubs])
+
+    def _weight(self, world: "World", pub: bytes) -> float:
+        score = world.reputation_accounts[pub].score
+        if score > 0:
+            self.unscored.discard(pub)
+        else:
+            self.unscored.add(pub)
+        return score if world.devices[pub].status is DeviceStatus.ACTIVE else 0.0
+
+    def update(self, world: "World", pub: bytes) -> bool:
+        """Re-read one device's weight; False if the tree does not hold it."""
+        i = self.index.get(pub)
+        if i is None:
+            return False
+        self.tree.set(i, self._weight(world, pub))
+        return True
 
 
 class World:
@@ -107,6 +149,7 @@ class World:
         self.next_nonce: dict = {}         # sender -> next nonce
         self.mempool: list = []            # witnessed txn ids
         self.unpaneled: list = []          # txns waiting for witnesses
+        self.unseatable: dict = {}         # txn id -> refusing (view, k, diversity)
         self.aggregation_due: dict = {}    # tick -> [txn ids]
         self.heights: dict = {}            # pub -> height into canonical
         self.canonical = consensus.Ledger()
@@ -127,6 +170,7 @@ class World:
         self.baselines: dict = {}          # stream id -> StreamBaseline
         self.txrate_streams: dict = {}     # pub -> (pub hex, its txrate baseline)
         self._view: Optional[ActiveView] = None
+        self._weights: Optional[WitnessWeights] = None
         self.epoch_contrib: dict = {}      # pub -> correct attestations this epoch
         self.compromise_schedule: list = []
         self.gt_scrambler = None           # test hook: metrics-side corruption
@@ -142,9 +186,27 @@ class World:
         return b
 
     def set_status(self, pub: bytes, status: DeviceStatus) -> None:
-        """The one writer of device status; marks the active view stale."""
+        """The one writer of device status; marks the active view stale and
+        re-weighs the device's witness draws."""
         self.devices[pub].status = status
         self._view = None
+        self._reweigh(pub)
+
+    def set_score(self, pub: bytes, score: float) -> None:
+        """The one writer of reputation scores; re-weighs the device's
+        witness draws."""
+        self.reputation_accounts[pub].score = score
+        self._reweigh(pub)
+
+    def _reweigh(self, pub: bytes) -> None:
+        if self._weights is not None and not self._weights.update(self, pub):
+            self._weights = None  # a device joined: rebuild on the next draw
+
+    def witness_weights(self) -> WitnessWeights:
+        """The witness-draw weights, built first if none are current."""
+        if self._weights is None:
+            self._weights = WitnessWeights(self)
+        return self._weights
 
     def active_view(self) -> ActiveView:
         """The current view, rebuilt first if a status changed since."""
@@ -356,12 +418,25 @@ def _run_commit_phase(world: World, txn) -> None:
 
 
 def _try_open_panel(world: World, txn) -> bool:
+    """Seat and run a panel for ``txn``; False if none can be seated.
+
+    A txn refused before any score was read waits without a draw until the
+    active view, ``k`` or the diversity cap changes: that refusal reads only
+    those and the txn's two parties, so the retry would raise again before
+    drawing or logging anything (and ``derive`` leaves its parent as is)."""
+    panel_cfg = world.cfg.panel
+    stamp = (world.active_view(), panel_cfg.k, panel_cfg.diversity)
+    if world.unseatable.get(txn.id) == stamp:
+        return False
     try:
         transmission.open_panel(world, txn,
                                 world.rng_selection.derive("panel", txn.id,
                                                            txn.escalations))
-    except InsufficientWitnesses:
+    except InsufficientWitnesses as refusal:
+        if not refusal.scores_read:
+            world.unseatable[txn.id] = stamp
         return False
+    world.unseatable.pop(txn.id, None)
     _run_commit_phase(world, txn)
     return True
 

@@ -21,6 +21,7 @@ from gdpsim.anomaly import StreamBaseline, detect_changepoint, observe
 from gdpsim.cli import main as cli_main
 from gdpsim.config import AdversarySpec
 from gdpsim.consensus import Vote, tally, vote_weight, active_stake_total
+from gdpsim.events import write_events_jsonl
 from gdpsim.incentives import deterrence_margin, simulate_cheater_average_payoff
 from gdpsim.metrics import (derive_metrics, replay_matches_world,
                             snapshot_digest, snapshot_state, write_outputs)
@@ -33,6 +34,18 @@ from conftest import mini_world
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DIGESTS_PATH = GOLDEN_DIR / "digests.json"
+# the digests file also pins criterion 2's population run under this name
+POPULATION_PIN = "criterion_2_population"
+
+
+def _pinned_digests() -> dict:
+    return json.loads(DIGESTS_PATH.read_text()) if DIGESTS_PATH.exists() else {}
+
+
+def _pin_digests(entries: dict) -> None:
+    """Merge ``entries`` into the digests file, keeping the other names."""
+    pins = {**_pinned_digests(), **entries}
+    DIGESTS_PATH.write_text(json.dumps(pins, indent=2, sort_keys=True) + "\n")
 
 
 def _report(text):
@@ -77,9 +90,11 @@ def test_criterion_1_safety_below_quorum():
 # 2. safety boundary at quorum + stochastic detection
 # ------------------------------------------------------------------ #
 
-def test_criterion_2_safety_boundary_and_detection():
+def test_criterion_2_safety_boundary_and_detection(tmp_path, update_goldens):
     """Colluders at quorum with inspections off produce false commits;
-    enabling inspections at p=0.05 detects ~p of tampered commits."""
+    enabling inspections at p=0.05 detects ~p of tampered commits. The
+    population run's ``events.jsonl`` is pinned by digest: at N = 700 a
+    change in how witness draws round shows here first."""
     # (a) the boundary is tight: inspections disabled
     cfg_off = get_scenario("collusion_at_quorum")
     world_off = run_world(cfg_off)
@@ -102,6 +117,14 @@ def test_criterion_2_safety_boundary_and_detection():
     cfg.drain_ticks = 150
     world = run_world(cfg)
     assert replay_matches_world(world) == {}
+    events_path = tmp_path / "events.jsonl"
+    write_events_jsonl(world.log, events_path)
+    pin = {"events_sha256": hashlib.sha256(events_path.read_bytes()).hexdigest()}
+    if update_goldens:
+        _pin_digests({POPULATION_PIN: pin})
+    else:
+        assert _pinned_digests().get(POPULATION_PIN) == pin, \
+            "criterion-2 population events.jsonl digest moved"
     report = derive_metrics(world.log, cfg)
     t = report["transactions"]
     n = t["false_commit_count"]  # tampered AND committed
@@ -268,13 +291,13 @@ def test_criterion_7_determinism_gate(tmp_path, update_goldens):
         if golden != report:
             mismatched.append(name)
     if update_goldens:
-        DIGESTS_PATH.write_text(json.dumps(digests, indent=2,
-                                           sort_keys=True) + "\n")
+        _pin_digests(digests)
         return
     assert not mismatched, f"golden regression: {mismatched}"
     assert DIGESTS_PATH.exists(), \
         "golden digests missing; run pytest --update-goldens"
-    golden_digests = json.loads(DIGESTS_PATH.read_text())
+    golden_digests = _pinned_digests()
+    golden_digests.pop(POPULATION_PIN, None)  # criterion 2 checks that one
     moved = sorted(name for name in set(golden_digests) | set(digests)
                    if golden_digests.get(name) != digests.get(name))
     assert not moved, f"output file or snapshot digest moved: {moved}"

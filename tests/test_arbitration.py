@@ -30,8 +30,8 @@ from conftest import mini_world
 def arb_world(**overrides):
     """World where every honest device qualifies as an arbitrator."""
     world = mini_world(**overrides)
-    for rep in world.reputation_accounts.values():
-        rep.score = 0.9
+    for pub in world.reputation_accounts:
+        world.set_score(pub, 0.9)
     return world
 
 
@@ -212,7 +212,8 @@ def test_arbitrate_majority_verdict(world, accused):
 
 
 def test_arbitrate_unanimous_clear_restores(world, accused):
-    before = world.reputation_accounts[accused].score = 0.6
+    before = 0.6
+    world.set_score(accused, before)
     dispute = _dispute_at_panel_selection(world, accused)
     panel = select_panel(world, dispute, SeededRng(8))
     verdict = arbitrate(world, dispute, {p: False for p in panel})

@@ -29,8 +29,8 @@ def _world():
     """14 witnesses, all scored as eligible arbitrators, so an appeal can
     seat a panel disjoint from the first."""
     world = mini_world(n_witness_pool=14)
-    for rep in world.reputation_accounts.values():
-        rep.score = 0.9
+    for pub in world.reputation_accounts:
+        world.set_score(pub, 0.9)
     return world
 
 

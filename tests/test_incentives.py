@@ -33,14 +33,14 @@ def owner(world):
 def test_performance_reward(world, owner):
     rep = world.reputation_accounts[owner]
     acct = world.stake_accounts[owner]
-    rep.score = 0.50
+    world.set_score(owner, 0.50)
     apply_performance_reward(world, owner, cause="test")
     assert rep.score == pytest.approx(0.51)
     assert acct.liquid == pytest.approx(1.0)
 
 
 def test_performance_reward_clamped(world, owner):
-    world.reputation_accounts[owner].score = 0.995
+    world.set_score(owner, 0.995)
     apply_performance_reward(world, owner, cause="test")
     assert world.reputation_accounts[owner].score == 1.0
 
@@ -72,7 +72,7 @@ def test_contribution_invalid_proportion(world, owner):
 
 def test_longevity_bonus_earned(world, owner):
     rep = world.reputation_accounts[owner]
-    rep.score = 0.9
+    world.set_score(owner, 0.9)
     event = apply_longevity_bonus(world, owner, rep.onboarded_tick + 1000)
     assert event is not None
     assert event.kind is IncentiveKind.LONGEVITY_BONUS
@@ -80,21 +80,21 @@ def test_longevity_bonus_earned(world, owner):
 
 
 def test_longevity_boundary_tenure(world, owner):
-    world.reputation_accounts[owner].score = 0.9
+    world.set_score(owner, 0.9)
     tick = world.reputation_accounts[owner].onboarded_tick + 999
     assert apply_longevity_bonus(world, owner, tick) is None
 
 
 def test_longevity_blocked_by_offense(world, owner):
     rep = world.reputation_accounts[owner]
-    rep.score = 0.9
+    world.set_score(owner, 0.9)
     world.stake_accounts[owner].offense_count = 1
     assert apply_longevity_bonus(world, owner, rep.onboarded_tick + 2000) is None
 
 
 def test_longevity_at_most_once_per_period(world, owner):
     rep = world.reputation_accounts[owner]
-    rep.score = 0.9
+    world.set_score(owner, 0.9)
     base = rep.onboarded_tick
     assert apply_longevity_bonus(world, owner, base + 1000) is not None
     assert apply_longevity_bonus(world, owner, base + 1500) is None
@@ -104,7 +104,7 @@ def test_longevity_at_most_once_per_period(world, owner):
 def test_minor_penalty_reputation_only(world, owner):
     rep = world.reputation_accounts[owner]
     acct = world.stake_accounts[owner]
-    rep.score = 0.5
+    world.set_score(owner, 0.5)
     apply_penalty(world, owner, Severity.MINOR, cause="test")
     assert rep.score == pytest.approx(0.4)
     assert acct.staked == pytest.approx(100.0)
@@ -114,7 +114,7 @@ def test_minor_penalty_reputation_only(world, owner):
 def test_major_penalty_first_offense(world, owner):
     rep = world.reputation_accounts[owner]
     acct = world.stake_accounts[owner]
-    rep.score = 0.5
+    world.set_score(owner, 0.5)
     apply_penalty(world, owner, Severity.MAJOR, cause="test")
     assert acct.staked == pytest.approx(50.0)
     assert rep.score == pytest.approx(0.4)
@@ -143,7 +143,7 @@ def test_critical_penalty_permban(world, owner):
 def test_tempban_threshold_derived(world, owner):
     # 0.24 * 0.8 = 0.192 < 0.2 threshold: the penalty trips a temp ban
     rep = world.reputation_accounts[owner]
-    rep.score = 0.24
+    world.set_score(owner, 0.24)
     events = apply_penalty(world, owner, Severity.MINOR, cause="test")
     assert rep.score == pytest.approx(0.192)
     assert IncentiveKind.TEMP_BAN in [e.kind for e in events]
@@ -152,7 +152,7 @@ def test_tempban_threshold_derived(world, owner):
 
 
 def test_tempban_release(world, owner):
-    world.reputation_accounts[owner].score = 0.24
+    world.set_score(owner, 0.24)
     apply_penalty(world, owner, Severity.MINOR, cause="test")
     world.tick = world.ban_until[owner]
     released = release_due_bans(world)

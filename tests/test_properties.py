@@ -12,7 +12,12 @@ from gdpsim.anomaly import StreamBaseline
 from gdpsim.events import EventLog
 from gdpsim.incentives import Severity, conservation_gap, deterrence_margin
 from gdpsim.onboarding import DeviceStatus
-from gdpsim.primitives import SeededRng, sample_without_replacement, weighted_index
+from gdpsim.primitives import (
+    FenwickWeights,
+    SeededRng,
+    sample_without_replacement,
+    weighted_index,
+)
 from gdpsim.transmission import aggregation_oracle
 
 from conftest import mini_world
@@ -189,6 +194,60 @@ def test_weighted_index_matches_running_loop(weights, seed):
             expected = i
             break
     assert weighted_index(SeededRng(seed), weights) == expected
+
+
+scores = st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                  st.sampled_from([0.0, 1.0, 0.5, 5e-324, 2.0 ** -60]))
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=10),
+                          st.one_of(st.sampled_from(list(DeviceStatus)),
+                                    scores)),
+                min_size=1, max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_witness_weight_sums_are_exact(changes):
+    """After any mix of status and score writes, re-activation and zero
+    scores included, every prefix sum of the witness-weight tree is the
+    exact sum of the active scores before it in device order."""
+    world = mini_world()
+    devices = list(world.devices)
+    weights = world.witness_weights()
+    for index, change in changes:
+        pub = devices[index % len(devices)]
+        if isinstance(change, DeviceStatus):
+            world.set_status(pub, change)
+        else:
+            world.set_score(pub, change)
+        assert world.witness_weights() is weights  # no device joined
+        tree = weights.tree
+        unit = Fraction(1, 1 << tree.shift)
+        exact = Fraction(0)
+        for i, p in enumerate(devices):
+            assert tree.prefix_sum(i) * unit == exact
+            if world.devices[p].status is DeviceStatus.ACTIVE:
+                exact += Fraction(world.reputation_accounts[p].score)
+        assert tree.prefix_sum(len(devices)) * unit == tree.total * unit == exact
+        assert weights.unscored == {
+            p for p in devices if world.reputation_accounts[p].score <= 0}
+
+
+@given(st.lists(scores, min_size=1, max_size=60),
+       st.integers(min_value=0, max_value=2 ** 64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_fenwick_draw_is_first_exact_prefix_above_x(weights, seed):
+    tree = FenwickWeights(weights)
+    if not tree.total:
+        return
+    exact = [Fraction(w) for w in weights]
+    x = Fraction(SeededRng(seed).random() * float(sum(exact)))
+    acc = Fraction(0)
+    expected = max(i for i, w in enumerate(weights) if w > 0)
+    for i, w in enumerate(exact):
+        acc += w
+        if acc > x:
+            expected = i
+            break
+    assert tree.draw(SeededRng(seed)) == expected
 
 
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10),

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from gdpsim import transmission
+from gdpsim import incentives, transmission
 from gdpsim.errors import (
     AlreadyCommitted,
     CommitMismatch,
@@ -77,9 +77,9 @@ def test_selection_reputation_ratio():
                 if p not in (txn.sender, txn.receiver)]
     heavy, light = eligible[0], eligible[1]
     for other in eligible:
-        world.reputation_accounts[other].score = 0.0
-    world.reputation_accounts[heavy].score = 0.9
-    world.reputation_accounts[light].score = 0.3
+        world.set_score(other, 0.0)
+    world.set_score(heavy, 0.9)
+    world.set_score(light, 0.3)
     rng = SeededRng(77)
     hits = 0
     draws = 100_000
@@ -376,6 +376,26 @@ def test_escalation_cap_opens_dispute(world):
     assert len(txn_refs) > 8
     claim = world.disputes[outcome["dispute"]].claim
     assert claim["event_refs"] == txn_refs[-8:]
+
+
+def test_escalation_cap_skips_dispute_against_banned_sender(world):
+    # a sender banned before its txn reaches the cap cannot be a dispute
+    # party: the txn stays Disputed, no dispute opens and the log says why
+    txn = make_txn(world)
+    _aggregate_with_pattern(world, txn, ["valid", "valid", "valid",
+                                         "invalid", "invalid"])
+    incentives.apply_penalty(world, txn.sender, incentives.Severity.CRITICAL,
+                             cause="test")
+    assert world.devices[txn.sender].status is transmission.DeviceStatus.BANNED
+    txn.escalations = world.cfg.panel.max_escalations
+    before = len(world.log)
+    outcome = transmission.reescalate_disputed(world, txn, SeededRng(15))
+    assert outcome == {"action": "arbitration_skipped"}
+    assert txn.status is TxnStatus.DISPUTED
+    assert world.disputes == {}
+    assert [(e.kind, e.subject, e.detail["accused"])
+            for e in (world.log[i] for i in range(before, len(world.log)))] \
+        == [("dispute_skipped", txn.id.hex(), txn.sender.hex())]
 
 
 def test_evaluate_all_honest_committed(world):

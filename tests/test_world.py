@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 
 import gdpsim
-from gdpsim import metrics
+from gdpsim import metrics, transmission
 from gdpsim.config import AdversarySpec, ScenarioConfig
 from gdpsim.errors import InvalidConfig
+from gdpsim.events import encode_event
 from gdpsim.metrics import (
     derive_metrics,
     replay_matches_world,
@@ -120,7 +121,7 @@ def test_replay_fold_catches_altered_accounts():
     world = run_world(cfg)
     assert replay_matches_world(world) == {}
     first, second = sorted(world.reputation_accounts)[:2]
-    world.reputation_accounts[first].score -= 0.25
+    world.set_score(first, world.reputation_accounts[first].score - 0.25)
     world.stake_accounts[second].offense_count += 1
     world.total_minted += 1.0
     world.total_deposited += 1.0
@@ -255,6 +256,93 @@ def test_quarantine_exclusion_is_total():
             assert not quarantined_at(ev.actor, ev.tick)
 
 
+def test_zero_score_refusal_is_retried_every_tick():
+    # a refusal that read scores is not remembered: a score write that
+    # changes no status still seats the txn on the next tick
+    world = build_world(mini_cfg())
+    witnesses = [p for p in world.active_devices()
+                 if world.actors[p].role == "honest_witness"]
+    for pub in witnesses[3:]:
+        world.set_score(pub, 0.0)
+    step(world)
+    stalled = list(world.unpaneled)
+    assert stalled and world.unseatable == {}
+    world.cfg.txn_arrival_rate = 0.0
+    world.set_score(witnesses[3], 0.5)
+    step(world)
+    assert world.unpaneled == []
+    assert all(world.transactions[t].panel for t in stalled)
+
+
+class _Forgetful(dict):
+    """An ``unseatable`` record that keeps nothing: every retry draws."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def _stalled_panels(monkeypatch, skip: bool):
+    """Txns that no panel can seat (four eligible witnesses, k=5), retried
+    while arrivals are off. Returns the world, the stalled txn ids and the
+    ``select_witnesses`` calls of each retry tick."""
+    world = build_world(mini_cfg())
+    if not skip:
+        world.unseatable = _Forgetful()
+    calls, per_tick = [], []
+    select = transmission.select_witnesses
+
+    def counted(*args, **kwargs):
+        calls.append(world.tick)
+        return select(*args, **kwargs)
+
+    def retry(ticks):
+        for _ in range(ticks):
+            calls.clear()
+            view = world.active_view()
+            step(world)
+            assert world.active_view() is view  # no status changed
+            per_tick.append(len(calls))
+
+    witnesses = [p for p in world.active_devices()
+                 if world.actors[p].role == "honest_witness"]
+    for pub in witnesses[3:]:
+        world.set_status(pub, DeviceStatus.QUARANTINED)
+    with monkeypatch.context() as patch:
+        patch.setattr(transmission, "select_witnesses", counted)
+        for _ in range(3):
+            step(world)
+        stalled = list(world.unpaneled)
+        world.cfg.txn_arrival_rate = 0.0
+        retry(3)
+        world.cfg.panel.diversity = 2  # no seat more, but a new stamp
+        retry(2)
+        world.set_status(witnesses[3], DeviceStatus.ACTIVE)
+        calls.clear()
+        step(world)
+        per_tick.append(len(calls))
+    return world, stalled, per_tick
+
+
+def test_unseatable_retries_wait_for_a_status_change(monkeypatch):
+    world, stalled, per_tick = _stalled_panels(monkeypatch, skip=True)
+    reference, ref_stalled, ref_per_tick = _stalled_panels(monkeypatch,
+                                                          skip=False)
+    n = len(stalled)
+    assert n == 3 and stalled == ref_stalled
+    # retries under the view, k and diversity that refused them draw nothing
+    assert per_tick == [0, 0, 0, n, 0, n]
+    assert ref_per_tick == [n] * 6
+    # once a witness returns, every txn is seated on the next tick with the
+    # panel the run without the skip gives, and no event differs
+    assert world.unpaneled == [] and world.unseatable == {}
+    for tid in stalled:
+        txn = world.transactions[tid]
+        assert len(txn.panel) == world.cfg.panel.k
+        assert txn.panel == reference.transactions[tid].panel
+    assert [encode_event(e) for e in world.log] == \
+        [encode_event(e) for e in reference.log]
+
+
 def _status_writes(tree):
     """(line, enclosing function) of each ``.status`` store that does not
     assign a ``TxnStatus`` member, and of each ``setattr(..., "status", ...)``."""
@@ -301,6 +389,61 @@ def test_device_status_has_one_writer():
     assert bypasses == []
     assert _status_writes(ast.parse(
         "def f(p):\n    p.status = DeviceStatus.BANNED\n")) == [(2, "f")]
+
+
+def _score_writes(tree):
+    """(line, enclosing function) of each store to a ``.score`` attribute,
+    augmented or unpacked, and of each ``setattr(..., "score", ...)``."""
+    found = []
+
+    def stored(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(stored(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return stored(target.value)
+        return isinstance(target, ast.Attribute) and target.attr == "score"
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(stored(t) for t in targets):
+            found.append((node.lineno, func))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "setattr" and len(node.args) >= 2
+                and isinstance(node.args[1], ast.Constant)
+                and node.args[1].value == "score"):
+            found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_reputation_score_has_one_writer():
+    """Every reputation-score write goes through ``World.set_score``: a
+    write around it would leave the witness-draw weights stale."""
+    package = Path(gdpsim.__file__).parent
+    bypasses = []
+    for path in sorted(package.glob("*.py")):
+        for line, func in _score_writes(ast.parse(path.read_text())):
+            if not (path.name == "world.py" and func == "set_score"):
+                bypasses.append(f"{path.name}:{line} in {func}")
+    assert bypasses == []
+    sample = ("def f(world, p):\n"
+              "    rep = world.reputation_accounts[p]\n"
+              "    rep.score = 0.5\n"
+              "    rep.score -= 0.1\n"
+              "    a, rep.score = 1, 0.2\n"
+              "    setattr(rep, 'score', 0.3)\n"
+              "    world.scores[p] = 0.4\n")
+    assert _score_writes(ast.parse(sample)) == [
+        (3, "f"), (4, "f"), (5, "f"), (6, "f")]
 
 
 def _foreign_private_reads(tree):
