@@ -104,6 +104,43 @@ class StreamBaseline:
             self.m2 += d * (sample - self.mean)
         self.samples_seen += 1
 
+    def feed(self, sample: float, tick: int, subject: str = "",
+             z_threshold: float = 3.0, drift: float = 0.5,
+             limit: float = 5.0) -> tuple:
+        """Run both detectors on one sample, then push it into the window.
+
+        Returns ``(changepoint, point)`` alerts, each None when quiet. Both
+        residuals are taken against the window as it stood before the
+        sample entered; the first ``window`` samples build it silently.
+
+        The changepoint test is a two-sided CUSUM over standardized
+        residuals that resets after an alarm. The point test compares
+        ``|z|`` with the calibrated cut; a zero-std window treats any
+        deviation as infinitely anomalous.
+        """
+        cp = po = None
+        if self.warmed_up():
+            std = self.std()
+            z = 0.0 if std == 0.0 else (sample - self.mean) / std
+            self.cusum_pos = max(0.0, self.cusum_pos + z - drift)
+            self.cusum_neg = max(0.0, self.cusum_neg - z - drift)
+            if self.cusum_pos > limit or self.cusum_neg > limit:
+                stat = max(self.cusum_pos, self.cusum_neg)
+                self.cusum_pos = 0.0
+                self.cusum_neg = 0.0
+                cp = AnomalyAlert(self.stream_id, tick, sample,
+                                  stat if z >= 0 else -stat,
+                                  AlertKind.CHANGEPOINT, subject)
+            if std == 0.0:
+                if sample != self.mean:
+                    po = AnomalyAlert(self.stream_id, tick, sample, math.inf,
+                                      AlertKind.POINT_OUTLIER, subject)
+            elif abs(z) > calibrated_cut(z_threshold, self.n):
+                po = AnomalyAlert(self.stream_id, tick, sample, z,
+                                  AlertKind.POINT_OUTLIER, subject)
+        self.push(sample)
+        return cp, po
+
     def std(self) -> float:
         if self.n < 2:
             return 0.0
@@ -136,53 +173,6 @@ def calibrated_cut(threshold: float, n: int) -> float:
         cut = _t_quantile(1.0 - tail, n - 1) * math.sqrt(1.0 + 1.0 / n)
         _cut_cache[key] = cut
     return cut
-
-
-def observe(baseline: StreamBaseline, sample: float, tick: int,
-            subject: str = "", z_threshold: float = 3.0) -> Optional[AnomalyAlert]:
-    """Point-outlier check; the sample joins the window afterwards.
-
-    The first ``window`` samples build the baseline silently. A zero-std
-    window treats any deviation as infinitely anomalous.
-    """
-    alert = None
-    if baseline.warmed_up():
-        std = baseline.std()
-        if std == 0.0:
-            if sample != baseline.mean:
-                alert = AnomalyAlert(baseline.stream_id, tick, sample,
-                                     math.inf, AlertKind.POINT_OUTLIER, subject)
-        else:
-            z = (sample - baseline.mean) / std
-            if abs(z) > calibrated_cut(z_threshold, baseline.n):
-                alert = AnomalyAlert(baseline.stream_id, tick, sample, z,
-                                     AlertKind.POINT_OUTLIER, subject)
-    baseline.push(sample)
-    return alert
-
-
-def detect_changepoint(baseline: StreamBaseline, sample: float, tick: int = 0,
-                       subject: str = "", drift: float = 0.5,
-                       limit: float = 5.0) -> Optional[AnomalyAlert]:
-    """Two-sided CUSUM over standardized residuals; resets after an alarm.
-
-    Call before ``observe`` for the same sample: residuals are taken against
-    the window as it stood before the sample entered.
-    """
-    if not baseline.warmed_up():
-        return None
-    std = baseline.std()
-    z = 0.0 if std == 0.0 else (sample - baseline.mean) / std
-    baseline.cusum_pos = max(0.0, baseline.cusum_pos + z - drift)
-    baseline.cusum_neg = max(0.0, baseline.cusum_neg - z - drift)
-    if baseline.cusum_pos > limit or baseline.cusum_neg > limit:
-        stat = max(baseline.cusum_pos, baseline.cusum_neg)
-        baseline.cusum_pos = 0.0
-        baseline.cusum_neg = 0.0
-        return AnomalyAlert(baseline.stream_id, tick, sample,
-                            stat if z >= 0 else -stat,
-                            AlertKind.CHANGEPOINT, subject)
-    return None
 
 
 def quarantine(world, subject: bytes, reason_ref) -> QuarantineRecord:

@@ -199,7 +199,8 @@ class ScenarioConfig:
                 "must be >= 0")
 
         a = self.anomaly
-        v.check(a.window >= 2, "anomaly.window", "must be >= 2")
+        # the point test's t quantile is calibrated for df = window - 1 >= 8
+        v.check(a.window >= 9, "anomaly.window", "must be >= 9")
         v.check(a.z_threshold > 0, "anomaly.z_threshold", "must be positive")
         v.check(a.cusum_drift >= 0, "anomaly.cusum_drift", "must be >= 0")
         v.check(a.cusum_limit > 0, "anomaly.cusum_limit", "must be positive")

@@ -9,6 +9,7 @@ replay check joins against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -126,17 +127,26 @@ def apply_longevity_bonus(world, owner: bytes, tick: int):
     rep = world.reputation_accounts[owner]
     if _is_banned(world, owner):
         return None
-    if tick - rep.onboarded_tick < cfg.longevity_period:
-        return None
-    if acct.offense_count != 0 or rep.score < cfg.longevity_min_score:
-        return None
-    if rep.last_bonus_tick >= 0 and tick - rep.last_bonus_tick < cfg.longevity_period:
+    if tick < longevity_due(world, owner) or rep.score < cfg.longevity_min_score:
         return None
     acct.liquid += cfg.longevity_bonus
     world.total_minted += cfg.longevity_bonus
     rep.last_bonus_tick = tick
     return _emit(world, owner, IncentiveKind.LONGEVITY_BONUS, cfg.longevity_bonus,
                  "longevity")
+
+
+def longevity_due(world, owner: bytes) -> float:
+    """The first tick at which ``owner`` could earn a longevity bonus: one
+    period after onboarding and after its last bonus. ``math.inf`` once an
+    offense rules the bonus out (offense counts never fall)."""
+    if world.stake_accounts[owner].offense_count != 0:
+        return math.inf
+    rep = world.reputation_accounts[owner]
+    period = world.cfg.incentives.longevity_period
+    if rep.last_bonus_tick >= 0:
+        return max(rep.onboarded_tick, rep.last_bonus_tick) + period
+    return rep.onboarded_tick + period
 
 
 def _forfeit(world, acct: StakeAccount, fraction: float, cause: str) -> IncentiveEvent:

@@ -278,10 +278,18 @@ def finalize_device(world, session: OnboardingSession, stake_deposit: float,
     world.set_status(session.device, DeviceStatus.ACTIVE)  # enters the active view
     incentives.open_account(world, session.device, stake_deposit, world.tick,
                             world.cfg.onboarding.initial_reputation)
+    world.lower_due_floors(session.device)
     world.log.append(world.tick, "device_finalized", subject=session.device.hex(),
                      stake=stake_deposit, operator_group=profile.operator_group,
                      arbitrator=arbitrator)
     return profile
+
+
+def revalidation_due(world, profile: DeviceProfile) -> int:
+    """The first tick at which the periodic revalidation of ``profile``
+    falls due."""
+    period = world.cfg.onboarding.revalidation_period
+    return profile.last_revalidation_tick + period
 
 
 def revalidate_device(world, profile: DeviceProfile, tick: int,
@@ -294,7 +302,7 @@ def revalidate_device(world, profile: DeviceProfile, tick: int,
     cfg = world.cfg.onboarding
     if profile.status is not DeviceStatus.ACTIVE:
         raise WrongStage(f"device status is {profile.status.value}")
-    if not force and tick - profile.last_revalidation_tick < cfg.revalidation_period:
+    if not force and tick < revalidation_due(world, profile):
         raise TooEarly(
             f"{tick - profile.last_revalidation_tick} < {cfg.revalidation_period}")
 

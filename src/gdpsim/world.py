@@ -169,6 +169,12 @@ class World:
         self.feedback_log: list = []
         self.baselines: dict = {}          # stream id -> StreamBaseline
         self.txrate_streams: dict = {}     # pub -> (pub hex, its txrate baseline)
+        # The earliest tick at which each per-device poll could act: a poll
+        # is skipped while the tick is below its floor and, when it runs,
+        # sets the floor to the least due tick among its candidates. A
+        # device that turns active lowers both (``lower_due_floors``).
+        self.longevity_floor = math.inf     # _incentive_upkeep
+        self.revalidation_floor = math.inf  # _revalidations
         self._view: Optional[ActiveView] = None
         self._weights: Optional[WitnessWeights] = None
         self.epoch_contrib: dict = {}      # pub -> correct attestations this epoch
@@ -187,10 +193,25 @@ class World:
 
     def set_status(self, pub: bytes, status: DeviceStatus) -> None:
         """The one writer of device status; marks the active view stale and
-        re-weighs the device's witness draws."""
-        self.devices[pub].status = status
+        re-weighs the device's witness draws. A device turning active again
+        lowers the due floors."""
+        profile = self.devices[pub]
+        if status is DeviceStatus.ACTIVE and profile.status is not status:
+            self.lower_due_floors(pub)
+        profile.status = status
         self._view = None
         self._reweigh(pub)
+
+    def lower_due_floors(self, pub: bytes) -> None:
+        """Lower the longevity and revalidation floors to the due ticks of
+        ``pub``, a device that has just turned active. ``set_status`` and
+        ``onboarding.finalize_device`` call it; no other write moves a due
+        tick earlier."""
+        self.longevity_floor = min(self.longevity_floor,
+                                   incentives.longevity_due(self, pub))
+        self.revalidation_floor = min(
+            self.revalidation_floor,
+            onboarding.revalidation_due(self, self.devices[pub]))
 
     def set_score(self, pub: bytes, score: float) -> None:
         """The one writer of reputation scores; re-weighs the device's
@@ -644,10 +665,10 @@ def _land_pending(world: World) -> None:
 def _feed_stream(world: World, b: anomaly.StreamBaseline, subject: str,
                  value: float) -> None:
     acfg = world.cfg.anomaly
-    cp = anomaly.detect_changepoint(b, value, world.tick, subject,
-                                    drift=acfg.cusum_drift, limit=acfg.cusum_limit)
-    po = anomaly.observe(b, value, world.tick, subject,
-                         z_threshold=acfg.z_threshold)
+    cp, po = b.feed(value, world.tick, subject, acfg.z_threshold,
+                    acfg.cusum_drift, acfg.cusum_limit)
+    if cp is None and po is None:
+        return
     for alert in (cp, po):
         if alert is None:
             continue
@@ -677,7 +698,11 @@ def _per_tick_streams(world: World) -> None:
 
 
 def _revalidations(world: World) -> None:
+    if world.tick < world.revalidation_floor:
+        return
     period = world.cfg.onboarding.revalidation_period
+    world.revalidation_floor = math.inf
+    floor = math.inf
     for pub in world.active_devices():
         profile = world.devices[pub]
         if world.tick - profile.last_revalidation_tick >= period:
@@ -691,6 +716,9 @@ def _revalidations(world: World) -> None:
                 arbitration.open_dispute(
                     world, [pub], {"category": "anomaly", "accused": pub.hex(),
                                    "event_refs": [ref]})
+        if profile.status is DeviceStatus.ACTIVE:
+            floor = min(floor, onboarding.revalidation_due(world, profile))
+    world.revalidation_floor = min(world.revalidation_floor, floor)
 
 
 def _progress_disputes(world: World) -> None:
@@ -709,8 +737,18 @@ def _incentive_upkeep(world: World) -> None:
             incentives.apply_contribution_reward(world, pub, float(units), total,
                                                  cause=f"epoch:{world.tick}")
         world.epoch_contrib.clear()
+    if world.tick < world.longevity_floor:
+        return
+    world.longevity_floor = math.inf
+    floor = math.inf
     for pub in world.active_devices():
-        incentives.apply_longevity_bonus(world, pub, world.tick)
+        # apply_longevity_bonus pays nothing before the due tick
+        due = incentives.longevity_due(world, pub)
+        if world.tick >= due and incentives.apply_longevity_bonus(
+                world, pub, world.tick) is not None:
+            due = incentives.longevity_due(world, pub)
+        floor = min(floor, due)
+    world.longevity_floor = min(world.longevity_floor, floor)
 
 
 def _sample_metrics(world: World) -> None:

@@ -1,8 +1,9 @@
 import pytest
 
 from gdpsim.actors import DeviceActor
-from gdpsim.config import ScenarioConfig
+from gdpsim.config import AdversarySpec, ScenarioConfig
 from gdpsim.primitives import SeededRng
+from gdpsim.scenarios import get_scenario
 from gdpsim.world import World, build_world, onboard_actor
 
 
@@ -27,6 +28,24 @@ def mini_cfg(**overrides) -> ScenarioConfig:
             setattr(getattr(cfg, section), leaf, value)
         else:
             setattr(cfg, key, value)
+    return cfg
+
+
+def population_cfg(duration_ticks: int, drain_ticks: int) -> ScenarioConfig:
+    """Criterion 2's population: 700 colluding tampering senders and one
+    honest client at the quorum boundary, inspections at p=0.05."""
+    cfg = get_scenario("collusion_at_quorum")
+    cfg.n_honest_devices = 1
+    cfg.n_witness_pool = 0
+    cfg.adversaries = [AdversarySpec(
+        kind="tampering_sender", count=700,
+        params={"tamper_rate": 1.0, "collude": True, "stake": 100})]
+    cfg.inspection.rate_txn = 0.05
+    cfg.inspection.rate_witness_deep = 0.0
+    cfg.consensus.random_validators = 12
+    cfg.txn_arrival_rate = 10.0
+    cfg.duration_ticks = duration_ticks
+    cfg.drain_ticks = drain_ticks
     return cfg
 
 

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from gdpsim import consensus, transmission
-from gdpsim.anomaly import StreamBaseline, detect_changepoint, observe
+from gdpsim.anomaly import StreamBaseline
 from gdpsim.cli import main as cli_main
 from gdpsim.config import AdversarySpec
 from gdpsim.consensus import Vote, tally, vote_weight, active_stake_total
@@ -30,7 +30,7 @@ from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 from gdpsim.transmission import Verdict, aggregation_oracle
 from gdpsim.world import build_world, run_world
 
-from conftest import mini_world
+from conftest import mini_world, population_cfg
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DIGESTS_PATH = GOLDEN_DIR / "digests.json"
@@ -103,18 +103,7 @@ def test_criterion_2_safety_boundary_and_detection(tmp_path, update_goldens):
     assert false_off > 0, "expected false commits at the quorum boundary"
 
     # (b) detection fraction over >= 10^4 tampered committed transactions
-    cfg = get_scenario("collusion_at_quorum")
-    cfg.n_honest_devices = 1
-    cfg.n_witness_pool = 0
-    cfg.adversaries = [AdversarySpec(
-        kind="tampering_sender", count=700,
-        params={"tamper_rate": 1.0, "collude": True, "stake": 100})]
-    cfg.inspection.rate_txn = 0.05
-    cfg.inspection.rate_witness_deep = 0.0
-    cfg.consensus.random_validators = 12
-    cfg.txn_arrival_rate = 10.0
-    cfg.duration_ticks = 1450
-    cfg.drain_ticks = 150
+    cfg = population_cfg(duration_ticks=1450, drain_ticks=150)
     world = run_world(cfg)
     assert replay_matches_world(world) == {}
     events_path = tmp_path / "events.jsonl"
@@ -221,7 +210,7 @@ def test_criterion_6_anomaly_calibration():
     n = 100_000
     alerts = 0
     for i in range(n):
-        if observe(baseline, rng.gauss(), tick=i) is not None:
+        if baseline.feed(rng.gauss(), i)[1] is not None:
             alerts += 1
     rate = alerts / (n - 100)
     expected = 2 * statistics.NormalDist().cdf(-3.0)
@@ -236,8 +225,7 @@ def test_criterion_6_anomaly_calibration():
         shift_at = 140
         for i in range(shift_at + 12):
             x = trial_rng.gauss() + (5.0 if i >= shift_at else 0.0)
-            cp = detect_changepoint(b, x, tick=i)
-            observe(b, x, tick=i)
+            cp, _ = b.feed(x, i)
             if cp is not None and i >= shift_at:
                 if i - shift_at + 1 <= 10:
                     detected_fast += 1

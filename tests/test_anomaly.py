@@ -9,9 +9,7 @@ from gdpsim.anomaly import (
     AlertKind,
     StreamBaseline,
     calibrated_cut,
-    detect_changepoint,
     investigate,
-    observe,
     quarantine,
     release_due_quarantines,
 )
@@ -30,9 +28,9 @@ def feed(baseline, samples, z_threshold=3.0, drift=0.5, limit=5.0):
     """Stream samples through both detectors in the production order."""
     alerts = []
     for i, x in enumerate(samples):
-        cp = detect_changepoint(baseline, x, tick=i, drift=drift, limit=limit)
-        po = observe(baseline, x, tick=i, z_threshold=z_threshold)
-        alerts.extend(a for a in (cp, po) if a is not None)
+        alerts.extend(a for a in baseline.feed(x, i, z_threshold=z_threshold,
+                                               drift=drift, limit=limit)
+                      if a is not None)
     return alerts
 
 
@@ -45,7 +43,7 @@ def test_constant_stream_never_alerts():
 def test_zero_std_any_deviation_alerts():
     b = StreamBaseline("s", W)
     feed(b, [5.0] * 200)
-    alert = observe(b, 5.0001, tick=200)
+    _, alert = b.feed(5.0001, 200)
     assert alert is not None
     assert alert.kind is AlertKind.POINT_OUTLIER
     assert math.isinf(alert.z_score)
@@ -120,7 +118,7 @@ def test_point_alert_rate_calibrated():
     n = 100_000
     alerts = 0
     for i in range(n):
-        if observe(b, rng.gauss(), tick=i) is not None:
+        if b.feed(rng.gauss(), i)[1] is not None:
             alerts += 1
     rate = alerts / (n - W)
     expected = 2 * statistics.NormalDist().cdf(-3.0)
@@ -138,7 +136,7 @@ def test_point_alert_z_exceeds_threshold():
     rng = SeededRng(53)
     for i in range(W):
         b.push(rng.gauss())
-    alert = observe(b, 25.0, tick=W)
+    _, alert = b.feed(25.0, W)
     assert alert is not None and abs(alert.z_score) > 3.0
 
 
@@ -153,8 +151,7 @@ def test_cusum_detects_5sigma_shift_quickly():
         detected = None
         for i in range(400):
             x = rng.gauss() + (5.0 if i >= shift_at else 0.0)
-            cp = detect_changepoint(b, x, tick=i)
-            observe(b, x, tick=i)
+            cp, _ = b.feed(x, i)
             if cp is not None and i >= shift_at and detected is None:
                 detected = i - shift_at + 1
                 break
@@ -165,9 +162,7 @@ def test_cusum_detects_5sigma_shift_quickly():
 
 def test_cusum_no_alert_without_shift_on_constant():
     b = StreamBaseline("s", W)
-    alerts = [detect_changepoint(b, 2.0, tick=i) for i in range(300)]
-    for i in range(300):
-        b.push(2.0)
+    alerts = [b.feed(2.0, i)[0] for i in range(300)]
     assert all(a is None for a in alerts)
 
 
@@ -181,9 +176,8 @@ def test_cusum_false_alarm_rate_stationary():
     alarms = 0
     for i in range(n):
         x = rng.gauss()
-        if detect_changepoint(b, x, tick=i) is not None:
+        if b.feed(x, i)[0] is not None:
             alarms += 1
-        observe(b, x, tick=i)
     rate = alarms / (n - W)
     assert 0.001 < rate < 0.0045
 
@@ -195,8 +189,7 @@ def test_alert_determinism():
         out = []
         for i in range(5000):
             x = rng.gauss() + (4.0 if 2000 <= i < 2050 else 0.0)
-            cp = detect_changepoint(b, x, tick=i)
-            po = observe(b, x, tick=i)
+            cp, po = b.feed(x, i)
             out.extend((a.kind.value, a.tick, round(a.value, 12))
                        for a in (cp, po) if a)
         return out

@@ -7,9 +7,16 @@ from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
-from gdpsim import arbitration, consensus, incentives
-from gdpsim.anomaly import StreamBaseline
-from gdpsim.events import EventLog
+from gdpsim import anomaly, arbitration, consensus, incentives, onboarding
+from gdpsim import world as world_mod
+from gdpsim.anomaly import (
+    AlertKind,
+    AnomalyAlert,
+    StreamBaseline,
+    calibrated_cut,
+)
+from gdpsim.errors import AlreadyQuarantined, GdpError
+from gdpsim.events import EventLog, encode_event
 from gdpsim.incentives import Severity, conservation_gap, deterrence_margin
 from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import (
@@ -20,7 +27,7 @@ from gdpsim.primitives import (
 )
 from gdpsim.transmission import aggregation_oracle
 
-from conftest import mini_world
+from conftest import fresh_actor, mini_world, onboard
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -288,3 +295,250 @@ def test_active_view_never_goes_stale(changes):
             world, SimpleNamespace(parties=[party])) == [
             p for p in active
             if p != party and world.devices[p].operator_group != party_group]
+
+
+# --- the fused stream feed against the two detectors it replaced ---
+
+
+def _reference_observe(baseline, sample, tick, subject="", z_threshold=3.0):
+    alert = None
+    if baseline.warmed_up():
+        std = baseline.std()
+        if std == 0.0:
+            if sample != baseline.mean:
+                alert = AnomalyAlert(baseline.stream_id, tick, sample,
+                                     math.inf, AlertKind.POINT_OUTLIER, subject)
+        else:
+            z = (sample - baseline.mean) / std
+            if abs(z) > calibrated_cut(z_threshold, baseline.n):
+                alert = AnomalyAlert(baseline.stream_id, tick, sample, z,
+                                     AlertKind.POINT_OUTLIER, subject)
+    baseline.push(sample)
+    return alert
+
+
+def _reference_detect_changepoint(baseline, sample, tick=0, subject="",
+                                  drift=0.5, limit=5.0):
+    if not baseline.warmed_up():
+        return None
+    std = baseline.std()
+    z = 0.0 if std == 0.0 else (sample - baseline.mean) / std
+    baseline.cusum_pos = max(0.0, baseline.cusum_pos + z - drift)
+    baseline.cusum_neg = max(0.0, baseline.cusum_neg - z - drift)
+    if baseline.cusum_pos > limit or baseline.cusum_neg > limit:
+        stat = max(baseline.cusum_pos, baseline.cusum_neg)
+        baseline.cusum_pos = 0.0
+        baseline.cusum_neg = 0.0
+        return AnomalyAlert(baseline.stream_id, tick, sample,
+                            stat if z >= 0 else -stat,
+                            AlertKind.CHANGEPOINT, subject)
+    return None
+
+
+def _alert_fields(alert):
+    """Every field, floats by ``repr`` so that the sign of zero, inf and nan
+    compare bit for bit."""
+    if alert is None:
+        return None
+    return (alert.stream_id, alert.tick, repr(alert.value),
+            repr(alert.z_score), alert.kind, alert.subject)
+
+
+def _baseline_state(b):
+    return (repr(b.mean), repr(b.m2), b.n, b.s1, b.s2, b.n_fractional,
+            repr(b.cusum_pos), repr(b.cusum_neg), [repr(x) for x in b.buf],
+            b.samples_seen)
+
+
+_stream_segment = st.one_of(
+    # integral samples, as every in-world stream feeds
+    st.lists(st.integers(min_value=-20, max_value=20).map(float),
+             min_size=1, max_size=25),
+    st.lists(finite_floats, min_size=1, max_size=25),
+    # a constant run (a zero-std window once it fills the window)
+    st.tuples(st.integers(min_value=-5, max_value=5).map(float),
+              st.integers(min_value=1, max_value=25)).map(
+        lambda run: [run[0]] * run[1]),
+    # a level shift with small integral noise: CUSUM and point alarms
+    st.tuples(st.sampled_from([-1e4, -300.0, 40.0, 1e3, 2.5e5]),
+              st.lists(st.integers(min_value=-2, max_value=2),
+                       min_size=1, max_size=25)).map(
+        lambda shift: [shift[0] + d for d in shift[1]]),
+    st.sampled_from([[math.inf], [-math.inf]]),
+)
+
+
+@given(st.lists(_stream_segment, min_size=1, max_size=10).map(
+           lambda segments: [x for seg in segments for x in seg]),
+       st.integers(min_value=2, max_value=12),
+       st.floats(min_value=0.5, max_value=6.0),
+       st.floats(min_value=0.0, max_value=2.0),
+       st.floats(min_value=0.1, max_value=10.0))
+@settings(max_examples=300, deadline=None)
+def test_feed_matches_detect_changepoint_then_observe(stream, window,
+                                                      z_threshold, drift,
+                                                      limit):
+    """``StreamBaseline.feed`` returns the alerts, and leaves the window and
+    CUSUM state, of the changepoint test followed by the point test."""
+    fused, reference = StreamBaseline("s", window), StreamBaseline("s", window)
+    for tick, x in enumerate(stream):
+        got = fused.feed(x, tick, "dev", z_threshold, drift, limit)
+        want = (_reference_detect_changepoint(reference, x, tick, "dev",
+                                              drift=drift, limit=limit),
+                _reference_observe(reference, x, tick, "dev",
+                                   z_threshold=z_threshold))
+        assert [_alert_fields(a) for a in got] == \
+            [_alert_fields(a) for a in want]
+        assert _baseline_state(fused) == _baseline_state(reference)
+
+
+# --- floored periodic polls against the unconditional polls ---
+
+
+def _reference_revalidations(world):
+    period = world.cfg.onboarding.revalidation_period
+    for pub in world.active_devices():
+        profile = world.devices[pub]
+        if world.tick - profile.last_revalidation_tick >= period:
+            ok = onboarding.revalidate_device(world, profile, world.tick)
+            if not ok:
+                ref = next(
+                    (i for i in reversed(world.log.refs_of(pub.hex()))
+                     if world.log[i].subject == pub.hex()
+                     and world.log[i].kind == "revalidation"),
+                    len(world.log) - 1)
+                arbitration.open_dispute(
+                    world, [pub], {"category": "anomaly", "accused": pub.hex(),
+                                   "event_refs": [ref]})
+
+
+def _reference_incentive_upkeep(world):
+    cfg = world.cfg.incentives
+    if world.tick % cfg.epoch_ticks == 0 and world.epoch_contrib:
+        total = float(sum(world.epoch_contrib.values()))
+        for pub, units in sorted(world.epoch_contrib.items()):
+            profile = world.devices.get(pub)
+            if profile is None or profile.status is not DeviceStatus.ACTIVE:
+                continue
+            incentives.apply_contribution_reward(world, pub, float(units), total,
+                                                 cause=f"epoch:{world.tick}")
+        world.epoch_contrib.clear()
+    for pub in world.active_devices():
+        incentives.apply_longevity_bonus(world, pub, world.tick)
+
+
+# the ban and quarantine releases have no floor; they run in both worlds
+# because their status writes re-activate devices
+_FLOORED_POLLS = (incentives.release_due_bans, anomaly.release_due_quarantines,
+                  world_mod._revalidations, world_mod._incentive_upkeep)
+_REFERENCE_POLLS = (incentives.release_due_bans,
+                    anomaly.release_due_quarantines,
+                    _reference_revalidations, _reference_incentive_upkeep)
+
+
+def _run_polls(world, polls):
+    """The polls in ``step`` order; the error that ends the run, if any."""
+    try:
+        for poll in polls:
+            poll(world)
+    except GdpError as exc:
+        return repr(exc)
+    return None
+
+
+def _due_state(world):
+    return (world.tick, dict(world.ban_until),
+            {p: (r.start_tick, r.released_tick, r.reason)
+             for p, r in world.quarantines.items()},
+            {p: (d.status, d.last_revalidation_tick)
+             for p, d in world.devices.items()},
+            {p: (r.score, r.last_bonus_tick, world.stake_accounts[p].liquid)
+             for p, r in world.reputation_accounts.items()})
+
+
+def _assert_floors_bound_due_ticks(world):
+    """Each floor is at most the due tick of every candidate of its poll,
+    overdue ones included."""
+    period = world.cfg.onboarding.revalidation_period
+    for pub in world.active_devices():
+        assert world.longevity_floor <= incentives.longevity_due(world, pub)
+        assert world.revalidation_floor <= \
+            world.devices[pub].last_revalidation_tick + period
+
+
+def _act(world, action):
+    kind, arg, extra = action
+    if kind == "tick":
+        world.tick += arg
+        return
+    pub = list(world.devices)[arg % len(world.devices)]
+    if kind == "penalty":
+        incentives.apply_penalty(world, pub, extra, cause="fuzz")
+    elif kind == "quarantine":
+        try:
+            anomaly.quarantine(world, pub, reason_ref="fuzz")
+        except AlreadyQuarantined:
+            pass
+    elif kind == "release":
+        anomaly.release_quarantine(world, pub)
+    elif kind == "status":
+        world.set_status(pub, extra)
+    elif kind == "score":
+        world.set_score(pub, extra)
+    elif kind == "onboard":
+        onboard(world, fresh_actor(7000 + len(world.devices)))
+    else:  # a compromised key fails its next revalidation
+        world.actors[pub].auth_secret = bytes([arg + 1]) * 32
+
+
+_device = st.integers(min_value=0, max_value=10)
+_floor_action = st.one_of(
+    # short jumps: a release or bonus falls due between two polls more often
+    st.tuples(st.just("tick"), st.integers(min_value=1, max_value=2),
+              st.none()),
+    st.tuples(st.just("penalty"), _device, st.sampled_from(list(Severity))),
+    st.tuples(st.just("quarantine"), _device, st.none()),
+    st.tuples(st.just("release"), _device, st.none()),
+    st.tuples(st.just("status"), _device, st.sampled_from(list(DeviceStatus))),
+    st.tuples(st.just("score"), _device,
+              st.sampled_from([0.0, 0.1, 0.22, 0.5, 0.8, 0.95, 1.0])),
+    st.tuples(st.just("compromise"), _device, st.none()),
+    st.tuples(st.just("onboard"), _device, st.none()),
+)
+
+
+def _short_period_world():
+    # a fresh device (score 0.5) qualifies for the bonus, and one Minor
+    # penalty (to 0.4) bans it for two ticks
+    return mini_world(incentives__longevity_period=3,
+                      onboarding__revalidation_period=2,
+                      anomaly__review_period=2, incentives__temp_ban_ticks=2,
+                      incentives__longevity_min_score=0.5,
+                      incentives__ban_threshold=0.45)
+
+
+@given(st.lists(_floor_action, min_size=10, max_size=40))
+@settings(max_examples=300, deadline=None)
+def test_floored_polls_match_unconditional_polls(actions):
+    """Bans, quarantines, releases, status and score writes, failed
+    revalidations, new devices and tick jumps never make a floored poll
+    skip work that the unconditional poll does: both worlds log the same
+    events and end in the same state after every action, and no floor ever
+    passes a candidate's due tick."""
+    floored, reference = _short_period_world(), _short_period_world()
+    checked = 0  # events already compared
+    for action in actions:
+        _act(floored, action)
+        _act(reference, action)
+        error = _run_polls(floored, _FLOORED_POLLS)
+        assert error == _run_polls(reference, _REFERENCE_POLLS)
+        assert len(floored.log) == len(reference.log)
+        assert [encode_event(floored.log[i])
+                for i in range(checked, len(floored.log))] == \
+            [encode_event(reference.log[i])
+             for i in range(checked, len(reference.log))]
+        checked = len(floored.log)
+        assert _due_state(floored) == _due_state(reference)
+        if error is not None:
+            break  # a phase that raises ends a simulator run
+        _assert_floors_bound_due_ticks(floored)

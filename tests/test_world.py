@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import gdpsim
-from gdpsim import metrics, transmission
+from gdpsim import incentives, metrics, transmission
 from gdpsim.config import AdversarySpec, ScenarioConfig
 from gdpsim.errors import InvalidConfig
 from gdpsim.events import encode_event
@@ -19,7 +19,7 @@ from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 from gdpsim.transmission import TxnStatus
 from gdpsim.world import build_world, run_world, step
 
-from conftest import mini_cfg
+from conftest import mini_cfg, population_cfg
 
 
 def test_build_onboards_all_honest():
@@ -36,6 +36,14 @@ def test_build_rejects_thin_witness_pool():
     with pytest.raises(InvalidConfig) as err:
         build_world(cfg)
     assert "n_witness_pool" in str(err.value)
+
+
+def test_build_rejects_uncalibrated_anomaly_window():
+    # the point test's t quantile is calibrated for df = window - 1 >= 8
+    with pytest.raises(InvalidConfig) as err:
+        build_world(mini_cfg(anomaly__window=8))
+    assert "anomaly.window" in str(err.value)
+    assert build_world(mini_cfg(anomaly__window=9)).cfg.anomaly.window == 9
 
 
 def test_build_deterministic_snapshot():
@@ -496,3 +504,79 @@ def test_no_module_reads_another_modules_private_names():
     assert _foreign_private_reads(ast.parse(sample)) == [
         (1, "_close"), (4, "arbitration._accused"),
         (6, "world.actors[0]._conclusive")]
+
+
+def test_longevity_poll_waits_for_the_first_due_bonus(monkeypatch):
+    """Every population device joins at tick 0, so no longevity bonus can
+    fall due before ``longevity_period`` (1000) and a 40-tick run never
+    calls ``apply_longevity_bonus``."""
+    calls = []
+    bonus = incentives.apply_longevity_bonus
+
+    def counted(*args):
+        calls.append(args[1])
+        return bonus(*args)
+
+    monkeypatch.setattr(incentives, "apply_longevity_bonus", counted)
+    world = run_world(population_cfg(duration_ticks=40, drain_ticks=20))
+    assert len(world.active_devices()) > 600
+    assert calls == []
+    assert world.longevity_floor == world.cfg.incentives.longevity_period
+
+
+def _device_entries(tree):
+    """(line, enclosing function) of each store into ``<x>.devices[...]``,
+    also through ``setdefault``/``update``; and the set of functions that
+    call ``lower_due_floors``."""
+    entries, lowering = [], set()
+
+    def is_devices(node):
+        return isinstance(node, ast.Attribute) and node.attr == "devices"
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            for sub in ast.walk(target):
+                if isinstance(sub, ast.Subscript) and is_devices(sub.value):
+                    entries.append((node.lineno, func))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            if (node.func.attr in ("setdefault", "update")
+                    and is_devices(node.func.value)):
+                entries.append((node.lineno, func))
+            if node.func.attr == "lower_due_floors":
+                lowering.add(func)
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return entries, lowering
+
+
+def test_devices_turn_active_only_where_the_due_floors_are_lowered():
+    """A device joins the longevity and revalidation polls only by turning
+    active: through ``World.set_status``, the one status writer, or by
+    entering ``world.devices`` in ``onboarding.finalize_device``. Both lower
+    the due floors; a third way in would leave its bonus and revalidation
+    unpolled."""
+    package = Path(gdpsim.__file__).parent
+    entries, lowering = set(), set()
+    for path in sorted(package.glob("*.py")):
+        found, callers = _device_entries(ast.parse(path.read_text()))
+        entries |= {(path.name, func) for _, func in found}
+        lowering |= {(path.name, func) for func in callers}
+    assert entries == {("onboarding.py", "finalize_device")}
+    assert entries | {("world.py", "set_status")} <= lowering
+    sample = ("def f(world, p, q):\n"
+              "    world.devices[p] = q\n"
+              "    world.devices.setdefault(p, q)\n"
+              "    a, world.devices[p] = 1, q\n"
+              "    print(world.devices[p], devices[p])\n"
+              "    world.lower_due_floors(p)\n")
+    assert _device_entries(ast.parse(sample)) == (
+        [(2, "f"), (3, "f"), (4, "f")], {"f"})
