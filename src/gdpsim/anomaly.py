@@ -17,7 +17,7 @@ from enum import Enum
 from statistics import NormalDist
 from typing import Optional
 
-from .errors import AlreadyQuarantined
+from .errors import AlreadyQuarantined, WrongStage
 from .onboarding import DeviceStatus
 
 
@@ -34,14 +34,6 @@ class AnomalyAlert:
     z_score: float
     kind: AlertKind
     subject: str
-
-
-@dataclass
-class QuarantineRecord:
-    subject: bytes
-    start_tick: int
-    reason: object
-    released_tick: Optional[int] = None
 
 
 class StreamBaseline:
@@ -175,29 +167,25 @@ def calibrated_cut(threshold: float, n: int) -> float:
     return cut
 
 
-def quarantine(world, subject: bytes, reason_ref) -> QuarantineRecord:
-    """Isolate a suspect device from every protocol role."""
-    profile = world.devices[subject]
-    if subject in world.quarantines and world.quarantines[subject].released_tick is None:
+def quarantine(world, subject: bytes, reason_ref) -> None:
+    """Isolate a suspect active device from every protocol role until its
+    review period ends."""
+    status = world.devices[subject].status
+    if status is DeviceStatus.QUARANTINED:
         raise AlreadyQuarantined(subject.hex())
-    if profile.status is DeviceStatus.QUARANTINED:
-        raise AlreadyQuarantined(subject.hex())
+    if status is not DeviceStatus.ACTIVE:
+        raise WrongStage(f"device status is {status.value}")
     world.set_status(subject, DeviceStatus.QUARANTINED)
-    record = QuarantineRecord(subject=subject, start_tick=world.tick,
-                              reason=reason_ref)
-    world.quarantines[subject] = record
+    world.quarantines[subject] = world.tick + world.cfg.anomaly.review_period
     world.log.append(world.tick, "quarantine", subject=subject.hex(),
                      reason=str(reason_ref))
-    return record
 
 
 def release_quarantine(world, subject: bytes) -> None:
     """End the subject's open quarantine, if it has one; the device turns
-    active again unless a ban superseded the quarantine."""
-    record = world.quarantines.get(subject)
-    if record is None or record.released_tick is not None:
+    active again."""
+    if world.quarantines.pop(subject, None) is None:
         return
-    record.released_tick = world.tick
     if world.devices[subject].status is DeviceStatus.QUARANTINED:
         world.set_status(subject, DeviceStatus.ACTIVE)
     world.log.append(world.tick, "quarantine_release", subject=subject.hex())
@@ -205,10 +193,8 @@ def release_quarantine(world, subject: bytes) -> None:
 
 def release_due_quarantines(world) -> list[bytes]:
     """Auto-release after the review period."""
-    period = world.cfg.anomaly.review_period
-    released = [subject for subject, record in world.quarantines.items()
-                if record.released_tick is None
-                and world.tick - record.start_tick >= period]
+    released = [subject for subject, until in world.quarantines.items()
+                if world.tick >= until]
     for subject in released:
         release_quarantine(world, subject)
     return released

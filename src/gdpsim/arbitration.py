@@ -130,9 +130,10 @@ def open_dispute(world, parties: list, claim: dict) -> Dispute:
 
 def _record_verdict(world, dispute: Dispute, verdict: Verdict, kind: str,
                     **detail) -> None:
-    """Close on the verdict, queue it for the next block and log it."""
+    """Close and drop the dispute; queue the verdict for a block, log it."""
     dispute.decision = verdict
     dispute.stage = DisputeStage.CLOSED
+    world.disputes.pop(dispute.id, None)  # an appeal records a second time
     vid = verdict.id
     world.verdict_registry[vid] = verdict
     world.pending_verdicts.append(vid)
@@ -322,8 +323,8 @@ def appeal(world, dispute: Dispute, rng) -> Verdict:
 
 
 def advance(world, dispute: Dispute) -> DisputeStage:
-    """Run the dispute's current stage once; the world calls this every tick
-    for every dispute. A closed or appealed dispute does not move."""
+    """Run the dispute's current stage once; the world calls this once per
+    open dispute and tick. A closed or appealed dispute does not move."""
     stage = dispute.stage
     if stage is DisputeStage.MEDIATION:
         mediator = world.actors.get(dispute.mediator)

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from . import anomaly
 from .errors import InvalidProportion, SubjectBanned
 from .onboarding import DeviceStatus
 
@@ -125,9 +126,7 @@ def apply_longevity_bonus(world, owner: bytes, tick: int):
     cfg = world.cfg.incentives
     acct = world.stake_accounts[owner]
     rep = world.reputation_accounts[owner]
-    if _is_banned(world, owner):
-        return None
-    if tick < longevity_due(world, owner) or rep.score < cfg.longevity_min_score:
+    if _is_banned(world, owner) or tick < longevity_due(world, owner):
         return None
     acct.liquid += cfg.longevity_bonus
     world.total_minted += cfg.longevity_bonus
@@ -138,11 +137,13 @@ def apply_longevity_bonus(world, owner: bytes, tick: int):
 
 def longevity_due(world, owner: bytes) -> float:
     """The first tick at which ``owner`` could earn a longevity bonus: one
-    period after onboarding and after its last bonus. ``math.inf`` once an
-    offense rules the bonus out (offense counts never fall)."""
-    if world.stake_accounts[owner].offense_count != 0:
-        return math.inf
+    period after onboarding and after its last bonus. ``math.inf`` while the
+    score is below ``longevity_min_score`` and once an offense rules the
+    bonus out (offense counts never fall)."""
     rep = world.reputation_accounts[owner]
+    if (world.stake_accounts[owner].offense_count != 0
+            or rep.score < world.cfg.incentives.longevity_min_score):
+        return math.inf
     period = world.cfg.incentives.longevity_period
     if rep.last_bonus_tick >= 0:
         return max(rep.onboarded_tick, rep.last_bonus_tick) + period
@@ -185,10 +186,12 @@ def apply_penalty(world, owner: bytes, severity: Severity,
 
 
 def _ban(world, owner: bytes, permanent: bool, cause: str) -> IncentiveEvent:
+    """Ban ``owner`` after ending its open quarantine: one hold per device."""
+    anomaly.release_quarantine(world, owner)
     if owner in world.devices:
         world.set_status(owner, DeviceStatus.BANNED)
     if permanent:
-        world.ban_until[owner] = None
+        world.ban_until.pop(owner, None)
         return _emit(world, owner, IncentiveKind.PERM_BAN, 0.0, cause)
     world.ban_until[owner] = world.tick + world.cfg.incentives.temp_ban_ticks
     return _emit(world, owner, IncentiveKind.TEMP_BAN, 0.0, cause)
@@ -198,7 +201,7 @@ def release_due_bans(world) -> list[bytes]:
     """Reinstate temp-banned devices whose ban window has elapsed."""
     released = []
     for owner, until in list(world.ban_until.items()):
-        if until is not None and world.tick >= until:
+        if world.tick >= until:
             del world.ban_until[owner]
             profile = world.devices.get(owner)
             if profile is not None and profile.status is DeviceStatus.BANNED:

@@ -161,9 +161,9 @@ class World:
         self.bond_escrow = 0.0
         self.total_minted = 0.0
         self.total_deposited = 0.0
-        self.ban_until: dict = {}
-        self.quarantines: dict = {}
-        self.disputes: dict = {}
+        self.ban_until: dict = {}          # temp-banned pub -> release tick
+        self.quarantines: dict = {}        # quarantined pub -> release tick
+        self.disputes: dict = {}           # open dispute id -> Dispute
         self.pending_verdicts: list = []
         self.verdict_registry: dict = {}
         self.feedback_log: list = []
@@ -204,9 +204,10 @@ class World:
 
     def lower_due_floors(self, pub: bytes) -> None:
         """Lower the longevity and revalidation floors to the due ticks of
-        ``pub``, a device that has just turned active. ``set_status`` and
-        ``onboarding.finalize_device`` call it; no other write moves a due
-        tick earlier."""
+        ``pub``. ``set_status`` and ``onboarding.finalize_device`` call it
+        when a device turns active, ``set_score`` when it lifts an active
+        device to the longevity minimum; no other write moves a due tick
+        earlier."""
         self.longevity_floor = min(self.longevity_floor,
                                    incentives.longevity_due(self, pub))
         self.revalidation_floor = min(
@@ -215,9 +216,14 @@ class World:
 
     def set_score(self, pub: bytes, score: float) -> None:
         """The one writer of reputation scores; re-weighs the device's
-        witness draws."""
-        self.reputation_accounts[pub].score = score
+        witness draws. Lifting an active device to the longevity minimum
+        lowers the due floors."""
+        rep = self.reputation_accounts[pub]
+        lifted = rep.score < self.cfg.incentives.longevity_min_score <= score
+        rep.score = score
         self._reweigh(pub)
+        if lifted and self.devices[pub].status is DeviceStatus.ACTIVE:
+            self.lower_due_floors(pub)
 
     def _reweigh(self, pub: bytes) -> None:
         if self._weights is not None and not self._weights.update(self, pub):

@@ -18,6 +18,7 @@ import pytest
 
 from gdpsim import consensus, transmission
 from gdpsim.anomaly import StreamBaseline
+from gdpsim.arbitration import DisputeStage
 from gdpsim.cli import main as cli_main
 from gdpsim.config import AdversarySpec
 from gdpsim.consensus import Vote, tally, vote_weight, active_stake_total
@@ -25,6 +26,7 @@ from gdpsim.events import write_events_jsonl
 from gdpsim.incentives import deterrence_margin, simulate_cheater_average_payoff
 from gdpsim.metrics import (derive_metrics, replay_matches_world,
                             snapshot_digest, snapshot_state, write_outputs)
+from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import SeededRng, digest
 from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 from gdpsim.transmission import Verdict, aggregation_oracle
@@ -436,6 +438,18 @@ def _check_invariants(world, cfg):
     for dispute_id, seq in stages.items():
         if seq != sorted(seq):
             problems.append(f"stage regression in {dispute_id}")
+    # hold consistency: one open quarantine or one temp ban per device,
+    # and only open disputes in world state
+    quarantined = {pub for pub, profile in world.devices.items()
+                   if profile.status is DeviceStatus.QUARANTINED}
+    if quarantined != set(world.quarantines):
+        problems.append("quarantine holds differ from quarantined devices")
+    if any(world.devices[pub].status is not DeviceStatus.BANNED
+           or pub in world.quarantines for pub in world.ban_until):
+        problems.append("a temp ban on a device that is not banned, "
+                        "or is quarantined")
+    if any(d.stage is DisputeStage.CLOSED for d in world.disputes.values()):
+        problems.append("a closed dispute left among the open ones")
     # quarantine exclusion
     windows = {}
     for ev in world.log:
@@ -480,5 +494,6 @@ def test_criterion_9_invariant_suites():
     assert not failures, f"invariant violations: {failures}"
     _report(f"PASS criterion 9: token conservation, reputation bounds, chain "
             f"integrity, nonce gaplessness, stage monotonicity, quarantine "
-            f"exclusion, and ledger prefix consistency hold across "
+            f"exclusion, hold consistency, and ledger prefix consistency "
+            f"hold across "
             f"{len(list(seeds))} randomized scenarios")

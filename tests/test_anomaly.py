@@ -220,12 +220,15 @@ def test_quarantine_twice_rejected(world):
 
 def test_quarantine_auto_release(world):
     target = world.active_devices()[0]
-    record = quarantine(world, target, reason_ref="test")
-    world.tick = record.start_tick + world.cfg.anomaly.review_period
+    start = world.tick
+    quarantine(world, target, reason_ref="test")
+    world.tick = start + world.cfg.anomaly.review_period - 1
+    assert release_due_quarantines(world) == []
+    world.tick += 1
     released = release_due_quarantines(world)
     assert target in released
     assert world.devices[target].status is DeviceStatus.ACTIVE
-    assert record.released_tick == world.tick
+    assert target not in world.quarantines
 
 
 def test_investigate_equivocator_opens_dispute(world):

@@ -23,6 +23,8 @@ from gdpsim.errors import (
 )
 from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import SeededRng
+from gdpsim.scenarios import get_scenario
+from gdpsim.world import build_world, step
 
 from conftest import mini_world
 
@@ -339,3 +341,33 @@ def test_verdict_recorded_on_ledger_and_immutable(world, accused):
         proposal_tick=victim.proposal_tick)
     with pytest.raises(ChainIntegrityViolation):
         consensus.verify_chain(world, tampered)
+
+
+@pytest.mark.parametrize("name", ["equivocation", "key_compromise"])
+def test_only_open_disputes_are_advanced(name, monkeypatch):
+    """``world.disputes`` holds the open disputes only: a verdict drops its
+    dispute, so the per-tick phase never advances a closed one."""
+    advanced = []
+    advance = arbitration.advance
+
+    def recorded(world, dispute):
+        advanced.append(dispute.stage)
+        return advance(world, dispute)
+
+    monkeypatch.setattr(arbitration, "advance", recorded)
+    cfg = get_scenario(name)
+    world = build_world(cfg)
+    opened, closed = set(), set()
+    for _ in range(cfg.duration_ticks):
+        checked = len(world.log)
+        step(world)
+        for i in range(checked, len(world.log)):
+            ev = world.log[i]
+            if ev.kind == "dispute_opened":
+                opened.add(ev.subject)
+            elif ev.kind == "verdict":
+                closed.add(ev.subject)
+        assert set(world.disputes) == opened - closed
+    assert len(opened) == 3 and closed
+    assert advanced
+    assert not {DisputeStage.CLOSED, DisputeStage.APPEALED} & set(advanced)

@@ -1,6 +1,6 @@
 import pytest
 
-from gdpsim import incentives
+from gdpsim import anomaly, incentives
 from gdpsim.errors import InvalidProportion, SubjectBanned
 from gdpsim.incentives import (
     IncentiveKind,
@@ -14,6 +14,7 @@ from gdpsim.incentives import (
     release_due_bans,
     simulate_cheater_average_payoff,
 )
+from gdpsim.metrics import replay_matches_world
 from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import SeededRng
 
@@ -135,9 +136,12 @@ def test_critical_penalty_permban(world, owner):
     events = apply_penalty(world, owner, Severity.CRITICAL, cause="test")
     assert acct.staked == 0.0
     assert world.devices[owner].status is DeviceStatus.BANNED
-    assert world.ban_until[owner] is None  # permanent
+    assert owner not in world.ban_until  # permanent: never released
     kinds = [e.kind for e in events]
     assert IncentiveKind.PERM_BAN in kinds
+    world.tick += 10 * world.cfg.incentives.temp_ban_ticks
+    assert release_due_bans(world) == []
+    assert world.devices[owner].status is DeviceStatus.BANNED
 
 
 def test_tempban_threshold_derived(world, owner):
@@ -158,6 +162,36 @@ def test_tempban_release(world, owner):
     released = release_due_bans(world)
     assert owner in released
     assert world.devices[owner].status is DeviceStatus.ACTIVE
+
+
+def test_ban_ends_an_open_quarantine():
+    """A device holds one quarantine or one ban at a time: a temp ban that
+    ends before the review period leaves no open quarantine behind, so the
+    reinstated device can be quarantined again."""
+    world = mini_world(incentives__temp_ban_ticks=20,
+                       anomaly__review_period=100)
+    owner = world.active_devices()[0]
+    anomaly.quarantine(world, owner, reason_ref="test")
+    world.tick += 1
+    while world.devices[owner].status is not DeviceStatus.BANNED:
+        apply_penalty(world, owner, Severity.MINOR, cause="test")
+    ban_tick = world.tick
+    assert owner not in world.quarantines
+    logged = [(ev.detail.get("incentive_kind", ev.kind), ev.tick)
+              for ev in world.log if ev.subject == owner.hex()]
+    assert [kind for kind, _ in logged].count("quarantine_release") == 1
+    assert logged[-2:] == [("quarantine_release", ban_tick),
+                           ("TempBan", ban_tick)]
+    assert world.ban_until[owner] == ban_tick + 20
+    while world.tick < ban_tick + 20:
+        world.tick += 1
+        release_due_bans(world)
+        anomaly.release_due_quarantines(world)
+    assert world.devices[owner].status is DeviceStatus.ACTIVE
+    assert owner not in world.quarantines
+    anomaly.quarantine(world, owner, reason_ref="again")
+    assert world.devices[owner].status is DeviceStatus.QUARANTINED
+    assert replay_matches_world(world) == {}
 
 
 def test_banned_score_frozen(world, owner):

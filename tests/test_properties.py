@@ -15,7 +15,7 @@ from gdpsim.anomaly import (
     StreamBaseline,
     calibrated_cut,
 )
-from gdpsim.errors import AlreadyQuarantined, GdpError
+from gdpsim.errors import AlreadyQuarantined, GdpError, WrongStage
 from gdpsim.events import EventLog, encode_event
 from gdpsim.incentives import Severity, conservation_gap, deterrence_margin
 from gdpsim.onboarding import DeviceStatus
@@ -447,9 +447,7 @@ def _run_polls(world, polls):
 
 
 def _due_state(world):
-    return (world.tick, dict(world.ban_until),
-            {p: (r.start_tick, r.released_tick, r.reason)
-             for p, r in world.quarantines.items()},
+    return (world.tick, dict(world.ban_until), dict(world.quarantines),
             {p: (d.status, d.last_revalidation_tick)
              for p, d in world.devices.items()},
             {p: (r.score, r.last_bonus_tick, world.stake_accounts[p].liquid)
@@ -477,7 +475,7 @@ def _act(world, action):
     elif kind == "quarantine":
         try:
             anomaly.quarantine(world, pub, reason_ref="fuzz")
-        except AlreadyQuarantined:
+        except (AlreadyQuarantined, WrongStage):
             pass
     elif kind == "release":
         anomaly.release_quarantine(world, pub)

@@ -454,6 +454,60 @@ def test_reputation_score_has_one_writer():
         (3, "f"), (4, "f"), (5, "f"), (6, "f")]
 
 
+_HOLD_OWNERS = {"quarantines": "anomaly.py", "ban_until": "incentives.py",
+                "disputes": "arbitration.py"}
+
+
+def _hold_writes(tree):
+    """(line, map name) of each store into or ``del`` of ``<x>.<map>[...]``,
+    and of each ``pop``/``popitem``/``setdefault``/``update``/``clear`` call
+    on ``<x>.<map>``, for the three maps of open holds and disputes."""
+    def held(node):
+        return isinstance(node, ast.Attribute) and node.attr in _HOLD_OWNERS
+
+    found = []
+    for node in ast.walk(tree):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        for target in targets:
+            found.extend((node.lineno, sub.value.attr)
+                         for sub in ast.walk(target)
+                         if isinstance(sub, ast.Subscript) and held(sub.value))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("pop", "popitem", "setdefault",
+                                       "update", "clear")
+                and held(node.func.value)):
+            found.append((node.lineno, node.func.value.attr))
+    return sorted(found)
+
+
+def test_each_hold_map_has_one_owner():
+    """Only ``anomaly`` writes ``world.quarantines``, only ``incentives``
+    ``world.ban_until`` and only ``arbitration`` ``world.disputes``. Each
+    owner drops an entry when its quarantine, temp ban or dispute ends, so
+    the per-tick phases scan open work only; a write elsewhere could leave
+    an ended one behind."""
+    package = Path(gdpsim.__file__).parent
+    bypasses = [f"{path.name}:{line} {name}"
+                for path in sorted(package.glob("*.py"))
+                for line, name in _hold_writes(ast.parse(path.read_text()))
+                if path.name != _HOLD_OWNERS[name]]
+    assert bypasses == []
+    sample = ("def f(world, p, d):\n"
+              "    world.quarantines[p] = 3\n"
+              "    del world.ban_until[p]\n"
+              "    world.disputes.pop(d.id, None)\n"
+              "    a, world.ban_until[p] = 1, 2\n"
+              "    world.quarantines.update({p: 4})\n"
+              "    print(world.quarantines[p], world.disputes.get(d))\n")
+    assert _hold_writes(ast.parse(sample)) == [
+        (2, "quarantines"), (3, "ban_until"), (4, "disputes"),
+        (5, "ban_until"), (6, "quarantines")]
+
+
 def _foreign_private_reads(tree):
     """(line, source) of each read of an underscore name that the module
     does not define itself: an attribute read through anything but
@@ -509,7 +563,8 @@ def test_no_module_reads_another_modules_private_names():
 def test_longevity_poll_waits_for_the_first_due_bonus(monkeypatch):
     """Every population device joins at tick 0, so no longevity bonus can
     fall due before ``longevity_period`` (1000) and a 40-tick run never
-    calls ``apply_longevity_bonus``."""
+    calls ``apply_longevity_bonus``. No device has yet reached
+    ``longevity_min_score`` either, so none holds the floor down."""
     calls = []
     bonus = incentives.apply_longevity_bonus
 
@@ -521,7 +576,25 @@ def test_longevity_poll_waits_for_the_first_due_bonus(monkeypatch):
     world = run_world(population_cfg(duration_ticks=40, drain_ticks=20))
     assert len(world.active_devices()) > 600
     assert calls == []
-    assert world.longevity_floor == world.cfg.incentives.longevity_period
+    assert world.longevity_floor >= world.cfg.incentives.longevity_period
+
+
+def test_score_waiting_devices_leave_the_longevity_floor():
+    """A device overdue for its bonus but below ``longevity_min_score`` is
+    not due: the poll leaves the floor above the tick until a score write
+    lifts an active device to the minimum."""
+    world = build_world(mini_cfg(incentives__longevity_period=5))
+    minimum = world.cfg.incentives.longevity_min_score
+    for _ in range(10):
+        step(world)
+        assert all(world.reputation_accounts[p].score < minimum
+                   for p in world.active_devices())
+        assert world.longevity_floor > world.tick
+    pub = world.active_devices()[0]
+    world.set_score(pub, minimum)
+    assert world.longevity_floor <= world.tick
+    step(world)
+    assert world.reputation_accounts[pub].last_bonus_tick == world.tick
 
 
 def _device_entries(tree):
@@ -563,7 +636,8 @@ def test_devices_turn_active_only_where_the_due_floors_are_lowered():
     active: through ``World.set_status``, the one status writer, or by
     entering ``world.devices`` in ``onboarding.finalize_device``. Both lower
     the due floors; a third way in would leave its bonus and revalidation
-    unpolled."""
+    unpolled. ``World.set_score``, the one score writer, lowers them too,
+    for an active device that reaches the longevity minimum score."""
     package = Path(gdpsim.__file__).parent
     entries, lowering = set(), set()
     for path in sorted(package.glob("*.py")):
@@ -571,7 +645,8 @@ def test_devices_turn_active_only_where_the_due_floors_are_lowered():
         entries |= {(path.name, func) for _, func in found}
         lowering |= {(path.name, func) for func in callers}
     assert entries == {("onboarding.py", "finalize_device")}
-    assert entries | {("world.py", "set_status")} <= lowering
+    assert entries | {("world.py", "set_status"),
+                      ("world.py", "set_score")} <= lowering
     sample = ("def f(world, p, q):\n"
               "    world.devices[p] = q\n"
               "    world.devices.setdefault(p, q)\n"
