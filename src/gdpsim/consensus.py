@@ -367,10 +367,13 @@ def verify_batch(world, start_head: Digest, start_height: int,
     """Full re-verification of a transferred block batch: chain linkage,
     content digests, vote bindings/signatures, and the commit threshold.
 
-    Verification is a pure function, so a vote signature that verified once
-    is remembered in ``world.verified_votes`` and not checked again."""
+    Every vote signature is checked on every sync. A signature that
+    ``primitives.sign`` made under the validator's key over this vote's
+    message, and that nothing has read, is accepted by construction
+    (``primitives.signed_by_construction``) without Ed25519 work; an
+    explicit-byte or read signature, and any mismatch, is verified with
+    Ed25519."""
     threshold = world.cfg.consensus.commit_threshold
-    verified = world.verified_votes
     prev_digest = start_head
     prev_height = start_height
     for block in batch:
@@ -389,14 +392,11 @@ def verify_batch(world, start_head: Digest, start_height: int,
             if v.proposal_digest != expected_pd:
                 raise ChainIntegrityViolation(
                     f"vote bound to foreign proposal at height {block.height}")
-            key = (v.validator,
-                   vote_message(v.proposal_digest, v.accept, v.weight),
-                   v.signature)
-            if key not in verified:
-                if not verify(*key):
-                    raise ChainIntegrityViolation(
-                        f"forged vote by {v.validator.hex()} at height {block.height}")
-                verified.add(key)
+            if not verify(v.validator,
+                          vote_message(v.proposal_digest, v.accept, v.weight),
+                          v.signature):
+                raise ChainIntegrityViolation(
+                    f"forged vote by {v.validator.hex()} at height {block.height}")
             if v.accept:
                 accept += v.weight
         if abs(accept - block.accept_weight) > 1e-9:

@@ -49,18 +49,23 @@ class Signature:
     read, from the private key and message it captured at sign time; the
     key and message are dropped after that read. Ed25519 is deterministic
     (RFC 8032, 5.1.6), so the bytes are those an eager signature would have
-    had, and no signature byte reaches any output file: a signature that
-    only an audit could read costs no Ed25519 work until the audit runs.
-    ``Signature(sig=..., signer=...)`` builds one from explicit bytes.
+    had, and no signature byte reaches any output file. Until that read,
+    ``signed_by_construction`` decides whether the signature verifies from
+    the public key and message captured at sign time, so an audit of an
+    unread signature costs no Ed25519 work at all.
+    ``Signature(sig=..., signer=...)`` builds one from explicit bytes, which
+    every audit checks with Ed25519.
     Equality and hashing are on ``(sig, signer)``, as for any value.
     """
 
-    __slots__ = ("_sig", "signer", "_key", "_message")
+    __slots__ = ("_sig", "signer", "_key", "_public", "_message")
 
     def __init__(self, sig: bytes, signer: bytes):
         self._sig = sig
         self.signer = signer
-        self._key = self._message = None  # set by sign until sig is read
+        # set by sign: the parsed key and message until sig is read, and the
+        # key's public half, which audits trust where ``signer`` may be reset
+        self._key = self._public = self._message = None
 
     @property
     def sig(self) -> bytes:
@@ -114,14 +119,28 @@ def sign(secret: bytes, message: bytes) -> Signature:
     so a later change of the signer's keypair cannot alter the bytes."""
     private, public = _private(secret)
     signature = Signature(None, public)
-    signature._key, signature._message = private, message
+    signature._key, signature._public, signature._message = \
+        private, public, message
     return signature
+
+
+def signed_by_construction(public: bytes, message: bytes,
+                           signature: Signature) -> bool:
+    """True iff ``signature`` is still unread and ``sign`` made it over
+    ``message`` with the secret whose public half is ``public``. Its bytes,
+    once computed, would then verify (RFC 8032 signing is deterministic), so
+    no Ed25519 work is needed to know it. False for explicit bytes, for a
+    read signature and for any other key or message: those need Ed25519."""
+    return (signature._sig is None and signature._public == public
+            and signature._message == message)
 
 
 def verify(public: bytes, message: bytes, signature: Signature) -> bool:
     """True iff signature was produced over message by the paired secret."""
     if signature.signer != public:
         return False
+    if signed_by_construction(public, message, signature):
+        return True
     try:
         _public(public).verify(signature.sig, message)
         return True

@@ -153,7 +153,6 @@ class World:
         self.aggregation_due: dict = {}    # tick -> [txn ids]
         self.heights: dict = {}            # pub -> height into canonical
         self.canonical = consensus.Ledger()
-        self.verified_votes: set = set()   # (validator, vote message, signature)
         self.pending_block: Optional[PendingBlock] = None
         self.stake_accounts: dict = {}
         self.reputation_accounts: dict = {}

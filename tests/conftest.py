@@ -1,8 +1,9 @@
 import pytest
 
+from gdpsim import primitives
 from gdpsim.actors import DeviceActor
 from gdpsim.config import AdversarySpec, ScenarioConfig
-from gdpsim.primitives import SeededRng
+from gdpsim.primitives import SeededRng, Signature
 from gdpsim.scenarios import get_scenario
 from gdpsim.world import World, build_world, onboard_actor
 
@@ -67,3 +68,37 @@ def onboard(world: World, actor: DeviceActor, stake: float = None,
 @pytest.fixture
 def world():
     return mini_world()
+
+
+def record_signature_reads(monkeypatch) -> dict:
+    """From now on, every ``Signature`` whose ``sig`` is read, by id; a read
+    of an unread signature from ``sign`` is an Ed25519 signing."""
+    read = {}
+    real = Signature.sig
+
+    def recording(self):
+        read[id(self)] = self
+        return real.fget(self)
+
+    monkeypatch.setattr(Signature, "sig", property(recording))
+    return read
+
+
+class _CountingPublicKey:
+    """Stands in for a parsed public key; records every real verification."""
+
+    def __init__(self, key, verified: list):
+        self._key, self._verified = key, verified
+
+    def verify(self, signature: bytes, message: bytes) -> None:
+        self._verified.append(message)
+        self._key.verify(signature, message)
+
+
+def count_ed25519_verifies(monkeypatch) -> list:
+    """From now on, the message of every Ed25519 verification."""
+    verified = []
+    parse = primitives._public
+    monkeypatch.setattr(primitives, "_public", lambda public: _CountingPublicKey(
+        parse(public), verified))
+    return verified

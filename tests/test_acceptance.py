@@ -32,7 +32,7 @@ from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 from gdpsim.transmission import Verdict, aggregation_oracle
 from gdpsim.world import build_world, run_world
 
-from conftest import mini_world, population_cfg
+from conftest import mini_world, population_cfg, record_signature_reads
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DIGESTS_PATH = GOLDEN_DIR / "digests.json"
@@ -242,7 +242,10 @@ def test_criterion_6_anomaly_calibration():
 # 7. determinism gate and golden regression
 # ------------------------------------------------------------------ #
 
-def test_criterion_7_determinism_gate(tmp_path, update_goldens):
+def test_criterion_7_determinism_gate(tmp_path, update_goldens, monkeypatch):
+    # every audit of an in-world signature is decided by construction, so no
+    # run reads a signature's bytes, the one way to an Ed25519 sign or verify
+    read = record_signature_reads(monkeypatch)
     cfg_path = tmp_path / "baseline.json"
     from gdpsim.config import dump_config
     cfg_path.write_text(dump_config(get_scenario("baseline")))
@@ -280,6 +283,7 @@ def test_criterion_7_determinism_gate(tmp_path, update_goldens):
         golden = json.loads(golden_path.read_text())
         if golden != report:
             mismatched.append(name)
+    assert read == {}, "a built-in scenario read a signature's bytes"
     if update_goldens:
         _pin_digests(digests)
         return
@@ -293,7 +297,8 @@ def test_criterion_7_determinism_gate(tmp_path, update_goldens):
     assert not moved, f"output file or snapshot digest moved: {moved}"
     _report("PASS criterion 7: identical config+seed reruns byte-identical; "
             "golden reports, snapshot digests and the sha256 of every output "
-            f"file match for all {len(BUILTIN_SCENARIOS)} scenarios")
+            f"file match for all {len(BUILTIN_SCENARIOS)} scenarios, none of "
+            "which reads a signature's bytes")
 
 
 # ------------------------------------------------------------------ #

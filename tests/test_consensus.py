@@ -15,6 +15,7 @@ from gdpsim.consensus import (
     tally,
     validate_proposal,
     verify_chain,
+    vote_message,
     vote_weight,
 )
 from gdpsim.errors import (
@@ -22,10 +23,17 @@ from gdpsim.errors import (
     EmptyMempool,
     NotProposer,
 )
-from gdpsim.primitives import SeededRng, ZERO_DIGEST, digest
+from gdpsim.primitives import (
+    SeededRng,
+    Signature,
+    ZERO_DIGEST,
+    digest,
+    generate_keypair,
+    sign,
+)
 from gdpsim.transmission import TxnStatus, Verdict
 
-from conftest import mini_world
+from conftest import count_ed25519_verifies, mini_world, record_signature_reads
 
 
 def witness_and_pool(world, n=3, sender_idx=0, receiver_idx=1):
@@ -257,26 +265,31 @@ def test_synchronize_rejects_tampered_block(world):
 def test_resync_does_not_reverify_vote_signatures(world, monkeypatch):
     _grow_chain(world, 3)
     a, b = consensus.active_nodes(world)[:2]
-    calls = []
-    real_verify = consensus.verify
-
-    def counting_verify(*args):
-        calls.append(args)
-        return real_verify(*args)
-
-    monkeypatch.setattr(consensus, "verify", counting_verify)
+    verified = count_ed25519_verifies(monkeypatch)
+    read = record_signature_reads(monkeypatch)
+    for _ in range(2):  # the first sync and a second one of the same blocks
+        world.heights[b] = 0
+        assert synchronize(world, a, b) == 3
+        assert verified == [] and read == {}
+    # a vote signature read before the sync, or built from explicit bytes,
+    # is still checked with Ed25519
+    first, second = world.canonical.blocks[1].votes[:2]
+    first.signature.sig
+    explicit = Signature(sig=second.signature.sig, signer=second.signature.signer)
+    world.canonical.blocks[1] = dataclasses.replace(
+        world.canonical.blocks[1],
+        votes=(first, dataclasses.replace(second, signature=explicit),
+               *world.canonical.blocks[1].votes[2:]))
+    read.clear()
     world.heights[b] = 0
     assert synchronize(world, a, b) == 3
-    assert len(calls) == sum(len(blk.votes)
-                             for blk in world.canonical.blocks[1:])
-    calls.clear()
-    world.heights[b] = 0
-    assert synchronize(world, a, b) == 3  # the same blocks again
-    assert calls == []
+    assert verified == [vote_message(v.proposal_digest, v.accept, v.weight)
+                        for v in (first, second)]
+    assert set(read) == {id(first.signature), id(explicit)}
 
 
-@pytest.mark.parametrize("forgery", ["weight", "signature"])
-def test_verified_vote_cache_still_rejects_altered_votes(world, forgery):
+@pytest.mark.parametrize("forgery", ["weight", "signature", "foreign_key"])
+def test_verify_chain_rejects_altered_votes(world, forgery):
     _grow_chain(world, 2)
     verify_chain(world, world.canonical.blocks)  # every genuine vote verified
     victim = world.canonical.blocks[1]
@@ -284,10 +297,17 @@ def test_verified_vote_cache_still_rejects_altered_votes(world, forgery):
     if forgery == "weight":
         votes = (dataclasses.replace(first, weight=first.weight * 2),
                  *victim.votes[1:])
-    else:
+    elif forgery == "signature":
         votes = (dataclasses.replace(first, signature=second.signature),
                  dataclasses.replace(second, signature=first.signature),
                  *victim.votes[2:])
+    else:  # the right message under another key, claimed for the validator
+        forged = sign(generate_keypair(SeededRng(5)).secret_key,
+                      vote_message(first.proposal_digest, first.accept,
+                                   first.weight))
+        forged.signer = first.validator
+        votes = (dataclasses.replace(first, signature=forged),
+                 *victim.votes[1:])
     tampered = list(world.canonical.blocks)
     tampered[1] = dataclasses.replace(victim, votes=votes)
     with pytest.raises(ChainIntegrityViolation, match="forged vote"):

@@ -1,7 +1,11 @@
 import dataclasses
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
 
 from gdpsim import primitives
 from gdpsim.actors import DeviceActor
@@ -13,11 +17,14 @@ from gdpsim.primitives import (
     generate_keypair,
     sample_without_replacement,
     sign,
+    signed_by_construction,
     verify,
 )
 from gdpsim.scenarios import get_scenario
 from gdpsim.transmission import Attestation, Verdict
 from gdpsim.world import build_world, step
+
+from conftest import count_ed25519_verifies, record_signature_reads
 
 # SHA-256 of the empty string, as published in FIPS 180-4 test vectors.
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -112,25 +119,78 @@ def test_signature_keeps_the_key_it_was_signed_with(monkeypatch):
     assert verify(before.public_key, b"commit", signature)
 
 
+def _audit_cases():
+    """name -> (public, message, signature, the bytes an eager signing of
+    that signature would have, and whether it is signed by construction)."""
+    kp, other = generate_keypair(SeededRng(11)), generate_keypair(SeededRng(12))
+    msg = b"vote message"
+    read = sign(kp.secret_key, msg)
+    read.sig
+    reassigned = sign(other.secret_key, msg)
+    reassigned.signer = kp.public_key
+    actor = DeviceActor(SeededRng(13))
+    before = actor.keypair
+    rotated = sign(before.secret_key, msg)
+    actor.keypair = generate_keypair(SeededRng(14))
+    return {
+        "lazy": (kp.public_key, msg, sign(kp.secret_key, msg),
+                 _eager(kp.secret_key, msg), True),
+        "read_first": (kp.public_key, msg, read, _eager(kp.secret_key, msg),
+                       False),
+        "explicit": (kp.public_key, msg,
+                     Signature(sig=_eager(kp.secret_key, msg),
+                               signer=kp.public_key),
+                     _eager(kp.secret_key, msg), False),
+        "explicit_wrong": (kp.public_key, msg,
+                           Signature(sig=_eager(other.secret_key, msg),
+                                     signer=kp.public_key),
+                           _eager(other.secret_key, msg), False),
+        "other_key": (kp.public_key, msg, sign(other.secret_key, msg),
+                      _eager(other.secret_key, msg), False),
+        "other_message": (kp.public_key, msg, sign(kp.secret_key, b"other"),
+                          _eager(kp.secret_key, b"other"), False),
+        "signer_reassigned": (kp.public_key, msg, reassigned,
+                              _eager(other.secret_key, msg), False),
+        "rotated_old_key": (before.public_key, msg, rotated,
+                            _eager(before.secret_key, msg), True),
+        "rotated_new_key": (actor.keypair.public_key, msg,
+                            sign(before.secret_key, msg),
+                            _eager(before.secret_key, msg), False),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_audit_cases()))
+def test_audits_decide_as_ed25519_on_eager_bytes(case, monkeypatch):
+    public, message, signature, eager, by_construction = _audit_cases()[case]
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(eager, message)
+        accepted = signature.signer == public
+    except InvalidSignature:
+        accepted = False
+    assert signed_by_construction(public, message, signature) == by_construction
+    verified = count_ed25519_verifies(monkeypatch)
+    read = record_signature_reads(monkeypatch)
+    assert verify(public, message, signature) == accepted
+    if by_construction:  # accepted without computing or checking any bytes
+        assert accepted and verified == [] and read == {}
+    elif signature.signer == public:
+        assert verified == [message]
+
+
 def test_unread_signatures_cost_no_ed25519_work(monkeypatch):
     cfg = get_scenario("forged_sync")  # every sync re-verifies vote signatures
-    cfg.inspection.rate_txn = 0.0      # no deep inspection reads a commit
+    assert cfg.inspection.rate_txn > 0  # and deep inspections check attestations
     world = build_world(cfg)
     signed = _count_signings(monkeypatch)
-    read = {}
-    real = Signature.sig
-
-    def recording(self):
-        read[id(self)] = self
-        return real.fget(self)
-
-    monkeypatch.setattr(Signature, "sig", property(recording))
+    verified = count_ed25519_verifies(monkeypatch)
+    read = record_signature_reads(monkeypatch)
     for _ in range(140):  # past the outage, so the lagging node syncs
         step(world)
-    commits = [att.signature for txn in world.transactions.values()
-               for att in txn.attestations.values()]
-    assert commits and not any(id(s) in read for s in commits)
-    assert read and len(signed) == len(read)
+    assert any(ev.kind == "sync" and ev.detail["blocks"] for ev in world.log)
+    assert any(ev.kind == "inspection"
+               and ev.detail["target_kind"] == "Transaction"
+               for ev in world.log)
+    assert read == {} and signed == [] and verified == []
 
 
 def test_public_keys_unique():
