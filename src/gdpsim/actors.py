@@ -23,7 +23,6 @@ class DeviceActor:
         self.rng = rng
         self.keypair: KeyPair = generate_keypair(rng)
         self.auth_secret: bytes = rng.bytes(32)
-        self.pending_reveals: dict = {}   # txn_id -> (verdict, salt)
         if role is not None:
             self.role = role
 

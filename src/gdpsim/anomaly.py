@@ -37,26 +37,21 @@ class AnomalyAlert:
 
 
 class StreamBaseline:
-    """Ring window of the last W samples with stable running mean/variance.
+    """Ring window of the last W samples with exact running sums.
 
-    Welford updates while the window fills. Once it rolls, a window of
-    integral samples (every in-world stream: counts, 0/1 flags, sizes) takes
-    its stats from exact integer sums, so each push is O(1) and the mean and
-    variance are correctly rounded. A window holding any non-integral sample
-    falls back to a two-pass recomputation over the buffer, which matches a
-    direct recomputation to 1e-9 relative error.
+    A push adds the sample to ``s1`` and ``s2``, exact integer sums of x and
+    x*x over the window's integral samples (every in-world stream: counts,
+    0/1 flags, sizes), or counts it in ``n_fractional`` (fractions, inf,
+    nan); a full window first evicts its oldest sample the same way. So an
+    integral window's mean and variance are correctly rounded, while it
+    fills and once it rolls alike; a non-integral sample makes them a
+    two-pass recomputation over the buffer, within 1e-9 of a direct one.
     """
 
     def __init__(self, stream_id: str, window: int):
         self.stream_id = stream_id
         self.window = window
         self.buf = deque()
-        self.samples_seen = 0
-        self.n = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-        # exact sums of x and x*x over the window's integral samples, and the
-        # count of its non-integral ones (fractions, inf, nan)
         self.s1 = 0
         self.s2 = 0
         self.n_fractional = 0
@@ -71,30 +66,16 @@ class StreamBaseline:
             self.s2 += k * k
         else:
             self.n_fractional += 1
-        if len(self.buf) == self.window:
-            old = self.buf.popleft()
+        buf = self.buf
+        if len(buf) == self.window:
+            old = buf.popleft()
             if float(old).is_integer():
                 k = int(old)
                 self.s1 -= k
                 self.s2 -= k * k
             else:
                 self.n_fractional -= 1
-            self.buf.append(sample)
-            n = self.n
-            if self.n_fractional == 0:
-                s1 = self.s1
-                self.mean = s1 / n
-                self.m2 = (n * self.s2 - s1 * s1) / n
-            else:
-                self.mean = sum(self.buf) / n
-                self.m2 = sum((x - self.mean) ** 2 for x in self.buf)
-        else:
-            self.buf.append(sample)
-            self.n += 1
-            d = sample - self.mean
-            self.mean += d / self.n
-            self.m2 += d * (sample - self.mean)
-        self.samples_seen += 1
+        buf.append(sample)
 
     def feed(self, sample: float, tick: int, subject: str = "",
              z_threshold: float = 3.0, drift: float = 0.5,
@@ -111,9 +92,18 @@ class StreamBaseline:
         deviation as infinitely anomalous.
         """
         cp = po = None
-        if self.warmed_up():
-            std = self.std()
-            z = 0.0 if std == 0.0 else (sample - self.mean) / std
+        n = self.window
+        if len(self.buf) == n:
+            # ``stats`` and ``std`` inline: this runs per device and tick
+            if self.n_fractional == 0:
+                s1 = self.s1
+                mean = s1 / n
+                var = (n * self.s2 - s1 * s1) / n / (n - 1)
+            else:
+                mean, m2 = self.stats()
+                var = m2 / (n - 1)
+            std = math.sqrt(var) if var > 0 else 0.0
+            z = 0.0 if std == 0.0 else (sample - mean) / std
             self.cusum_pos = max(0.0, self.cusum_pos + z - drift)
             self.cusum_neg = max(0.0, self.cusum_neg - z - drift)
             if self.cusum_pos > limit or self.cusum_neg > limit:
@@ -124,23 +114,33 @@ class StreamBaseline:
                                   stat if z >= 0 else -stat,
                                   AlertKind.CHANGEPOINT, subject)
             if std == 0.0:
-                if sample != self.mean:
+                if sample != mean:
                     po = AnomalyAlert(self.stream_id, tick, sample, math.inf,
                                       AlertKind.POINT_OUTLIER, subject)
-            elif abs(z) > calibrated_cut(z_threshold, self.n):
+            elif abs(z) > calibrated_cut(z_threshold, n):
                 po = AnomalyAlert(self.stream_id, tick, sample, z,
                                   AlertKind.POINT_OUTLIER, subject)
         self.push(sample)
         return cp, po
 
+    def stats(self) -> tuple:
+        """``(mean, sum of squared deviations)`` of a non-empty window."""
+        n = len(self.buf)
+        if self.n_fractional == 0:
+            s1 = self.s1
+            return s1 / n, (n * self.s2 - s1 * s1) / n
+        mean = sum(self.buf) / n
+        return mean, sum((x - mean) ** 2 for x in self.buf)
+
     def std(self) -> float:
-        if self.n < 2:
+        n = len(self.buf)
+        if n < 2:
             return 0.0
-        var = self.m2 / (self.n - 1)
+        var = self.stats()[1] / (n - 1)
         return math.sqrt(var) if var > 0 else 0.0
 
     def warmed_up(self) -> bool:
-        return self.samples_seen >= self.window
+        return len(self.buf) == self.window
 
 
 def _t_quantile(p: float, df: int) -> float:

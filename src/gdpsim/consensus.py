@@ -216,7 +216,10 @@ def propose_block(world, node: bytes, rng=None) -> Proposal:
 
 
 def honest_accept(world, node: bytes, proposal: Proposal) -> bool:
-    """Validation phase rule: witness quorum, nonce continuity, no replay."""
+    """Validation phase rule: proposer's signature, witness quorum, nonce
+    continuity, no replay."""
+    if not verify(proposal.proposer, proposal.digest, proposal.signature):
+        return False
     height = world.heights[node]
     if proposal.parent_block != node_head(world, node):
         known = any(b.block_digest == proposal.parent_block
@@ -272,8 +275,18 @@ def validate_proposal(world, node: bytes, proposal: Proposal,
                      total_stake)
 
 
+def accepted_weight(votes) -> float:
+    """Accepting votes' weight, added left to right from the int 0 as ``sum``
+    did before Python 3.12 made float sums compensated."""
+    weight = 0
+    for v in votes:
+        if v.accept:
+            weight += v.weight
+    return weight
+
+
 def tally(votes, total_weight: float, threshold: float) -> tuple:
-    accept_weight = sum(v.weight for v in votes if v.accept)
+    accept_weight = accepted_weight(votes)
     return accept_weight, accept_weight > threshold * total_weight
 
 
@@ -342,7 +355,7 @@ def resolve_vote_conflict(world, proposal: Proposal, votes: list,
 
     threshold = world.cfg.consensus.commit_threshold
     band = world.cfg.consensus.contested_band
-    accept_weight = sum(v.weight for v in votes if v.accept)
+    accept_weight = accepted_weight(votes)
     contested = abs(accept_weight - threshold * total_weight) <= band * total_weight
     flagged = [tid for tid in proposal.txn_ids
                if tid in world.transactions
@@ -387,7 +400,6 @@ def verify_batch(world, start_head: Digest, start_height: int,
             raise ChainIntegrityViolation(f"digest mismatch at height {block.height}")
         expected_pd = proposal_digest(block.proposer, block.txn_ids,
                                       block.parent, block.proposal_tick)
-        accept = 0.0
         for v in block.votes:
             if v.proposal_digest != expected_pd:
                 raise ChainIntegrityViolation(
@@ -397,8 +409,7 @@ def verify_batch(world, start_head: Digest, start_height: int,
                           v.signature):
                 raise ChainIntegrityViolation(
                     f"forged vote by {v.validator.hex()} at height {block.height}")
-            if v.accept:
-                accept += v.weight
+        accept = accepted_weight(block.votes)
         if abs(accept - block.accept_weight) > 1e-9:
             raise ChainIntegrityViolation(
                 f"accept weight mismatch at height {block.height}")

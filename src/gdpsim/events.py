@@ -11,6 +11,7 @@ import csv
 import json
 from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
+from operator import attrgetter
 from pathlib import Path
 
 
@@ -48,6 +49,9 @@ class Event:
                 % self._fields())
 
 
+_tick = attrgetter("tick")
+
+
 class EventLog:
     """Total-ordered append-only log; indices double as event references.
 
@@ -59,14 +63,12 @@ class EventLog:
 
     def __init__(self):
         self._events: list[Event] = []
-        self._ticks: list[int] = []
         self._refs_by_key: dict[str, list[int]] = {}
 
     def append(self, tick: int, kind: str, actor: str = "", subject: str = "",
                **detail) -> int:
         ref = len(self._events)
         self._events.append(Event(tick, kind, actor, subject, detail))
-        self._ticks.append(tick)
         index = self._refs_by_key
         index.setdefault(subject, []).append(ref)
         if actor != subject:
@@ -98,19 +100,15 @@ class EventLog:
         subject, only those whose subject or actor is that key."""
         lo = max(0, center_tick - radius)
         hi = center_tick + radius
-        start = bisect_left(self._ticks, lo)
-        stop = bisect_right(self._ticks, hi)
+        events = self._events
+        start = bisect_left(events, lo, key=_tick)
+        stop = bisect_right(events, hi, key=_tick)
         if subject is None:
             refs = range(start, stop)
         else:
             keyed = self.refs_of(subject)
             refs = keyed[bisect_left(keyed, start):bisect_left(keyed, stop)]
-        events = self._events
         return [(ref, events[ref]) for ref in refs]
-
-    def by_kind(self, *kinds: str) -> list[Event]:
-        wanted = set(kinds)
-        return [ev for ev in self._events if ev.kind in wanted]
 
 
 # One encoder serves every output file: json.dumps with these arguments builds

@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -252,18 +250,6 @@ class SeededRng:
         return out
 
 
-def weighted_index(rng: SeededRng, weights: list) -> int:
-    """Index of one draw proportional to positive ``weights``.
-
-    The draw is the first index whose running sum exceeds ``rng.random()``
-    times the total, and the last index when rounding leaves none. The total
-    is the last running sum, added in list order as a ``t += w`` loop would,
-    so the pick does not depend on how a Python version's ``sum`` rounds.
-    """
-    acc = list(accumulate(weights))
-    return min(bisect_right(acc, rng.random() * acc[-1]), len(acc) - 1)
-
-
 class FenwickWeights:
     """Non-negative float weights with exact prefix sums, updated and drawn
     from in O(log N): a Fenwick tree (Fenwick, "A New Data Structure for
@@ -329,10 +315,11 @@ class FenwickWeights:
     def draw(self, rng: SeededRng) -> int:
         """Position of one draw proportional to the weights (total > 0).
 
-        ``x`` is ``rng.random()`` times the total rounded once to a float.
+        ``x`` is ``rng.random()`` times the total, rounded once to a float.
         The draw is the first position whose exact prefix sum exceeds ``x``,
-        and the last positive position when none does: the rule of
-        ``weighted_index``, with exact sums in place of running float sums.
+        and the last positive position when none does. Every sum is exact,
+        so the pick depends neither on the order of past updates nor on how
+        a Python version rounds float sums.
         """
         total, unit = self.total, 1 << self.shift
         num, den = (rng.random() * (total / unit)).as_integer_ratio()
@@ -353,25 +340,25 @@ class FenwickWeights:
 
 
 def sample_without_replacement(rng: SeededRng, population, weights, k: int) -> list:
-    """Weighted sampling without replacement by successive draws.
+    """Weighted sampling without replacement: each seat is one exact
+    ``FenwickWeights.draw`` over the items not yet picked, in O(log N).
 
-    Inclusion probability is monotone in weight; items with zero weight are
-    never selected. Raises InsufficientPopulation when fewer than k items
-    carry positive weight.
+    Items with zero weight are never selected. Raises InsufficientPopulation,
+    before any draw, when fewer than k items carry positive weight.
     """
     if len(weights) != len(population):
         raise ValueError("population and weights must have equal length")
     if any(w < 0 for w in weights):
         raise ValueError("weights must be non-negative")
-    items = [item for item, w in zip(population, weights) if w > 0]
-    positive = [w for w in weights if w > 0]
-    if k > len(items):
+    tree = FenwickWeights(weights)
+    positive = len(weights) - tree.values.count(0)
+    if k > positive:
         raise InsufficientPopulation(
-            f"need {k} positively weighted items, have {len(items)}"
+            f"need {k} positively weighted items, have {positive}"
         )
     out = []
     for _ in range(k):
-        idx = weighted_index(rng, positive)
-        out.append(items.pop(idx))
-        positive.pop(idx)
+        i = tree.draw(rng)
+        out.append(population[i])
+        tree.set(i, 0.0)
     return out

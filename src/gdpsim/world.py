@@ -414,15 +414,15 @@ def _sync_lagging(world: World) -> None:
 
 def _run_commit_phase(world: World, txn) -> None:
     """Panel commits, then reveals, within the same delivery tick."""
+    committed = []
     for witness in txn.panel:
         actor = world.actors[witness]
         verdict = actor.witness_verdict(world, txn)
         salt = actor.make_salt()
         transmission.witness_commit(world, witness, txn, verdict, salt)
-        actor.pending_reveals[txn.id] = (verdict, salt)
-    for witness in txn.panel:
+        committed.append((verdict, salt))
+    for witness, (verdict, salt) in zip(txn.panel, committed):
         actor = world.actors[witness]
-        verdict, salt = actor.pending_reveals.pop(txn.id)
         if not actor.will_reveal():
             continue
         revealed = actor.reveal_verdict(verdict)

@@ -5,6 +5,7 @@ lines as they complete. The heavyweight scenario sweeps scale the built-in
 scenarios through config overrides only.
 """
 
+import builtins
 import hashlib
 import itertools
 import json
@@ -299,6 +300,61 @@ def test_criterion_7_determinism_gate(tmp_path, update_goldens, monkeypatch):
             "golden reports, snapshot digests and the sha256 of every output "
             f"file match for all {len(BUILTIN_SCENARIOS)} scenarios, none of "
             "which reads a signature's bytes")
+
+
+def _compensated_sum(iterable, /, start=0):
+    """``sum`` by CPython 3.12's rule: ints are added exactly, then floats
+    with Neumaier compensation, which is added once at the end when it is
+    finite; any other operand falls back to ``+``, dropping the
+    compensation."""
+    it = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in it:
+            if type(item) in (int, bool):
+                result += item
+                continue
+            result = result + item
+            break
+    if type(result) is float:
+        total, c = result, 0.0
+        for item in it:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    c += (total - t) + item
+                else:
+                    c += (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2 ** 63 <= item < 2 ** 63:
+                total += float(item)
+            else:
+                result = total + item
+                break
+        else:
+            if c and math.isfinite(c):
+                total += c
+            return total
+    for item in it:
+        result = result + item
+    return result
+
+
+def test_event_bytes_do_not_depend_on_sum_rounding(tmp_path, monkeypatch):
+    """Python 3.12 made ``sum`` of floats compensated; with it, every
+    built-in scenario must still write the pinned ``events.jsonl``."""
+    assert _compensated_sum([0.1] * 10) == 1.0  # a plain loop: 0.9999999999999999
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    pins = _pinned_digests()
+    moved = []
+    for name in sorted(BUILTIN_SCENARIOS):
+        world = run_world(get_scenario(name))
+        path = tmp_path / f"{name}.jsonl"
+        write_events_jsonl(world.log, path)
+        if hashlib.sha256(path.read_bytes()).hexdigest() != \
+                pins[name]["events_sha256"]:
+            moved.append(name)
+    assert not moved, f"events.jsonl moved under a compensated sum: {moved}"
 
 
 # ------------------------------------------------------------------ #

@@ -60,6 +60,16 @@ def witness_and_pool(world, n=3, sender_idx=0, receiver_idx=1):
     return ids
 
 
+def signed_proposal(world, proposer, ids, parent, tick, signer=None):
+    """A proposal signed over its digest, by default under the proposer's
+    own key."""
+    secret = world.actors[signer or proposer].keypair.secret_key
+    message = consensus.proposal_digest(proposer, tuple(ids), parent, tick)
+    return consensus.Proposal(proposer=proposer, txn_ids=tuple(ids),
+                              parent_block=parent, tick=tick,
+                              signature=sign(secret, message))
+
+
 def test_propose_creation_order(world):
     ids = witness_and_pool(world, 3)
     proposer = current_proposer(world)
@@ -106,10 +116,8 @@ def test_validate_rejects_committed_replay(world):
     block = commit_block(world, proposal, votes, total)
     assert block is not None
     # re-propose the same ids: a double spend any validator must reject
-    replay = consensus.Proposal(
-        proposer=proposer, txn_ids=tuple(ids),
-        parent_block=world.canonical.head, tick=world.tick,
-        signature=proposal.signature)
+    replay = signed_proposal(world, proposer, ids, world.canonical.head,
+                             world.tick)
     node = next(n for n in consensus.active_nodes(world) if n != proposer)
     assert not honest_accept(world, node, replay)
 
@@ -122,12 +130,27 @@ def test_validate_rejects_nonce_gap(world):
     txns = [world.transactions[t] for t in gap_ids]
     assert [t.nonce for t in txns] == [0, 2]
     proposer = current_proposer(world)
-    proposal = consensus.Proposal(
-        proposer=proposer, txn_ids=gap_ids,
-        parent_block=world.canonical.head, tick=world.tick,
-        signature=consensus.sign(world.actors[proposer].keypair.secret_key, b"x"))
+    proposal = signed_proposal(world, proposer, gap_ids, world.canonical.head,
+                               world.tick)
     node = next(n for n in consensus.active_nodes(world) if n != proposer)
     assert not honest_accept(world, node, proposal)
+
+
+def test_validate_rejects_proposal_not_signed_by_proposer(world):
+    witness_and_pool(world, 2)
+    proposer = current_proposer(world)
+    proposal = propose_block(world, proposer)
+    node, other = [n for n in consensus.active_nodes(world)
+                   if n != proposer][:2]
+    assert validate_proposal(world, node, proposal).accept
+    # the right digest, signed under another node's key
+    foreign = signed_proposal(world, proposer, proposal.txn_ids,
+                              proposal.parent_block, proposal.tick,
+                              signer=other)
+    assert not validate_proposal(world, node, foreign).accept
+    # a genuine signature, but the proposer swapped after signing
+    swapped = dataclasses.replace(proposal, proposer=other)
+    assert not validate_proposal(world, node, swapped).accept
 
 
 def test_commit_majority_three_of_five(world):
@@ -320,10 +343,9 @@ def test_lagging_node_judges_from_its_own_height(world):
     world.heights[node] = 1
 
     def on_block(height, ids):
-        return consensus.Proposal(
-            proposer=proposer, txn_ids=tuple(ids),
-            parent_block=world.canonical.blocks[height].block_digest,
-            tick=world.tick, signature=None)
+        return signed_proposal(world, proposer, ids,
+                               world.canonical.blocks[height].block_digest,
+                               world.tick)
 
     above = world.canonical.blocks[2].txn_ids[0]
     assert not honest_accept(world, node, on_block(1, [above]))

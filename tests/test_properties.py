@@ -23,7 +23,6 @@ from gdpsim.primitives import (
     FenwickWeights,
     SeededRng,
     sample_without_replacement,
-    weighted_index,
 )
 from gdpsim.transmission import aggregation_oracle
 
@@ -43,7 +42,7 @@ def test_window_stats_match_batch(stream, window):
         tail = stream[max(0, i + 1 - window):i + 1]
         mean = statistics.fmean(tail)
         scale = max(1.0, abs(mean))
-        assert abs(b.mean - mean) <= 1e-9 * scale
+        assert abs(b.stats()[0] - mean) <= 1e-9 * scale
         if len(tail) >= 2:
             std = statistics.stdev(tail)
             assert abs(b.std() - std) <= 1e-9 * max(1.0, std)
@@ -58,16 +57,16 @@ integral_floats = st.one_of(
        st.lists(integral_floats, min_size=101, max_size=200))
 @settings(max_examples=100, deadline=None)
 def test_integral_window_stats_are_correctly_rounded(window, stream):
+    """Every push, while the window fills and after it rolls."""
     b = StreamBaseline("s", window)
     for i, x in enumerate(stream):
         b.push(x)
-        if i < window:
-            continue  # Welford while the window fills
-        tail = [int(v) for v in stream[i + 1 - window:i + 1]]
+        tail = [int(v) for v in stream[max(0, i + 1 - window):i + 1]]
+        n = len(tail)
         s1 = sum(tail)
         s2 = sum(v * v for v in tail)
-        assert b.mean == float(Fraction(s1, window))
-        assert b.m2 == float(Fraction(window * s2 - s1 * s1, window))
+        assert b.stats() == (float(Fraction(s1, n)),
+                             float(Fraction(n * s2 - s1 * s1, n)))
 
 
 @given(st.integers(min_value=0, max_value=2 ** 64 - 1))
@@ -183,26 +182,6 @@ def test_deterrence_margin_properties(p, reward, forfeit):
         assert math.isclose(margin, -forfeit, abs_tol=1e-12)
 
 
-@given(st.lists(st.floats(min_value=1e-300, max_value=1e12, allow_nan=False,
-                          allow_infinity=False), min_size=1, max_size=60),
-       st.integers(min_value=0, max_value=2 ** 64 - 1))
-@settings(max_examples=300, deadline=None)
-def test_weighted_index_matches_running_loop(weights, seed):
-    x = SeededRng(seed).random()
-    total = 0.0
-    for w in weights:
-        total += w
-    x *= total
-    expected = len(weights) - 1
-    acc = 0.0
-    for i, w in enumerate(weights):
-        acc += w
-        if x < acc:
-            expected = i
-            break
-    assert weighted_index(SeededRng(seed), weights) == expected
-
-
 scores = st.one_of(st.floats(min_value=0.0, max_value=1.0),
                   st.sampled_from([0.0, 1.0, 0.5, 5e-324, 2.0 ** -60]))
 
@@ -257,6 +236,35 @@ def test_fenwick_draw_is_first_exact_prefix_above_x(weights, seed):
     assert tree.draw(SeededRng(seed)) == expected
 
 
+@given(st.lists(st.one_of(scores, st.floats(min_value=1e-300, max_value=1e12)),
+                min_size=1, max_size=40),
+       st.integers(min_value=0, max_value=2 ** 64 - 1),
+       st.integers(min_value=1, max_value=40))
+@settings(max_examples=300, deadline=None)
+def test_sample_without_replacement_is_successive_exact_draws(weights, seed,
+                                                              k):
+    """Each seat is the first item whose exact prefix sum over the remaining
+    positive weights exceeds ``rng.random()`` times their total, that product
+    rounded to a float; the last remaining item when none does."""
+    remaining = [(i, Fraction(w)) for i, w in enumerate(weights) if w > 0]
+    k = min(k, len(remaining))
+    rng = SeededRng(seed)
+    expected = []
+    for _ in range(k):
+        x = Fraction(rng.random() * float(sum(w for _, w in remaining)))
+        acc = Fraction(0)
+        pick = len(remaining) - 1
+        for j, (_, w) in enumerate(remaining):
+            acc += w
+            if acc > x:
+                pick = j
+                break
+        expected.append(remaining.pop(pick)[0])
+    population = list(range(len(weights)))
+    assert sample_without_replacement(SeededRng(seed), population, weights,
+                                      k) == expected
+
+
 @given(st.lists(st.tuples(st.integers(min_value=0, max_value=10),
                           st.sampled_from(list(DeviceStatus))),
                 min_size=1, max_size=40))
@@ -304,13 +312,14 @@ def _reference_observe(baseline, sample, tick, subject="", z_threshold=3.0):
     alert = None
     if baseline.warmed_up():
         std = baseline.std()
+        mean = baseline.stats()[0]
         if std == 0.0:
-            if sample != baseline.mean:
+            if sample != mean:
                 alert = AnomalyAlert(baseline.stream_id, tick, sample,
                                      math.inf, AlertKind.POINT_OUTLIER, subject)
         else:
-            z = (sample - baseline.mean) / std
-            if abs(z) > calibrated_cut(z_threshold, baseline.n):
+            z = (sample - mean) / std
+            if abs(z) > calibrated_cut(z_threshold, len(baseline.buf)):
                 alert = AnomalyAlert(baseline.stream_id, tick, sample, z,
                                      AlertKind.POINT_OUTLIER, subject)
     baseline.push(sample)
@@ -322,7 +331,7 @@ def _reference_detect_changepoint(baseline, sample, tick=0, subject="",
     if not baseline.warmed_up():
         return None
     std = baseline.std()
-    z = 0.0 if std == 0.0 else (sample - baseline.mean) / std
+    z = 0.0 if std == 0.0 else (sample - baseline.stats()[0]) / std
     baseline.cusum_pos = max(0.0, baseline.cusum_pos + z - drift)
     baseline.cusum_neg = max(0.0, baseline.cusum_neg - z - drift)
     if baseline.cusum_pos > limit or baseline.cusum_neg > limit:
@@ -345,9 +354,8 @@ def _alert_fields(alert):
 
 
 def _baseline_state(b):
-    return (repr(b.mean), repr(b.m2), b.n, b.s1, b.s2, b.n_fractional,
-            repr(b.cusum_pos), repr(b.cusum_neg), [repr(x) for x in b.buf],
-            b.samples_seen)
+    return (b.stream_id, b.window, b.s1, b.s2, b.n_fractional,
+            repr(b.cusum_pos), repr(b.cusum_neg), [repr(x) for x in b.buf])
 
 
 _stream_segment = st.one_of(
