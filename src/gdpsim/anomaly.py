@@ -19,6 +19,7 @@ from typing import Optional
 
 from .errors import AlreadyQuarantined, WrongStage
 from .onboarding import DeviceStatus
+from .primitives import float_sum
 
 
 class AlertKind(Enum):
@@ -37,21 +38,26 @@ class AnomalyAlert:
 
 
 class StreamBaseline:
-    """Ring window of the last W samples with exact running sums.
+    """Window of the last W samples with exact running sums.
 
-    A push adds the sample to ``s1`` and ``s2``, exact integer sums of x and
-    x*x over the window's integral samples (every in-world stream: counts,
-    0/1 flags, sizes), or counts it in ``n_fractional`` (fractions, inf,
-    nan); a full window first evicts its oldest sample the same way. So an
-    integral window's mean and variance are correctly rounded, while it
-    fills and once it rolls alike; a non-integral sample makes them a
-    two-pass recomputation over the buffer, within 1e-9 of a direct one.
+    ``fed`` counts every sample pushed, and ``ring`` holds the window's
+    non-zero samples, oldest first, as ``(feed index, sample)`` pairs: the
+    window is the last ``min(fed, window)`` samples, and a zero in it costs
+    nothing but the count. A push adds the sample to ``s1`` and ``s2``,
+    exact integer sums of x and x*x over the window's integral samples
+    (every in-world stream: counts, 0/1 flags, sizes), or counts it in
+    ``n_fractional`` (fractions, inf, nan); the push that moves a sample out
+    of the window takes it out the same way. So an integral window's mean
+    and variance are correctly rounded, while it fills and once it rolls
+    alike; a non-integral sample makes them a two-pass recomputation over
+    the window, within 1e-9 of a direct one.
     """
 
     def __init__(self, stream_id: str, window: int):
         self.stream_id = stream_id
         self.window = window
-        self.buf = deque()
+        self.fed = 0
+        self.ring = deque()
         self.s1 = 0
         self.s2 = 0
         self.n_fractional = 0
@@ -60,22 +66,35 @@ class StreamBaseline:
         self.cusum_neg = 0.0
 
     def push(self, sample: float) -> None:
-        if float(sample).is_integer():
-            k = int(sample)
-            self.s1 += k
-            self.s2 += k * k
-        else:
-            self.n_fractional += 1
-        buf = self.buf
-        if len(buf) == self.window:
-            old = buf.popleft()
-            if float(old).is_integer():
-                k = int(old)
-                self.s1 -= k
-                self.s2 -= k * k
+        i = self.fed
+        self.fed = i + 1
+        ring = self.ring
+        if ring and ring[0][0] == i - self.window:
+            self._evict(ring.popleft()[1])
+        if sample != 0:
+            ring.append((i, sample))
+            if float(sample).is_integer():
+                k = int(sample)
+                self.s1 += k
+                self.s2 += k * k
             else:
-                self.n_fractional -= 1
-        buf.append(sample)
+                self.n_fractional += 1
+
+    def push_zeros(self, count: int) -> None:
+        """Push ``count`` zero samples, in O(non-zero samples they evict)."""
+        self.fed += count
+        cut = self.fed - self.window
+        ring = self.ring
+        while ring and ring[0][0] < cut:
+            self._evict(ring.popleft()[1])
+
+    def _evict(self, old: float) -> None:
+        if float(old).is_integer():
+            k = int(old)
+            self.s1 -= k
+            self.s2 -= k * k
+        else:
+            self.n_fractional -= 1
 
     def feed(self, sample: float, tick: int, subject: str = "",
              z_threshold: float = 3.0, drift: float = 0.5,
@@ -93,7 +112,7 @@ class StreamBaseline:
         """
         cp = po = None
         n = self.window
-        if len(self.buf) == n:
+        if self.fed >= n:
             # ``stats`` and ``std`` inline: this runs per device and tick
             if self.n_fractional == 0:
                 s1 = self.s1
@@ -123,24 +142,61 @@ class StreamBaseline:
         self.push(sample)
         return cp, po
 
+    def quiet_span(self, z_threshold: float = 3.0, drift: float = 0.5,
+                   limit: float = 5.0) -> float:
+        """How many zero samples ``push_zeros`` may take in ``feed``'s place
+        before the stream's next sample must go through ``feed`` again.
+
+        The stream is quiet when its window is integral, both CUSUMs are 0,
+        and a 0 fed into the full window would raise no alert and leave
+        both CUSUMs at 0: ``feed``'s own float operations on ``s1``, ``s2``
+        and the window length. Zeros then change nothing but the ring until
+        one evicts a non-zero sample (the sums change), which is due through
+        ``feed``. A 0 into a warming window runs no detector and leaves the
+        sums as they are, so the window that zeros would fill is judged
+        now: if it is not quiet, the zero that fills it is due. 0 when the
+        full window is not quiet; inf when no zero can wake the stream.
+        """
+        if self.n_fractional or self.cusum_pos or self.cusum_neg:
+            return 0
+        n = self.window
+        fed = self.fed
+        s1 = self.s1
+        mean = s1 / n
+        var = (n * self.s2 - s1 * s1) / n / (n - 1)
+        std = math.sqrt(var) if var > 0 else 0.0
+        z = 0.0 if std == 0.0 else (0.0 - mean) / std
+        pos = max(0.0, 0.0 + z - drift)
+        neg = max(0.0, 0.0 - z - drift)
+        if pos > limit or neg > limit or pos or neg or (
+                0.0 != mean if std == 0.0
+                else abs(z) > calibrated_cut(z_threshold, n)):
+            return max(0, n - 1 - fed)
+        ring = self.ring
+        return ring[0][0] + n - fed if ring else math.inf
+
     def stats(self) -> tuple:
         """``(mean, sum of squared deviations)`` of a non-empty window."""
-        n = len(self.buf)
+        n = min(self.fed, self.window)
         if self.n_fractional == 0:
             s1 = self.s1
             return s1 / n, (n * self.s2 - s1 * s1) / n
-        mean = sum(self.buf) / n
-        return mean, sum((x - mean) ** 2 for x in self.buf)
+        window = [0.0] * n  # oldest first
+        start = self.fed - n
+        for i, x in self.ring:
+            window[i - start] = x
+        mean = float_sum(window) / n
+        return mean, float_sum((x - mean) ** 2 for x in window)
 
     def std(self) -> float:
-        n = len(self.buf)
+        n = min(self.fed, self.window)
         if n < 2:
             return 0.0
         var = self.stats()[1] / (n - 1)
         return math.sqrt(var) if var > 0 else 0.0
 
     def warmed_up(self) -> bool:
-        return len(self.buf) == self.window
+        return self.fed >= self.window
 
 
 def _t_quantile(p: float, df: int) -> float:

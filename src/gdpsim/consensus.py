@@ -21,7 +21,15 @@ from .errors import (
     UnknownParent,
 )
 from .onboarding import DeviceStatus
-from .primitives import Digest, Signature, ZERO_DIGEST, digest, sign, verify
+from .primitives import (
+    ZERO_DIGEST,
+    Digest,
+    Signature,
+    digest,
+    float_sum,
+    sign,
+    verify,
+)
 from .transmission import TxnStatus, Verdict as WitnessVerdict
 
 
@@ -130,7 +138,7 @@ def node_head(world, node: bytes) -> Digest:
 
 def active_stake_total(world) -> float:
     accounts = world.stake_accounts
-    return sum(accounts[p].staked for p in world.active_devices())
+    return float_sum(accounts[p].staked for p in world.active_devices())
 
 
 def vote_weight(world, node: bytes, total_stake: float = None) -> float:
@@ -276,13 +284,8 @@ def validate_proposal(world, node: bytes, proposal: Proposal,
 
 
 def accepted_weight(votes) -> float:
-    """Accepting votes' weight, added left to right from the int 0 as ``sum``
-    did before Python 3.12 made float sums compensated."""
-    weight = 0
-    for v in votes:
-        if v.accept:
-            weight += v.weight
-    return weight
+    """Accepting votes' weight, added left to right (``float_sum``)."""
+    return float_sum(v.weight for v in votes if v.accept)
 
 
 def tally(votes, total_weight: float, threshold: float) -> tuple:

@@ -16,6 +16,7 @@ from enum import Enum
 from . import anomaly
 from .errors import InvalidProportion, SubjectBanned
 from .onboarding import DeviceStatus
+from .primitives import float_sum
 
 
 class IncentiveKind(Enum):
@@ -245,7 +246,7 @@ def settle_bond(world, owner: bytes, amount: float, refunded: bool,
 
 def token_totals(world) -> dict:
     """Conservation identity: held + treasury + escrow == deposited + minted."""
-    held = sum(a.staked + a.liquid for a in world.stake_accounts.values())
+    held = float_sum(a.staked + a.liquid for a in world.stake_accounts.values())
     return {
         "held": held,
         "treasury": world.treasury,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .consensus import genesis_block
 from .events import EventLog, write_ledger_csv, write_log
-from .primitives import digest
+from .primitives import digest, float_sum
 
 REPORT_SCHEMA_VERSION = 1
 
@@ -26,7 +26,7 @@ def _dist(values: list) -> dict:
     n = len(vs)
     return {
         "count": n,
-        "mean": round(sum(vs) / n, 9),
+        "mean": round(float_sum(vs) / n, 9),
         "min": vs[0],
         "max": vs[-1],
         "p50": vs[n // 2],

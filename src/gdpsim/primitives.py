@@ -27,6 +27,16 @@ ZERO_DIGEST = b"\x00" * DIGEST_SIZE
 Digest = bytes
 
 
+def float_sum(values):
+    """``values`` added left to right from the int 0, as ``sum`` did before
+    Python 3.12 made float sums compensated, so a written total does not
+    depend on the interpreter. Sums of ints need no such care."""
+    total = 0
+    for v in values:
+        total += v
+    return total
+
+
 def digest(data: bytes) -> Digest:
     """SHA-256 digest of the input. Pure, no hidden state."""
     return hashlib.sha256(data).digest()

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .events import EventLog
 from .onboarding import DeviceStatus
-from .primitives import Digest, FenwickWeights, SeededRng
+from .primitives import Digest, FenwickWeights, SeededRng, float_sum
 from .transmission import TxnStatus, Verdict
 
 
@@ -122,6 +122,27 @@ class WitnessWeights:
         return True
 
 
+class TxrateStream:
+    """One device's txrate stream and its place in the wake schedule.
+
+    Phases are counted by ``world.stream_phases``. While the device is
+    active, its samples up to phase ``settled`` are in the window, and each
+    later phase before ``wake`` owes a zero that
+    ``StreamBaseline.quiet_span`` let the stream skip: ``push_zeros`` pays
+    them when the stream is next fed or its device leaves ACTIVE. ``wake``
+    is inf while the device is not active, and while no zero can wake the
+    stream.
+    """
+
+    __slots__ = ("hexed", "baseline", "settled", "wake")
+
+    def __init__(self, hexed: str, baseline: anomaly.StreamBaseline):
+        self.hexed = hexed
+        self.baseline = baseline
+        self.settled = 0
+        self.wake = math.inf
+
+
 class World:
     """All protocol state plus the append-only event log."""
 
@@ -167,7 +188,15 @@ class World:
         self.verdict_registry: dict = {}
         self.feedback_log: list = []
         self.baselines: dict = {}          # stream id -> StreamBaseline
-        self.txrate_streams: dict = {}     # pub -> (pub hex, its txrate baseline)
+        # One txrate stream per device that has been active, owed a sample
+        # (its count of txns created that tick) by each ``_per_tick_streams``
+        # phase that starts while it is active. A stream sleeps while zeros
+        # change nothing but its ring: ``txrate_wakes`` (phase -> pubs) holds
+        # the phase that must feed it again, and a non-zero sample feeds it
+        # at once. ``stream_phases`` counts the phases started.
+        self.txrate_streams: dict = {}     # pub -> TxrateStream
+        self.txrate_wakes: dict = {}
+        self.stream_phases = 0
         # The earliest tick at which each per-device poll could act: a poll
         # is skipped while the tick is below its floor and, when it runs,
         # sets the floor to the least due tick among its candidates. A
@@ -193,13 +222,54 @@ class World:
     def set_status(self, pub: bytes, status: DeviceStatus) -> None:
         """The one writer of device status; marks the active view stale and
         re-weighs the device's witness draws. A device turning active again
-        lowers the due floors."""
+        lowers the due floors. A device leaving ACTIVE pays its txrate
+        stream's owed zeros; one turning active, or entering
+        ``world.devices`` active, puts its stream back on the schedule."""
         profile = self.devices[pub]
-        if status is DeviceStatus.ACTIVE and profile.status is not status:
+        was_active = profile.status is DeviceStatus.ACTIVE
+        if status is DeviceStatus.ACTIVE and not was_active:
             self.lower_due_floors(pub)
+        if was_active and status is not DeviceStatus.ACTIVE:
+            self._settle_txrate(pub).wake = math.inf
         profile.status = status
         self._view = None
         self._reweigh(pub)
+        if status is DeviceStatus.ACTIVE and (
+                not was_active or pub not in self.txrate_streams):
+            self._resume_txrate(pub)
+
+    def _settle_txrate(self, pub: bytes) -> TxrateStream:
+        """Pay the zeros that ``pub``'s txrate stream owes, one per phase
+        started since it was settled; the wake stays as it was. Called only
+        while the device is active: a stream owes nothing otherwise."""
+        stream = self.txrate_streams[pub]
+        owed = self.stream_phases - stream.settled
+        if owed:
+            stream.baseline.push_zeros(owed)
+            stream.settled = self.stream_phases
+        return stream
+
+    def _resume_txrate(self, pub: bytes) -> None:
+        """A device turned active, or entered ``world.devices`` active: its
+        stream, made on its first activation, owes a sample from the next
+        phase to start on."""
+        stream = self.txrate_streams.get(pub)
+        if stream is None:
+            hexed = pub.hex()
+            stream = self.txrate_streams[pub] = TxrateStream(
+                hexed, self.baseline(f"txrate:{hexed[:16]}"))
+        stream.settled = self.stream_phases
+        self._schedule_txrate(pub, stream)
+
+    def _schedule_txrate(self, pub: bytes, stream: TxrateStream) -> None:
+        """Set the wake of a stream settled up to phase ``stream.settled``:
+        the phase whose sample must go through ``feed``."""
+        acfg = self.cfg.anomaly
+        span = stream.baseline.quiet_span(acfg.z_threshold, acfg.cusum_drift,
+                                          acfg.cusum_limit)
+        stream.wake = stream.settled + 1 + span
+        if span != math.inf:
+            self.txrate_wakes.setdefault(stream.wake, []).append(pub)
 
     def lower_due_floors(self, pub: bytes) -> None:
         """Lower the longevity and revalidation floors to the due ticks of
@@ -691,14 +761,28 @@ def _feed_stream(world: World, b: anomaly.StreamBaseline, subject: str,
 
 
 def _per_tick_streams(world: World) -> None:
+    """Feed the txrate streams that are due: each device active now with a
+    txn this tick or a wake at this phase, in active-view order. Every other
+    active device's stream sleeps, and owes this phase's zero."""
     counts = world._txn_counts_this_tick
     streams = world.txrate_streams
-    for pub in world.active_devices():
-        stream = streams.get(pub)
-        if stream is None:
-            hexed = pub.hex()
-            stream = streams[pub] = (hexed, world.baseline(f"txrate:{hexed[:16]}"))
-        _feed_stream(world, stream[1], stream[0], float(counts.get(pub, 0)))
+    phase = world.stream_phases + 1
+    position = world.active_view().position
+    due = {pub for pub in counts if pub in position}
+    due.update(pub for pub in world.txrate_wakes.pop(phase, ())
+               if streams[pub].wake == phase)
+    due = sorted(due, key=position.__getitem__)
+    for pub in due:
+        # this phase's sample is taken: a status flip before it is fed
+        # owes nothing, and the feed sets the next wake
+        world._settle_txrate(pub).settled = phase
+    world.stream_phases = phase  # a device turning active now waits a phase
+    for pub in due:
+        stream = streams[pub]
+        _feed_stream(world, stream.baseline, stream.hexed,
+                     float(counts.get(pub, 0)))
+        if world.devices[pub].status is DeviceStatus.ACTIVE:
+            world._schedule_txrate(pub, stream)
     counts.clear()
 
 
@@ -765,7 +849,7 @@ def _sample_metrics(world: World) -> None:
         by_role.setdefault(role, []).append(rep.score)
     for role in sorted(by_role):
         scores = by_role[role]
-        mean = sum(scores) / len(scores)
+        mean = float_sum(scores) / len(scores)
         world.log.append(world.tick, "rep_sample", subject=role,
                          mean=round(mean, 9), n=len(scores))
 

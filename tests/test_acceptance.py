@@ -348,13 +348,40 @@ def test_event_bytes_do_not_depend_on_sum_rounding(tmp_path, monkeypatch):
     pins = _pinned_digests()
     moved = []
     for name in sorted(BUILTIN_SCENARIOS):
-        world = run_world(get_scenario(name))
+        cfg = get_scenario(name)
+        world = run_world(cfg)
         path = tmp_path / f"{name}.jsonl"
         write_events_jsonl(world.log, path)
         if hashlib.sha256(path.read_bytes()).hexdigest() != \
                 pins[name]["events_sha256"]:
             moved.append(name)
-    assert not moved, f"events.jsonl moved under a compensated sum: {moved}"
+        golden = json.loads((GOLDEN_DIR / f"{name}.report.json").read_text())
+        if derive_metrics(world.log, cfg) != golden:
+            moved.append(f"{name}.report.json")
+    assert not moved, f"outputs moved under a compensated sum: {moved}"
+
+
+def _noisy_window_run() -> tuple:
+    """m2 after 20,000 samples of ``gauss() * 1e3 + 0.1`` at window 100, and
+    every alert's z-score, by ``repr``: a non-integral window, so each
+    detector run takes the two-pass statistics."""
+    rng = SeededRng(52)
+    b = StreamBaseline("noisy", 100)
+    z_scores = []
+    for i in range(20_000):
+        z_scores += [repr(a.z_score) for a in b.feed(rng.gauss() * 1e3 + 0.1, i)
+                     if a is not None]
+    return repr(b.stats()[1]), z_scores
+
+
+def test_window_stats_do_not_depend_on_sum_rounding(monkeypatch):
+    """A non-integral window's mean and m2 are plain left-to-right sums, so
+    its alerts do not move under Python 3.12's compensated ``sum``."""
+    plain = _noisy_window_run()
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    assert _noisy_window_run() == plain
+    assert plain[0] == "109845146.93754211"  # what ``sum`` gave on 3.11
+    assert len(plain[1]) == 101
 
 
 # ------------------------------------------------------------------ #

@@ -1,11 +1,13 @@
 """Property-based invariants over the numeric and stateful cores."""
 
+import copy
 import math
 import statistics
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gdpsim import anomaly, arbitration, consensus, incentives, onboarding
 from gdpsim import world as world_mod
@@ -319,7 +321,7 @@ def _reference_observe(baseline, sample, tick, subject="", z_threshold=3.0):
                                      math.inf, AlertKind.POINT_OUTLIER, subject)
         else:
             z = (sample - mean) / std
-            if abs(z) > calibrated_cut(z_threshold, len(baseline.buf)):
+            if abs(z) > calibrated_cut(z_threshold, baseline.window):
                 alert = AnomalyAlert(baseline.stream_id, tick, sample, z,
                                      AlertKind.POINT_OUTLIER, subject)
     baseline.push(sample)
@@ -354,8 +356,9 @@ def _alert_fields(alert):
 
 
 def _baseline_state(b):
-    return (b.stream_id, b.window, b.s1, b.s2, b.n_fractional,
-            repr(b.cusum_pos), repr(b.cusum_neg), [repr(x) for x in b.buf])
+    return (b.stream_id, b.window, b.fed, b.s1, b.s2, b.n_fractional,
+            repr(b.cusum_pos), repr(b.cusum_neg),
+            [(i, repr(x)) for i, x in b.ring])
 
 
 _stream_segment = st.one_of(
@@ -548,3 +551,132 @@ def test_floored_polls_match_unconditional_polls(actions):
         if error is not None:
             break  # a phase that raises ends a simulator run
         _assert_floors_bound_due_ticks(floored)
+
+
+# --- sleeping txrate streams against the per-sample phase ---
+
+
+def _per_sample_streams(world, streams):
+    """The phase before streams slept: every device active when it starts
+    is fed its count through ``feed``, in active-view order."""
+    counts = world._txn_counts_this_tick
+    for pub in world.active_devices():
+        b = streams.get(pub)
+        if b is None:
+            b = streams[pub] = StreamBaseline(f"txrate:{pub.hex()[:16]}",
+                                              world.cfg.anomaly.window)
+        world_mod._feed_stream(world, b, pub.hex(), float(counts.get(pub, 0)))
+    counts.clear()
+
+
+def _settled_state(world, pub):
+    """A sleeping stream's state once its owed zeros are paid, on a copy so
+    that the check leaves the schedule as it was."""
+    stream = world.txrate_streams[pub]
+    b = copy.deepcopy(stream.baseline)
+    if world.devices[pub].status is DeviceStatus.ACTIVE:
+        assert world.stream_phases >= stream.settled
+        b.push_zeros(world.stream_phases - stream.settled)
+    return _baseline_state(b)
+
+
+# a flip lands before the phase (-1), before the device at that active-view
+# position is fed (0..10), or after the phase (11)
+_flip = st.tuples(st.integers(min_value=-1, max_value=11),
+                  st.integers(min_value=0, max_value=10),
+                  st.sampled_from([DeviceStatus.ACTIVE, DeviceStatus.ACTIVE,
+                                   DeviceStatus.QUARANTINED,
+                                   DeviceStatus.BANNED]))
+# quiet ticks, then one tick with its non-zero samples and status flips
+_stream_step = st.tuples(
+    st.integers(min_value=0, max_value=14),
+    st.dictionaries(st.integers(min_value=0, max_value=4),
+                    st.sampled_from([-9, -3, -1, 1, 1, 2, 3, 7, 40]),
+                    max_size=3),
+    st.lists(_flip, max_size=3))
+
+
+@given(st.lists(_stream_step, min_size=1, max_size=12),
+       st.integers(min_value=9, max_value=12),
+       st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+       st.sampled_from([0.5, 2.0, 5.0]),
+       st.sampled_from([1.0, 2.0, 3.0]))
+# evicting the 3 leaves a window into which a 0 moves a CUSUM
+@example([(0, {0: 3}, []), (0, {0: -3}, []), (14, {}, [])], 9, 0.0, 0.5, 3.0)
+# the window that the 3 fills moves a CUSUM before the 3 is evicted
+@example([(2, {0: 3}, []), (14, {}, [])], 9, 0.0, 0.5, 3.0)
+# a device leaving ACTIVE after the phase owes that phase's zero
+@example([(0, {}, [(11, 0, DeviceStatus.QUARANTINED)]),
+          (0, {}, [(-1, 0, DeviceStatus.ACTIVE)])], 9, 0.5, 5.0, 3.0)
+# a device turning active mid-phase is first fed on the next tick
+@example([(0, {}, [(-1, 0, DeviceStatus.QUARANTINED)]),
+          (0, {3: 1}, [(0, 0, DeviceStatus.ACTIVE)]), (3, {}, [])],
+         9, 0.5, 5.0, 3.0)
+@settings(max_examples=200, deadline=None)
+def test_sleeping_streams_match_per_sample_feeds(steps, window, drift, limit,
+                                                 z_threshold):
+    """The scheduled txrate phase, whose quiet streams sleep, and the
+    per-sample phase log the same events and raise the same alerts, and
+    every stream, its owed zeros paid, holds the same ring, sums and CUSUMs
+    after every tick: through rare non-zero samples, windows that fill
+    mid-run, and status flips before, during and after the phase."""
+    cfg = dict(anomaly__window=window, anomaly__cusum_drift=drift,
+               anomaly__cusum_limit=limit, anomaly__z_threshold=z_threshold)
+    sleeping, reference = mini_world(**cfg), mini_world(**cfg)
+    reference_streams = {}
+    devices = list(sleeping.devices)
+    alerts = {id(sleeping): [], id(reference): []}
+    current = [None]  # the world whose tick runs
+    pending = {}  # id(world) -> (active-view positions, flips due mid-phase)
+    real_feed, real_feed_stream = StreamBaseline.feed, world_mod._feed_stream
+
+    def recording_feed(self, *args):
+        got = real_feed(self, *args)
+        alerts[id(current[0])].extend(_alert_fields(a) for a in got if a)
+        return got
+
+    def flip_then_feed(world, b, subject, value):
+        position, flips = pending[id(world)]
+        if b.stream_id.startswith("txrate:"):
+            at = position[bytes.fromhex(subject)]
+            while flips and flips[0][0] <= at:
+                world.set_status(devices[flips[0][1]], flips.pop(0)[2])
+        real_feed_stream(world, b, subject, value)
+
+    def run_tick(world, phase, counts, flips):
+        world.tick += 1
+        for where, index, status in flips:
+            if where < 0:
+                world.set_status(devices[index], status)
+        world._txn_counts_this_tick.update(
+            (devices[index], count) for index, count in counts.items()
+            if world.devices[devices[index]].status is DeviceStatus.ACTIVE)
+        mid = sorted((f for f in flips if 0 <= f[0] <= 10), key=lambda f: f[0])
+        pending[id(world)] = (world.active_view().position, mid)
+        phase(world)
+        # the mid-phase flips no fed position reached, then those after it
+        for _, index, status in mid + [f for f in flips if f[0] > 10]:
+            world.set_status(devices[index], status)
+
+    checked = 0  # events already compared
+    with mock.patch.object(StreamBaseline, "feed", recording_feed), \
+            mock.patch.object(world_mod, "_feed_stream", flip_then_feed):
+        for quiet, counts, flips in steps:
+            for plan in [({}, [])] * quiet + [(counts, flips)]:
+                current[0] = sleeping
+                run_tick(sleeping, world_mod._per_tick_streams, *plan)
+                current[0] = reference
+                run_tick(reference, lambda w: _per_sample_streams(
+                    w, reference_streams), *plan)
+                assert alerts[id(sleeping)] == alerts[id(reference)]
+                assert len(sleeping.log) == len(reference.log)
+                assert [encode_event(sleeping.log[i])
+                        for i in range(checked, len(sleeping.log))] == \
+                    [encode_event(reference.log[i])
+                     for i in range(checked, len(reference.log))]
+                checked = len(sleeping.log)
+                for pub in devices:
+                    want = reference_streams.get(pub) or StreamBaseline(
+                        f"txrate:{pub.hex()[:16]}", window)
+                    assert _settled_state(sleeping, pub) == \
+                        _baseline_state(want)

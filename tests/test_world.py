@@ -6,6 +6,8 @@ import pytest
 
 import gdpsim
 from gdpsim import incentives, metrics, transmission
+from gdpsim import world as world_mod
+from gdpsim.anomaly import StreamBaseline
 from gdpsim.config import AdversarySpec, ScenarioConfig
 from gdpsim.errors import InvalidConfig
 from gdpsim.events import encode_event
@@ -452,6 +454,117 @@ def test_reputation_score_has_one_writer():
               "    world.scores[p] = 0.4\n")
     assert _score_writes(ast.parse(sample)) == [
         (3, "f"), (4, "f"), (5, "f"), (6, "f")]
+
+
+_STREAM_STATE = {"fed", "ring", "s1", "s2", "n_fractional", "cusum_pos",
+                 "cusum_neg"}
+
+
+def _stream_state_writes(tree):
+    """(line, enclosing function) of each store or delete of a
+    ``StreamBaseline`` state attribute, augmented or unpacked, of each
+    ``setattr``/``delattr`` naming one, and of each method call on a
+    ``.ring``."""
+    found = []
+
+    def stored(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(stored(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return stored(target.value)
+        return (isinstance(target, ast.Attribute)
+                and target.attr in _STREAM_STATE)
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(stored(t) for t in targets):
+            found.append((node.lineno, func))
+        if isinstance(node, ast.Call):
+            call = node.func
+            if (isinstance(call, ast.Name)
+                    and call.id in ("setattr", "delattr")
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value in _STREAM_STATE):
+                found.append((node.lineno, func))
+            if (isinstance(call, ast.Attribute)
+                    and isinstance(call.value, ast.Attribute)
+                    and call.value.attr == "ring"):
+                found.append((node.lineno, func))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_stream_state_has_one_owner():
+    """Only ``anomaly.py`` writes a ``StreamBaseline``'s window, sums and
+    CUSUMs: a write elsewhere would put a stream out of step with the wake
+    schedule that its ring and sums set."""
+    package = Path(gdpsim.__file__).parent
+    bypasses = []
+    for path in sorted(package.glob("*.py")):
+        if path.name != "anomaly.py":
+            for line, func in _stream_state_writes(ast.parse(path.read_text())):
+                bypasses.append(f"{path.name}:{line} in {func}")
+    assert bypasses == []
+    sample = ("def f(stream, b):\n"
+              "    b.cusum_pos = 0.0\n"
+              "    b.s1 += 3\n"
+              "    a, stream.baseline.fed = 1, 2\n"
+              "    setattr(b, 'n_fractional', 0)\n"
+              "    b.ring.append((0, 1.0))\n"
+              "    del b.s2\n"
+              "    n = b.fed + len(b.ring)\n"
+              "    b.push_zeros(n)\n")
+    assert _stream_state_writes(ast.parse(sample)) == [
+        (2, "f"), (3, "f"), (4, "f"), (5, "f"), (6, "f"), (7, "f")]
+
+
+def test_txrate_feeds_follow_txns_not_devices(monkeypatch):
+    """Once the windows have filled, a tick feeds no more txrate streams
+    than it has non-zero samples and due wakes, and doubling the quiet
+    colluders leaves the fed total well under double: the phase's work follows
+    the txns, not the active devices."""
+    real_feed, real_phase = StreamBaseline.feed, world_mod._per_tick_streams
+    fed = [0]
+
+    def counting_feed(self, *args):
+        fed[0] += self.stream_id.startswith("txrate:")
+        return real_feed(self, *args)
+
+    def counted_phase(world):
+        position = world.active_view().position
+        samples = sum(1 for p in world._txn_counts_this_tick if p in position)
+        wakes = sum(1 for s in world.txrate_streams.values()
+                    if s.wake == world.stream_phases + 1)
+        before = fed[0]
+        real_phase(world)
+        ticks.append((world.tick, fed[0] - before, samples + wakes))
+
+    monkeypatch.setattr(StreamBaseline, "feed", counting_feed)
+    monkeypatch.setattr(world_mod, "_per_tick_streams", counted_phase)
+    totals = {}
+    for colluders in (700, 1400):
+        cfg = population_cfg(duration_ticks=130, drain_ticks=10)
+        cfg.adversaries[0].count = colluders
+        world = build_world(cfg)
+        ticks = []
+        for _ in range(cfg.duration_ticks):
+            step(world)
+        filled = [(tick, n, bound) for tick, n, bound in ticks
+                  if tick > cfg.anomaly.window]
+        assert filled and all(n <= bound for _, n, bound in filled)
+        totals[colluders] = sum(n for _, n, _ in filled)
+    # fed per sample, the 1400-colluder run would feed 1400 streams a tick
+    assert totals[1400] < 1.5 * totals[700] < 1.5 * 2 * 700
 
 
 _HOLD_OWNERS = {"quarantines": "anomaly.py", "ban_until": "incentives.py",
