@@ -93,14 +93,21 @@ def cmd_scenarios(args) -> int:
 
 
 def _flatten(obj, prefix=""):
-    if isinstance(obj, dict):
+    """(path, leaf) pairs; an empty dict or list is a leaf of its own."""
+    if isinstance(obj, dict) and obj:
         for k in sorted(obj):
             yield from _flatten(obj[k], f"{prefix}.{k}" if prefix else str(k))
-    elif isinstance(obj, list):
+    elif isinstance(obj, list) and obj:
         for i, item in enumerate(obj):
             yield from _flatten(item, f"{prefix}[{i}]")
     else:
         yield prefix, obj
+
+
+def _leaves(report) -> dict:
+    """Each leaf as its JSON text, which carries its type: 1, 1.0 and true
+    differ, and NaN equals NaN."""
+    return {path: json.dumps(leaf) for path, leaf in _flatten(report)}
 
 
 def cmd_diff(args) -> int:
@@ -110,8 +117,7 @@ def cmd_diff(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"unreadable report: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    fa = dict(_flatten(a))
-    fb = dict(_flatten(b))
+    fa, fb = _leaves(a), _leaves(b)
     changed = []
     for key in sorted(set(fa) | set(fb)):
         va, vb = fa.get(key, "<missing>"), fb.get(key, "<missing>")

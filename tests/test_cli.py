@@ -96,6 +96,31 @@ def test_diff_unreadable_input(tmp_path):
                  str(tmp_path / "missing2.json")]) == 1
 
 
+def _diff(tmp_path, a, b) -> int:
+    path_a, path_b = tmp_path / "a.json", tmp_path / "b.json"
+    path_a.write_text(json.dumps(a))
+    path_b.write_text(json.dumps(b))
+    return main(["diff", str(path_a), str(path_b)])
+
+
+def test_diff_sees_an_empty_container_one_side_lacks(tmp_path, capsys):
+    assert _diff(tmp_path, {"a": {}, "b": 1}, {"b": 1}) == 1
+    assert "a: {} != <missing>" in capsys.readouterr().out
+    assert _diff(tmp_path, {"a": [], "b": 1}, {"a": {}, "b": 1}) == 1
+    assert _diff(tmp_path, {"a": {"c": []}}, {"a": {"c": []}}) == 0
+
+
+def test_diff_compares_types_as_well_as_values(tmp_path, capsys):
+    assert _diff(tmp_path, {"a": 1}, {"a": True}) == 1
+    assert "a: 1 != true" in capsys.readouterr().out
+    assert _diff(tmp_path, {"a": [0, 1.0]}, {"a": [False, 1]}) == 1
+    out = capsys.readouterr().out
+    assert "a[0]: 0 != false" in out and "a[1]: 1.0 != 1" in out
+    assert _diff(tmp_path, {"a": "1"}, {"a": 1}) == 1
+    assert _diff(tmp_path, {"a": "<missing>"}, {}) == 1
+    assert _diff(tmp_path, {"a": float("nan")}, {"a": float("nan")}) == 0
+
+
 def test_seed_override_equals_config_edit(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     cfg_a = small_baseline(tmp_path)

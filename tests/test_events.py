@@ -1,13 +1,20 @@
-"""Output encoding: the shared event line encoder and the one-scan exporter
-against ``json.dumps`` and the per-file writers they replaced."""
+"""Output encoding: the shared event line encoder, the one-scan exporter and
+the CSV lines it builds against ``json.dumps`` and ``csv.writer``."""
 
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from gdpsim.events import (CSV_TABLES, Event, EventLog, encode_event,
-                           write_events_jsonl, write_log)
+                           write_events_jsonl, write_ledger_csv, write_log)
+from gdpsim.scenarios import get_scenario
+from gdpsim.world import run_world
 
 # --- reference writers: one scan and one json.dumps per file and row -------
 
@@ -39,38 +46,48 @@ def _reference_csv(path, header, rows):
             w.writerow(row)
 
 
+# file, header, kinds and the row csv.writer is given for one event
+REFERENCE_TABLES = (
+    ("transactions.csv", ["tick", "txn_id", "event", "actor", "detail"],
+     REFERENCE_TXN_KINDS,
+     lambda ev: [ev.tick, ev.subject, ev.kind, ev.actor,
+                 _stable_detail(ev.detail)]),
+    ("alerts.csv", ["tick", "stream", "subject", "kind", "z_score", "value"],
+     ("alert",),
+     lambda ev: [ev.tick, ev.detail["stream"], ev.subject,
+                 ev.detail["alert_kind"], ev.detail["z_score"],
+                 ev.detail["value"]]),
+    ("incentives.csv", ["tick", "subject", "kind", "delta", "cause_ref"],
+     ("incentive",),
+     lambda ev: [ev.tick, ev.subject, ev.detail["incentive_kind"],
+                 ev.detail["delta"], ev.detail["cause"]]),
+    ("disputes.csv", ["tick", "dispute_id", "stage", "detail"],
+     ("dispute_opened", "dispute_stage", "verdict", "appeal"),
+     lambda ev: [ev.tick, ev.subject, ev.detail.get("stage", ev.kind),
+                 _stable_detail(ev.detail)]),
+    ("inspections.csv",
+     ["tick", "target_kind", "target", "passed", "evidence_refs"],
+     ("inspection",),
+     lambda ev: [ev.tick, ev.detail["target_kind"], ev.subject,
+                 ev.detail["passed"],
+                 ";".join(str(r) for r in ev.detail.get("evidence", []))]),
+)
+
+
 def _reference_outputs(log, out_dir):
     out_dir.mkdir()
     _reference_events_jsonl(log, out_dir / "events.jsonl")
-    _reference_csv(out_dir / "transactions.csv",
-                   ["tick", "txn_id", "event", "actor", "detail"],
-                   ([ev.tick, ev.subject, ev.kind, ev.actor,
-                     _stable_detail(ev.detail)]
-                    for ev in log if ev.kind in REFERENCE_TXN_KINDS))
-    _reference_csv(out_dir / "alerts.csv",
-                   ["tick", "stream", "subject", "kind", "z_score", "value"],
-                   ([ev.tick, ev.detail["stream"], ev.subject,
-                     ev.detail["alert_kind"], ev.detail["z_score"],
-                     ev.detail["value"]]
-                    for ev in log if ev.kind == "alert"))
-    _reference_csv(out_dir / "incentives.csv",
-                   ["tick", "subject", "kind", "delta", "cause_ref"],
-                   ([ev.tick, ev.subject, ev.detail["incentive_kind"],
-                     ev.detail["delta"], ev.detail["cause"]]
-                    for ev in log if ev.kind == "incentive"))
-    _reference_csv(out_dir / "disputes.csv",
-                   ["tick", "dispute_id", "stage", "detail"],
-                   ([ev.tick, ev.subject, ev.detail.get("stage", ev.kind),
-                     _stable_detail(ev.detail)]
-                    for ev in log if ev.kind in ("dispute_opened",
-                                                 "dispute_stage", "verdict",
-                                                 "appeal")))
-    _reference_csv(out_dir / "inspections.csv",
-                   ["tick", "target_kind", "target", "passed", "evidence_refs"],
-                   ([ev.tick, ev.detail["target_kind"], ev.subject,
-                     ev.detail["passed"],
-                     ";".join(str(r) for r in ev.detail.get("evidence", []))]
-                    for ev in log if ev.kind == "inspection"))
+    for name, header, kinds, row in REFERENCE_TABLES:
+        _reference_csv(out_dir / name, header,
+                       (row(ev) for ev in log if ev.kind in kinds))
+
+
+def _reference_ledger(blocks, path):
+    _reference_csv(path, ["height", "parent_hex", "block_digest_hex",
+                          "proposer", "txn_count", "accept_weight"],
+                   ([b.height, b.parent.hex(), b.block_digest.hex(),
+                     b.proposer.hex(), len(b.txn_ids),
+                     f"{b.accept_weight:.12g}"] for b in blocks))
 
 
 # --- the line encoder equals json.dumps of the whole record -----------------
@@ -139,23 +156,117 @@ def _mixed_log() -> EventLog:
     return log
 
 
+def _assert_same_files(reference_dir, written_dir):
+    names = sorted(p.name for p in reference_dir.iterdir())
+    assert names == sorted(p.name for p in written_dir.iterdir())
+    for name in names:
+        assert (written_dir / name).read_bytes() == \
+            (reference_dir / name).read_bytes(), name
+
+
 def test_write_log_reproduces_the_per_file_writers(tmp_path):
     log = _mixed_log()
     _reference_outputs(log, tmp_path / "reference")
     (tmp_path / "one_scan").mkdir()
     write_log(log, tmp_path / "one_scan")
-    names = sorted(p.name for p in (tmp_path / "reference").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "one_scan").iterdir())
-    for name in names:
-        reference = (tmp_path / "reference" / name).read_bytes()
-        assert reference.count(b"\n") > 1, name
-        assert (tmp_path / "one_scan" / name).read_bytes() == reference, name
+    _assert_same_files(tmp_path / "reference", tmp_path / "one_scan")
+    for path in (tmp_path / "reference").iterdir():
+        assert path.read_bytes().count(b"\n") > 1, path.name
     write_events_jsonl(log, tmp_path / "thin.jsonl")
     assert (tmp_path / "thin.jsonl").read_bytes() == \
         (tmp_path / "reference" / "events.jsonl").read_bytes()
+
+
+# what each built-in brings that the mixed log lacks: sybil_flood logs over a
+# thousand distinct actors, lazy_witnesses thousands of incentives, and
+# equivocation opens disputes that reach verdicts (lazy_witnesses opens none)
+REAL_LOGS = {
+    "sybil_flood": lambda log: len({ev.actor for ev in log}) > 1000,
+    "lazy_witnesses": lambda log: sum(ev.kind == "incentive"
+                                      for ev in log) > 1000,
+    "equivocation": lambda log: any(ev.kind == "verdict" for ev in log),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_LOGS))
+def test_real_logs_match_the_reference_writers(tmp_path, name):
+    """Every output of a built-in against csv.writer and json.dumps, so the
+    formatter is checked even if the pinned file hashes are re-recorded."""
+    world = run_world(get_scenario(name))
+    assert REAL_LOGS[name](world.log)
+    blocks = world.canonical.blocks[1:]
+    _reference_outputs(world.log, tmp_path / "reference")
+    _reference_ledger(blocks, tmp_path / "reference" / "ledger.csv")
+    (tmp_path / "written").mkdir()
+    write_log(world.log, tmp_path / "written")
+    write_ledger_csv(blocks, tmp_path / "written" / "ledger.csv")
+    _assert_same_files(tmp_path / "reference", tmp_path / "written")
 
 
 def test_no_kind_is_routed_to_two_tables():
     kinds = [kind for _, _, table_kinds, _ in CSV_TABLES for kind in table_kinds]
     assert len(kinds) == len(set(kinds))
     assert len({name for name, *_ in CSV_TABLES}) == len(CSV_TABLES)
+
+
+# --- every built line equals csv.writer's row -------------------------------
+
+def _csv_line(row) -> str:
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerow(row)
+    return buf.getvalue()
+
+
+csv_text = st.one_of(st.just(""), st.text(alphabet=',"\r\n ;éa', max_size=8))
+csv_floats = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), -0.0,
+                     5e-324, -2.5e-310]))
+csv_cells = st.one_of(
+    csv_text, csv_floats,
+    st.integers(min_value=-2**80, max_value=2**80),
+    st.sampled_from([2**64, 2**64 + 1, -(2**64) - 1, 2**100]),
+    st.booleans(), st.none())
+row_details = st.fixed_dictionaries(
+    {key: csv_cells for key in ("stream", "alert_kind", "z_score", "value",
+                                "incentive_kind", "delta", "cause",
+                                "target_kind", "passed")},
+    optional={"stage": csv_cells, "evidence": st.lists(csv_cells, max_size=3)})
+
+
+@given(st.integers(min_value=0, max_value=2**80), csv_text, csv_text,
+       csv_text, row_details)
+@settings(max_examples=300, deadline=None)
+def test_every_table_row_matches_csv_writer(tick, kind, actor, subject,
+                                            detail):
+    assert [table[0] for table in CSV_TABLES] == \
+        [table[0] for table in REFERENCE_TABLES]
+    for ev in (Event(tick, kind, actor, subject, detail),
+               Event(tick, kind, actor, subject, {})):
+        detail_json = _stable_detail(ev.detail)
+        for (name, header, _, row), (_, ref_header, _, reference) in zip(
+                CSV_TABLES, REFERENCE_TABLES):
+            assert list(header) == ref_header, name
+            try:
+                expected = _csv_line(reference(ev))
+            except KeyError:  # a table whose row reads a key {} lacks
+                continue
+            assert row(ev, detail_json) == expected, name
+
+
+ledger_blocks = st.builds(
+    SimpleNamespace,
+    height=st.integers(min_value=0, max_value=2**80),
+    parent=st.binary(max_size=8), block_digest=st.binary(max_size=8),
+    proposer=st.binary(max_size=8), txn_ids=st.lists(st.none(), max_size=3),
+    accept_weight=csv_floats)
+
+
+@given(st.lists(ledger_blocks, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_ledger_rows_match_csv_writer(blocks):
+    with tempfile.TemporaryDirectory() as tmp:
+        written, reference = Path(tmp, "written.csv"), Path(tmp, "ref.csv")
+        write_ledger_csv(blocks, written)
+        _reference_ledger(blocks, reference)
+        assert written.read_bytes() == reference.read_bytes()
