@@ -7,6 +7,14 @@ panels are fully disjoint from the original panel. Closing a dispute
 dispatches its remedies exactly once and queues the verdict for inclusion in
 the next ledger block. ``advance`` runs a dispute's current stage; the world
 drives every dispute through it alone.
+
+No draw visits every active device. The mediator is an expert in the
+claim's category (``world.experts``) while a conflict-free one has a
+positive score. Otherwise it is one descent of the world's witness-weight
+tree with the parties' operator groups taken out: O((excluded + 1) log N),
+without the active view. Panels are drawn from the devices onboarded as
+arbitrators (``world.arbitrators``). Only community review reads every
+active device, because each one votes.
 """
 
 from __future__ import annotations
@@ -75,21 +83,54 @@ class Dispute:
     remedies_dispatched: bool = False
 
 
-def _conflict_free(world, dispute: Dispute, extra_excluded=frozenset()):
+def _party_groups(world, dispute: Dispute) -> set:
+    return {world.devices[p].operator_group
+            for p in dispute.parties if p in world.devices}
+
+
+def _conflict_free(world, dispute: Dispute, extra_excluded=frozenset(),
+                   among=None):
     """Active devices that are not parties, share no party's operator group,
-    and are not otherwise excluded."""
-    party_set = set(dispute.parties)
-    party_groups = {world.devices[p].operator_group
-                    for p in dispute.parties if p in world.devices}
-    view = world.active_view()
-    return [pub for pub, group in zip(view.active, view.groups)
-            if group not in party_groups and pub not in party_set
-            and pub not in extra_excluded]
+    and are not otherwise excluded: all of them in device order, or those of
+    ``among`` in its order."""
+    excluded = {*dispute.parties, *extra_excluded}
+    party_groups = _party_groups(world, dispute)
+    if among is None:
+        view = world.active_view()
+        pairs = zip(view.active, view.groups)
+    else:
+        devices = world.devices
+        pairs = ((pub, profile.operator_group) for pub in among
+                 if (profile := devices[pub]).status is DeviceStatus.ACTIVE)
+    return [pub for pub, group in pairs
+            if group not in party_groups and pub not in excluded]
 
 
 def _weighted_draw(world, rng, pool: list, k: int) -> list:
     weights = [world.reputation_accounts[p].score for p in pool]
     return sample_without_replacement(rng, pool, weights, k)
+
+
+def _draw_mediator(world, dispute: Dispute, rng) -> Optional[bytes]:
+    """A reputation-weighted conflict-free mediator: an expert in the
+    claim's category while one has a positive score, else any active
+    device; None when no candidate has a positive score.
+
+    The experts come from ``world.experts``. The general draw is one descent
+    of the world's witness-weight tree with the parties' operator groups
+    (``world.group_members``) taken out, which picks what a draw over
+    ``_conflict_free`` would; it reads neither the active view nor any
+    device outside those groups.
+    """
+    experts = _conflict_free(world, dispute, among=world.experts.get(
+        dispute.claim.get("category", ""), ()))
+    if any(world.reputation_accounts[p].score > 0 for p in experts):
+        return _weighted_draw(world, rng, experts, 1)[0]
+    # a party is in its own group; a member that is not active weighs 0
+    masked = [pub for group in _party_groups(world, dispute)
+              for pub in world.group_members[group]]
+    picks = world.witness_weights().draw(rng, masked, 1)
+    return picks[0] if picks else None
 
 
 def can_be_party(world, pub) -> bool:
@@ -113,17 +154,11 @@ def open_dispute(world, parties: list, claim: dict) -> Dispute:
     dispute = Dispute(id=dispute_id, parties=list(parties), claim=claim,
                       stage=DisputeStage.MEDIATION, opened_tick=world.tick)
 
-    pool = _conflict_free(world, dispute)
-    category = claim.get("category", "")
-    experts = [p for p in pool if category in world.devices[p].expertise]
-    candidates = experts or pool
-    if candidates:
-        dispute.mediator = _weighted_draw(world, world.rng_arbitration,
-                                          candidates, 1)[0]
+    dispute.mediator = _draw_mediator(world, dispute, world.rng_arbitration)
     world.disputes[dispute_id] = dispute
     world.log.append(world.tick, "dispute_opened", subject=dispute_id,
                      parties=[p.hex() for p in parties],
-                     category=category,
+                     category=claim.get("category", ""),
                      mediator=dispute.mediator.hex() if dispute.mediator else "")
     return dispute
 
@@ -257,7 +292,8 @@ def _draw_panel(world, dispute: Dispute, rng, excluded=()) -> list:
     size = world.cfg.arbitration.panel_size
     min_rep = world.cfg.arbitration.arbitrator_min_reputation
     pool = [p for p in _conflict_free(world, dispute,
-                                      {dispute.mediator, *excluded})
+                                      {dispute.mediator, *excluded},
+                                      among=world.arbitrators)
             if world.devices[p].arbitrator
             and world.reputation_accounts[p].score >= min_rep]
     if len(pool) < size:

@@ -275,6 +275,12 @@ def finalize_device(world, session: OnboardingSession, stake_deposit: float,
         enrolled_secret=session.enrolled_secret,
     )
     world.devices[session.device] = profile
+    world.group_members.setdefault(profile.operator_group, []).append(
+        session.device)
+    for category in expertise:
+        world.experts.setdefault(category, []).append(session.device)
+    if arbitrator:
+        world.arbitrators.append(session.device)
     world.set_status(session.device, DeviceStatus.ACTIVE)  # enters the active view
     incentives.open_account(world, session.device, stake_deposit, world.tick,
                             world.cfg.onboarding.initial_reputation)

@@ -119,9 +119,9 @@ def select_witnesses(world, txn: DataTransaction, rng,
     ineligible positions, refuses an unseatable panel before any score is
     read (``scores_read`` False); less the zero-score positions too, it
     refuses one after reading them. Each seat is then one descent of the
-    world's witness-weight tree. The ineligible devices, each pick but the
-    last and the rest of any group at its cap are taken out of the tree for
-    the panel and put back after it.
+    world's witness-weight tree (``WitnessWeights.draw``), with the
+    ineligible devices, each pick but the last and the rest of any group at
+    its cap taken out of it for the panel.
     """
     cfg = world.cfg.panel
     k, diversity = cfg.k, cfg.diversity
@@ -142,37 +142,20 @@ def select_witnesses(world, txn: DataTransaction, rng,
             raise InsufficientWitnesses(
                 f"capacity {seats} under diversity cap, need k={k}")
 
-    tree, index, pubs = weights.tree, weights.index, weights.pubs
-    held = []  # (tree position, units) taken out for this panel
-
-    def take(i):
-        units = tree.values[i]
-        if units:
-            tree.add(i, -units)
-            held.append((i, units))
-
-    panel = []
     group_use: dict = {}
-    try:
-        for i in drop:
-            take(index[view.active[i]])
-        while True:
-            if not tree.total:
-                raise InsufficientWitnesses("pool exhausted under diversity cap")
-            i = tree.draw(rng)
-            pub = pubs[i]
-            panel.append(pub)
-            if len(panel) == k:
-                return panel
-            take(i)
-            group = view.groups[position[pub]]
-            used = group_use[group] = group_use.get(group, 0) + 1
-            if used >= diversity and view.group_counts[group] > used:
-                for member in view.members(group):
-                    take(index[member])
-    finally:
-        for i, units in held:
-            tree.add(i, units)
+
+    def capped(pub):
+        """The rest of ``pub``'s group once its picks reach the cap."""
+        group = view.groups[position[pub]]
+        used = group_use[group] = group_use.get(group, 0) + 1
+        if used >= diversity and view.group_counts[group] > used:
+            return view.members(group)
+        return ()
+
+    panel = weights.draw(rng, [view.active[i] for i in drop], k, capped)
+    if len(panel) < k:
+        raise InsufficientWitnesses("pool exhausted under diversity cap")
+    return panel
 
 
 def open_panel(world, txn: DataTransaction, rng, exclude=frozenset()) -> list:

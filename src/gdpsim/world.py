@@ -64,11 +64,15 @@ class ActiveView:
     """
 
     def __init__(self, devices: dict):
-        self.active = [p for p, prof in devices.items()
-                       if prof.status is DeviceStatus.ACTIVE]
-        self.position = {p: i for i, p in enumerate(self.active)}
-        self.groups = [devices[p].operator_group for p in self.active]
-        self.group_counts = Counter(self.groups)  # group -> active members
+        active, groups = [], []
+        for pub, profile in devices.items():
+            if profile.status is DeviceStatus.ACTIVE:
+                active.append(pub)
+                groups.append(profile.operator_group)
+        self.active = active
+        self.position = dict(zip(active, range(len(active))))
+        self.groups = groups
+        self.group_counts = Counter(groups)  # group -> active members
         self.senders: Optional[list] = None  # filled by World.sender_pool
         self._capacity = (None, 0)         # (diversity, capacity) memo
         self._members: Optional[dict] = None  # group -> active pubs
@@ -121,6 +125,49 @@ class WitnessWeights:
         self.tree.set(i, self._weight(world, pub))
         return True
 
+    def draw(self, rng, masked, k: int, after=None) -> list:
+        """Up to ``k`` distinct devices drawn by weight, with the devices in
+        ``masked`` taken out of the tree: each pick is one
+        ``FenwickWeights.draw``, and each pick but the last is taken out
+        too, with every device that ``after(pick)`` returns. Fewer than
+        ``k`` come back when no weight is left. Everything taken out is put
+        back before it returns, so the tree is as it was.
+
+        The picks are those of ``sample_without_replacement`` over the
+        active devices left, in device order: a draw reads only the exact
+        total and prefix sums, which the zero positions and the tree's
+        finer ``shift`` leave as they are.
+        """
+        tree, index, pubs = self.tree, self.index, self.pubs
+        held = []  # (tree position, units) taken out for this draw
+
+        def take(i):
+            units = tree.values[i]
+            if units:
+                tree.add(i, -units)
+                held.append((i, units))
+
+        picks = []
+        try:
+            for pub in masked:
+                take(index[pub])
+            while tree.total:
+                i = tree.draw(rng)
+                pick = pubs[i]
+                picks.append(pick)
+                if len(picks) == k:
+                    break
+                units = tree.values[i]  # a pick weighs more than 0
+                tree.add(i, -units)
+                held.append((i, units))
+                if after is not None:
+                    for pub in after(pick):
+                        take(index[pub])
+            return picks
+        finally:
+            for i, units in held:
+                tree.add(i, units)
+
 
 class TxrateStream:
     """One device's txrate stream and its place in the wake schedule.
@@ -163,6 +210,12 @@ class World:
 
         self.log = EventLog()
         self.devices: dict = {}            # pub -> DeviceProfile
+        # Onboarding fixes these, so ``finalize_device`` fills them, in
+        # device order and for every status; a draw re-reads status and the
+        # ``arbitrator`` flag.
+        self.experts: dict = {}            # category -> expert pubs
+        self.arbitrators: list = []        # pubs onboarded as arbitrators
+        self.group_members: dict = {}      # operator group -> member pubs
         self.sessions: dict = {}           # pub -> OnboardingSession
         self.actors: dict = {}             # pub -> DeviceActor
         self.transactions: dict = {}       # txn id -> DataTransaction

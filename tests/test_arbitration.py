@@ -1,6 +1,7 @@
 import pytest
 
 from gdpsim import arbitration, consensus
+from gdpsim import world as world_mod
 from gdpsim.arbitration import (
     DecidingBody,
     DisputeStage,
@@ -22,11 +23,11 @@ from gdpsim.errors import (
     WrongStage,
 )
 from gdpsim.onboarding import DeviceStatus
-from gdpsim.primitives import SeededRng
+from gdpsim.primitives import FenwickWeights, SeededRng
 from gdpsim.scenarios import get_scenario
 from gdpsim.world import build_world, step
 
-from conftest import mini_world
+from conftest import mini_world, population_cfg
 
 
 def arb_world(**overrides):
@@ -89,6 +90,50 @@ def test_mediator_conflict_free_across_seeds(accused=None):
         assert dispute.mediator != accused
         assert world.devices[dispute.mediator].operator_group != \
             world.devices[accused].operator_group
+
+
+def test_zero_score_candidates_fall_back_instead_of_raising():
+    """Experts with no positive score give way to the whole conflict-free
+    pool, and a pool with none gives no mediator; neither raises."""
+    world = build_world(get_scenario("baseline"))
+    accused = world.active_devices()[0]
+    experts = world.experts["attestation_conflict"]
+    for pub in experts:
+        world.set_score(pub, 0.0)
+    dispute = open_dispute(world, [accused], claim_for(world, accused))
+    assert dispute.mediator is not None
+    assert dispute.mediator not in experts
+    for pub in world.devices:
+        if pub != accused:
+            world.set_score(pub, 0.0)
+    dispute = open_dispute(world, [accused], claim_for(world, accused))
+    assert dispute.mediator is None
+    assert world.disputes[dispute.id] is dispute
+    assert world.log[len(world.log) - 1].detail["mediator"] == ""
+
+
+def test_pool_mediator_draw_builds_no_tree(monkeypatch):
+    """With the witness weights built, a mediator drawn from the whole
+    pool of a large world is a descent of the world's tree: opening the
+    dispute builds no ``FenwickWeights``, and no active view either, though
+    a status change has made the view stale."""
+    world = build_world(population_cfg(duration_ticks=1, drain_ticks=0))
+    assert len(world.devices) >= 500
+    world.witness_weights()
+    accused = world.active_devices()[-1]
+    claim = claim_for(world, accused)
+    claim["category"] = "tampering"
+    assert not world.experts.get("tampering")
+    world.set_status(world.active_devices()[0], DeviceStatus.QUARANTINED)
+    built = []
+    for cls in (FenwickWeights, world_mod.ActiveView):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
+            built.append(_name)
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    dispute = open_dispute(world, [accused], claim)
+    assert dispute.mediator not in (None, accused)
+    assert built == []
 
 
 def test_mediate_all_accept_closes(world, accused):

@@ -307,6 +307,89 @@ def test_active_view_never_goes_stale(changes):
             if p != party and world.devices[p].operator_group != party_group]
 
 
+_device_change = st.tuples(st.integers(min_value=0, max_value=10),
+                           st.one_of(st.sampled_from(list(DeviceStatus)),
+                                     scores))
+
+
+def _drawn_world(changes, fine):
+    """A mini world in three operator groups whose witness-weight tree was
+    built first and then took ``changes``; one score of ``fine`` made the
+    tree's unit finer before it was put back."""
+    world = mini_world(operator_groups=3)
+    devices = list(world.devices)
+    weights = world.witness_weights()
+    before = world.reputation_accounts[devices[-1]].score
+    world.set_score(devices[-1], fine)
+    world.set_score(devices[-1], before)
+    for index, change in changes:
+        pub = devices[index % len(devices)]
+        if isinstance(change, DeviceStatus):
+            world.set_status(pub, change)
+        else:
+            world.set_score(pub, change)
+    assert world.witness_weights() is weights
+    return world, devices
+
+
+def _tree_state(world):
+    tree = world.witness_weights().tree
+    return list(tree.values), tree.total, tree.shift
+
+
+@given(st.lists(_device_change, max_size=30),
+       st.lists(st.integers(min_value=0, max_value=10), min_size=1, max_size=3),
+       st.sampled_from(["anomaly", "tampering", "none"]),
+       st.sampled_from([2.0 ** -60, 5e-324]),
+       st.integers(min_value=0, max_value=2 ** 64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_mediator_draw_matches_a_draw_over_the_explicit_pool(
+        changes, party_indexes, category, fine, seed):
+    """The mediator is ``sample_without_replacement``'s pick over the
+    conflict-free experts while one has a positive score, else over the
+    whole conflict-free pool, else None: whatever the statuses and zero
+    scores, with parties sharing operator groups, and on a tree whose unit
+    an earlier score made finer. The draw leaves the tree as it was."""
+    world, devices = _drawn_world(changes, fine)
+    parties = [devices[i % len(devices)] for i in party_indexes]
+    dispute = SimpleNamespace(parties=parties, claim={"category": category})
+    pool = arbitration._conflict_free(world, dispute)
+    experts = [p for p in pool if category in world.devices[p].expertise]
+    want = None
+    for candidates in (experts, pool):
+        weights = [world.reputation_accounts[p].score for p in candidates]
+        if any(w > 0 for w in weights):
+            want = sample_without_replacement(SeededRng(seed), candidates,
+                                              weights, 1)[0]
+            break
+    before = _tree_state(world)
+    assert arbitration._draw_mediator(world, dispute, SeededRng(seed)) == want
+    assert _tree_state(world) == before
+
+
+@given(st.lists(_device_change, max_size=30),
+       st.sets(st.integers(min_value=0, max_value=10), max_size=4),
+       st.integers(min_value=1, max_value=12),
+       st.sampled_from([2.0 ** -60, 5e-324]),
+       st.integers(min_value=0, max_value=2 ** 64 - 1))
+@settings(max_examples=300, deadline=None)
+def test_masked_tree_draw_matches_sample_without_replacement(
+        changes, masked_indexes, k, fine, seed):
+    """``WitnessWeights.draw`` with some devices masked picks what
+    ``sample_without_replacement`` picks over the active devices left, and
+    stops, without raising, at the number of them with a positive score."""
+    world, devices = _drawn_world(changes, fine)
+    masked = [devices[i % len(devices)] for i in masked_indexes]
+    pool = [p for p in world.active_devices() if p not in masked]
+    weights = [world.reputation_accounts[p].score for p in pool]
+    want = sample_without_replacement(
+        SeededRng(seed), pool, weights,
+        min(k, sum(1 for w in weights if w > 0)))
+    before = _tree_state(world)
+    assert world.witness_weights().draw(SeededRng(seed), masked, k) == want
+    assert _tree_state(world) == before
+
+
 # --- the fused stream feed against the two detectors it replaced ---
 
 

@@ -21,7 +21,7 @@ from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 from gdpsim.transmission import TxnStatus
 from gdpsim.world import build_world, run_world, step
 
-from conftest import mini_cfg, population_cfg
+from conftest import mini_cfg, mini_world, population_cfg
 
 
 def test_build_onboards_all_honest():
@@ -401,9 +401,9 @@ def test_device_status_has_one_writer():
         "def f(p):\n    p.status = DeviceStatus.BANNED\n")) == [(2, "f")]
 
 
-def _score_writes(tree):
-    """(line, enclosing function) of each store to a ``.score`` attribute,
-    augmented or unpacked, and of each ``setattr(..., "score", ...)``."""
+def _attribute_writes(tree, attrs):
+    """(line, enclosing function) of each store to an attribute named in
+    ``attrs``, augmented or unpacked, and of each ``setattr`` naming one."""
     found = []
 
     def stored(target):
@@ -411,7 +411,7 @@ def _score_writes(tree):
             return any(stored(t) for t in target.elts)
         if isinstance(target, ast.Starred):
             return stored(target.value)
-        return isinstance(target, ast.Attribute) and target.attr == "score"
+        return isinstance(target, ast.Attribute) and target.attr in attrs
 
     def visit(node, func):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -426,7 +426,7 @@ def _score_writes(tree):
         if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "setattr" and len(node.args) >= 2
                 and isinstance(node.args[1], ast.Constant)
-                and node.args[1].value == "score"):
+                and node.args[1].value in attrs):
             found.append((node.lineno, func))
         for child in ast.iter_child_nodes(node):
             visit(child, func)
@@ -441,7 +441,8 @@ def test_reputation_score_has_one_writer():
     package = Path(gdpsim.__file__).parent
     bypasses = []
     for path in sorted(package.glob("*.py")):
-        for line, func in _score_writes(ast.parse(path.read_text())):
+        for line, func in _attribute_writes(ast.parse(path.read_text()),
+                                            {"score"}):
             if not (path.name == "world.py" and func == "set_score"):
                 bypasses.append(f"{path.name}:{line} in {func}")
     assert bypasses == []
@@ -452,8 +453,33 @@ def test_reputation_score_has_one_writer():
               "    a, rep.score = 1, 0.2\n"
               "    setattr(rep, 'score', 0.3)\n"
               "    world.scores[p] = 0.4\n")
-    assert _score_writes(ast.parse(sample)) == [
+    assert _attribute_writes(ast.parse(sample), {"score"}) == [
         (3, "f"), (4, "f"), (5, "f"), (6, "f")]
+
+
+def test_onboarding_fixes_what_the_draw_indexes_key_on():
+    """``onboarding.finalize_device`` files each device once under its
+    operator group, its expertise and its arbitrator role; the mediator and
+    panel draws trust those indexes. So no module writes a profile's
+    ``operator_group``, ``expertise`` or ``arbitrator`` after it is made
+    (a draw re-reads ``arbitrator``, but a device made one later would be
+    missing from ``world.arbitrators``)."""
+    package = Path(gdpsim.__file__).parent
+    fixed = {"operator_group", "expertise", "arbitrator"}
+    writes = [f"{path.name}:{line} in {func}"
+              for path in sorted(package.glob("*.py"))
+              for line, func in _attribute_writes(
+                  ast.parse(path.read_text()), fixed)]
+    assert writes == []
+    world = mini_world(operator_groups=3)
+    for group, members in world.group_members.items():
+        assert members == [p for p, prof in world.devices.items()
+                           if prof.operator_group == group]
+    for category, experts in world.experts.items():
+        assert experts == [p for p, prof in world.devices.items()
+                           if category in prof.expertise]
+    assert world.arbitrators == [p for p, prof in world.devices.items()
+                                 if prof.arbitrator]
 
 
 _STREAM_STATE = {"fed", "ring", "s1", "s2", "n_fractional", "cusum_pos",
