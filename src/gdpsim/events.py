@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
+from itertools import islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -84,7 +85,10 @@ class EventLog:
         return self._events[ref]
 
     def exists(self, ref) -> bool:
-        return isinstance(ref, int) and 0 <= ref < len(self._events)
+        """Whether ``ref`` is an int naming a logged event. A bool is
+        refused, although ``True == 1``: it names no event."""
+        return (isinstance(ref, int) and not isinstance(ref, bool)
+                and 0 <= ref < len(self._events))
 
     def refs_of(self, key: str) -> list[int]:
         """Ascending refs of the events whose subject or actor is ``key``.
@@ -125,24 +129,70 @@ class _Encoded(dict):
         return encoded
 
 
+def _jsonl_line(ev: Event, detail: str, strings: dict) -> str:
+    """The event's ``events.jsonl`` line around its detail JSON. ``strings``
+    is a write's memo of encoded actors, kinds and subjects (see
+    ``_Encoded``). A tick is an int, which formats as the encoder writes it."""
+    return (f'{{"actor":{strings[ev.actor]},"detail":{detail},'
+            f'"kind":{strings[ev.kind]},"subject":{strings[ev.subject]},'
+            f'"tick":{ev.tick}}}\n')
+
+
 def encode_event(ev: Event, strings: dict = None) -> tuple[str, str]:
     """The event's ``events.jsonl`` line, byte-equal to ``json.dumps`` of the
-    record with sorted keys, and the detail JSON inside it. ``strings`` is a
-    write's memo of encoded actors, kinds and subjects (see ``_Encoded``). A
-    tick is an int, which formats as the encoder writes it."""
+    record with sorted keys, and the detail JSON inside it: the one-event
+    reference for the batched writers."""
     if strings is None:
         strings = _Encoded()
     detail = _encode(ev.detail) if ev.detail else "{}"
-    return (f'{{"actor":{strings[ev.actor]},"detail":{detail},'
-            f'"kind":{strings[ev.kind]},"subject":{strings[ev.subject]},'
-            f'"tick":{ev.tick}}}\n'), detail
+    return _jsonl_line(ev, detail, strings), detail
+
+
+# The writers encode details a batch at a time: each ``_encode`` call builds
+# a new C encoder, which costs more than encoding a typical detail does.
+_BATCH = 512            # events per batch
+_BREAK = "\x1e"         # put between a batch's details (ASCII record separator)
+_SPLIT = "," + _encode(_BREAK) + ","
+
+
+def _encode_details(events: list) -> list[str]:
+    """The detail JSON of each event, equal to ``encode_event``'s, from one
+    ``_encode`` of a list of the non-empty details with ``_BREAK`` between
+    them.
+
+    The list's JSON is split back on ``_SPLIT``. Every split the encoder put
+    between two details is found, because ``_SPLIT`` holds no brace while a
+    detail's JSON starts with "{" and ends with "}", so no match straddles a
+    detail's edge. A match inside a detail (``_BREAK`` as a list item) only
+    adds pieces: then the count differs, and the batch takes one ``_encode``
+    per detail.
+    """
+    full = [ev.detail for ev in events if ev.detail]
+    if not full:
+        return ["{}"] * len(events)
+    items = [_BREAK] * (2 * len(full) - 1)
+    items[::2] = full
+    pieces = _encode(items)[1:-1].split(_SPLIT)
+    if len(pieces) != len(full):
+        pieces = [_encode(detail) for detail in full]
+    pieces = iter(pieces)
+    return [next(pieces) if ev.detail else "{}" for ev in events]
+
+
+def _encoded_batches(log):
+    """The log's events in batches of up to ``_BATCH``, each with its
+    events' detail JSON."""
+    events = iter(log)
+    while batch := list(islice(events, _BATCH)):
+        yield batch, _encode_details(batch)
 
 
 def write_events_jsonl(log: EventLog, path: Path) -> None:
     strings = _Encoded()
     with open(path, "w") as fh:
-        for ev in log:
-            fh.write(encode_event(ev, strings)[0])
+        for batch, details in _encoded_batches(log):
+            fh.write("".join([_jsonl_line(ev, detail, strings)
+                              for ev, detail in zip(batch, details)]))
 
 
 def read_events_jsonl(path: Path) -> list[Event]:
@@ -182,45 +232,76 @@ def _line(cells) -> str:
     return ",".join(map(_cell, cells)) + "\r\n"
 
 
+class _Cells(dict):
+    """Each str and int's ``_cell``, computed on first use. Ticks, subjects,
+    kinds and actors repeat across a log, so a write keeps one of these for
+    its own call. Its keys are only ever str or int: since ``1 == True`` and
+    ``0.0 == -0.0``, a bool or float key would hand its cell to an equal
+    value of another type. So the row builders look up only events whose
+    fields have the logged types, and format any other event afresh."""
+
+    def __missing__(self, value) -> str:
+        cell = self[value] = _cell(value)
+        return cell
+
+
+def _transaction_line(ev: Event, detail_json: str, cells: _Cells) -> str:
+    tick, subject, kind, actor = ev.tick, ev.subject, ev.kind, ev.actor
+    if (type(tick) is int and type(subject) is str and type(kind) is str
+            and type(actor) is str):
+        return (f"{cells[tick]},{cells[subject]},{cells[kind]},"
+                f"{cells[actor]},{_detail_cell(detail_json)}\r\n")
+    return (",".join(map(_cell, (tick, subject, kind, actor))) + ","
+            + _detail_cell(detail_json) + "\r\n")
+
+
+def _dispute_line(ev: Event, detail_json: str, cells: _Cells) -> str:
+    tick, subject = ev.tick, ev.subject
+    stage = _cell(ev.detail.get("stage", ev.kind))
+    if type(tick) is int and type(subject) is str:
+        tick, subject = cells[tick], cells[subject]
+    else:
+        tick, subject = _cell(tick), _cell(subject)
+    return f"{tick},{subject},{stage},{_detail_cell(detail_json)}\r\n"
+
+
 # file, header, the kinds it carries (no kind in two files) and the line built
-# from an event and its detail JSON
+# from an event, its detail JSON and the write's ``_Cells``
 
 CSV_TABLES = (
     ("transactions.csv", ("tick", "txn_id", "event", "actor", "detail"),
      ("txn_created", "panel_selected", "attestation_commit",
       "attestation_reveal", "commit_mismatch", "reveal_missing", "txn_status",
       "txn_escalated", "txn_committed", "witness_eval", "objection"),
-     lambda ev, dj: (f"{_cell(ev.tick)},{_cell(ev.subject)},"
-                     f"{_cell(ev.kind)},{_cell(ev.actor)},"
-                     f"{_detail_cell(dj)}\r\n")),
+     _transaction_line),
     ("alerts.csv", ("tick", "stream", "subject", "kind", "z_score", "value"),
      ("alert",),
-     lambda ev, dj: _line((ev.tick, ev.detail["stream"], ev.subject,
-                           ev.detail["alert_kind"], ev.detail["z_score"],
-                           ev.detail["value"]))),
+     lambda ev, dj, cells: _line((ev.tick, ev.detail["stream"], ev.subject,
+                                  ev.detail["alert_kind"],
+                                  ev.detail["z_score"], ev.detail["value"]))),
     ("incentives.csv", ("tick", "subject", "kind", "delta", "cause_ref"),
      ("incentive",),
-     lambda ev, dj: _line((ev.tick, ev.subject, ev.detail["incentive_kind"],
-                           ev.detail["delta"], ev.detail["cause"]))),
+     lambda ev, dj, cells: _line((ev.tick, ev.subject,
+                                  ev.detail["incentive_kind"],
+                                  ev.detail["delta"], ev.detail["cause"]))),
     ("disputes.csv", ("tick", "dispute_id", "stage", "detail"),
      ("dispute_opened", "dispute_stage", "verdict", "appeal"),
-     lambda ev, dj: (f"{_cell(ev.tick)},{_cell(ev.subject)},"
-                     f"{_cell(ev.detail.get('stage', ev.kind))},"
-                     f"{_detail_cell(dj)}\r\n")),
+     _dispute_line),
     ("inspections.csv",
      ("tick", "target_kind", "target", "passed", "evidence_refs"),
      ("inspection",),
-     lambda ev, dj: _line((ev.tick, ev.detail["target_kind"], ev.subject,
-                           ev.detail["passed"],
-                           ";".join(str(r) for r in
-                                    ev.detail.get("evidence", []))))),
+     lambda ev, dj, cells: _line((ev.tick, ev.detail["target_kind"],
+                                  ev.subject, ev.detail["passed"],
+                                  ";".join(str(r) for r in
+                                           ev.detail.get("evidence", []))))),
 )
 
 
 def write_log(log: EventLog, out_dir: Path) -> None:
     """Write ``events.jsonl`` and every CSV table in one scan of the log,
-    encoding each detail once and streaming each line to its file."""
-    strings = _Encoded()
+    encoding each detail once, writing each batch's ``events.jsonl`` lines
+    at once and streaming each CSV line to its file."""
+    strings, cells = _Encoded(), _Cells()
     with ExitStack() as stack:
         jsonl = stack.enter_context(open(out_dir / "events.jsonl", "w"))
         route = {}
@@ -228,13 +309,15 @@ def write_log(log: EventLog, out_dir: Path) -> None:
             fh = stack.enter_context(open(out_dir / name, "w", newline=""))
             fh.write(_line(header))
             route.update((kind, (fh.write, row)) for kind in kinds)
-        for ev in log:
-            line, detail = encode_event(ev, strings)
-            jsonl.write(line)
-            routed = route.get(ev.kind)
-            if routed is not None:
-                write, row = routed
-                write(row(ev, detail))
+        for batch, details in _encoded_batches(log):
+            lines = []
+            for ev, detail in zip(batch, details):
+                lines.append(_jsonl_line(ev, detail, strings))
+                routed = route.get(ev.kind)
+                if routed is not None:
+                    write, row = routed
+                    write(row(ev, detail, cells))
+            jsonl.write("".join(lines))
 
 
 def write_ledger_csv(blocks, path: Path) -> None:

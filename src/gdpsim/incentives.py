@@ -76,6 +76,7 @@ def open_account(world, owner: bytes, staked: float, tick: int,
                  initial_reputation: float) -> IncentiveEvent:
     """Escrow the onboarding stake deposit and start the reputation record."""
     world.stake_accounts[owner] = StakeAccount(owner=owner, staked=staked)
+    world.stake_version += 1
     world.reputation_accounts[owner] = ReputationAccount(
         owner=owner, onboarded_tick=tick)
     world.set_score(owner, initial_reputation)
@@ -154,6 +155,7 @@ def longevity_due(world, owner: bytes) -> float:
 def _forfeit(world, acct: StakeAccount, fraction: float, cause: str) -> IncentiveEvent:
     amount = acct.staked * fraction
     acct.staked -= amount
+    world.stake_version += 1
     world.treasury += amount
     return _emit(world, acct.owner, IncentiveKind.STAKE_FORFEIT, -amount, cause)
 

@@ -76,6 +76,8 @@ class ActiveView:
         self.senders: Optional[list] = None  # filled by World.sender_pool
         self._capacity = (None, 0)         # (diversity, capacity) memo
         self._members: Optional[dict] = None  # group -> active pubs
+        # (world.stake_version, total): consensus.active_stake_total
+        self.stake_total: Optional[tuple] = None
 
     def capacity(self, diversity: int) -> int:
         """Panel seats the active devices offer under the diversity cap."""
@@ -229,6 +231,8 @@ class World:
         self.canonical = consensus.Ledger()
         self.pending_block: Optional[PendingBlock] = None
         self.stake_accounts: dict = {}
+        # bumped by every stake write: incentives.open_account and _forfeit
+        self.stake_version = 0
         self.reputation_accounts: dict = {}
         self.treasury = 0.0
         self.bond_escrow = 0.0

@@ -71,6 +71,9 @@ def test_open_dispute_requires_real_events(world, accused):
         open_dispute(world, [accused], {"event_refs": []})
     with pytest.raises(EmptyClaim):
         open_dispute(world, [accused], {"event_refs": [10 ** 9]})
+    assert len(world.log) > 1  # so True == 1 would name a logged event
+    with pytest.raises(EmptyClaim):
+        open_dispute(world, [accused], {"event_refs": [True]})
 
 
 def test_open_dispute_unknown_party(world, accused):

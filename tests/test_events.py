@@ -7,10 +7,12 @@ import json
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from gdpsim import events
 from gdpsim.events import (CSV_TABLES, Event, EventLog, encode_event,
                            write_events_jsonl, write_ledger_csv, write_log)
 from gdpsim.scenarios import get_scenario
@@ -125,10 +127,84 @@ def test_event_line_matches_json_dumps(tick, kind, actor, subject, detail):
                                      separators=(",", ":"))
 
 
+B = events._BATCH
+batch_leaves = st.one_of(
+    json_leaves,
+    st.sampled_from([events._BREAK, "a" + events._BREAK, events._SPLIT,
+                     5e-324, -2.5e-310, -0.0, float("nan"), float("-inf")]),
+    st.integers(min_value=2**64, max_value=2**80))
+batch_details = st.one_of(
+    st.just({}),
+    st.dictionaries(
+        st.one_of(awkward_text, st.just(events._BREAK)),
+        st.recursive(batch_leaves,
+                     lambda inner: st.lists(inner, max_size=4)
+                     | st.dictionaries(awkward_text, inner, max_size=4),
+                     max_leaves=12),
+        max_size=4),
+    st.sampled_from([{"x": [0, events._BREAK, 1]},
+                     {"y": [[events._BREAK, {}], events._BREAK, "z"]}]))
+
+
+def _counting_encodes(calls: list):
+    """Patch the shared encoder to append the type of each value it is
+    given to ``calls``."""
+    encode = events._encode
+
+    def counting(value):
+        calls.append(type(value))
+        return encode(value)
+
+    return mock.patch.object(events, "_encode", counting)
+
+
+@given(st.lists(batch_details, min_size=1, max_size=12),
+       st.lists(st.integers(min_value=0, max_value=11), min_size=1,
+                max_size=12),
+       st.sampled_from([0, 1, B - 1, B, B + 1, 2 * B + 1]))
+@settings(max_examples=150, deadline=None)
+def test_batch_encoding_equals_one_encode_per_detail(pool, picks, length):
+    """Each batch's detail JSON equals ``_encode`` of each detail on its own
+    (``"{}"`` for an empty one), and a batch whose details hold the split
+    string in their JSON takes one ``_encode`` per detail instead."""
+    details = [pool[picks[i % len(picks)] % len(pool)] for i in range(length)]
+    log = [Event(tick, "k", "", "", detail)
+           for tick, detail in enumerate(details)]
+    calls = []
+    with _counting_encodes(calls):
+        batches = list(events._encoded_batches(log))
+    encode = events._encode
+    assert [len(batch) for batch, _ in batches] == \
+        [min(B, length - start) for start in range(0, length, B)]
+    assert [d for _, batch_details in batches for d in batch_details] == \
+        [encode(d) if d else "{}" for d in details]
+    lists = dicts = 0
+    for batch, _ in batches:
+        full = [encode(ev.detail) for ev in batch if ev.detail]
+        lists += bool(full)
+        if any(events._SPLIT in detail for detail in full):
+            dicts += len(full)
+    assert (calls.count(list), calls.count(dict)) == (lists, dicts)
+
+
+def test_a_log_with_no_break_encodes_its_details_a_batch_at_a_time(tmp_path):
+    log = EventLog()
+    for tick in range(2000):
+        log.append(tick, "txn_status", actor="a", subject=f"t{tick}",
+                   status="Witnessed", weight=tick / 7, votes=[tick, None])
+    calls = []
+    with _counting_encodes(calls):
+        write_log(log, tmp_path)
+    assert calls.count(list) <= -(-2000 // B)
+    assert calls.count(dict) == 0
+
+
 # --- the one-scan exporter equals the per-file writers ----------------------
 
-def _mixed_log() -> EventLog:
-    """Every routed kind with awkward field values, and kinds no CSV carries."""
+def _mixed_log(repeats: int = 2, breaking: bool = False) -> EventLog:
+    """Every routed kind with awkward field values, and kinds no CSV carries.
+    With ``breaking``, one detail holds the batch encoder's break string as
+    a list item, which sends its batch to the one-detail fallback."""
     details = {
         "alert": [{"stream": "txrate:ab", "alert_kind": "cusum",
                    "z_score": 5.25, "value": 3},
@@ -149,10 +225,13 @@ def _mixed_log() -> EventLog:
     kinds = [kind for _, _, table_kinds, _ in CSV_TABLES for kind in table_kinds]
     kinds += ["heartbeat", "block_committed", "key_compromised"]
     log = EventLog()
-    for tick, kind in enumerate(kinds * 2):
+    for tick, kind in enumerate(kinds * repeats):
         for detail in details.get(kind, [{"n": tick, "of": kind}]):
             log.append(tick, kind, actor=f"actor-{tick % 3}",
                        subject=f"s,{tick}é", **detail)
+        if breaking and tick == len(kinds):
+            log.append(tick, "verdict", votes=[1, events._BREAK, 0],
+                       note=events._BREAK)
     return log
 
 
@@ -165,7 +244,18 @@ def _assert_same_files(reference_dir, written_dir):
 
 
 def test_write_log_reproduces_the_per_file_writers(tmp_path):
-    log = _mixed_log()
+    _assert_write_log_reproduces(_mixed_log(), tmp_path)
+
+
+def test_a_detail_holding_the_break_string_is_written_the_same(tmp_path):
+    """The first batch takes the one-detail fallback; the log spans two
+    more batches that do not."""
+    log = _mixed_log(50, breaking=True)
+    assert len(log) > 2 * events._BATCH
+    _assert_write_log_reproduces(log, tmp_path)
+
+
+def _assert_write_log_reproduces(log, tmp_path):
     _reference_outputs(log, tmp_path / "reference")
     (tmp_path / "one_scan").mkdir()
     write_log(log, tmp_path / "one_scan")
@@ -251,7 +341,37 @@ def test_every_table_row_matches_csv_writer(tick, kind, actor, subject,
                 expected = _csv_line(reference(ev))
             except KeyError:  # a table whose row reads a key {} lacks
                 continue
-            assert row(ev, detail_json) == expected, name
+            assert row(ev, detail_json, events._Cells()) == expected, name
+
+
+# values equal across types (1 == True == 1.0, 0.0 == -0.0) and strings
+# that read like them
+memo_values = st.sampled_from([0, 1, 2**70, True, False, 0.0, -0.0, 1.0,
+                               None, "", "1", "True", "0.0", "a,b", 'q"'])
+memo_texts = st.one_of(st.sampled_from(["", "1", "True", "a,b"]), memo_values)
+_full_detail = {key: 0 for key in ("stream", "alert_kind", "z_score", "value",
+                                   "incentive_kind", "delta", "cause",
+                                   "target_kind", "passed")}
+
+
+@given(st.lists(st.tuples(memo_values, memo_texts, memo_texts, memo_texts,
+                          row_details),
+                min_size=1, max_size=12))
+@example([(1, "k", "a", "s", _full_detail),
+          (True, "k", "a", "s", _full_detail)])
+@example([(0.0, "k", "a", "s", _full_detail),
+          (-0.0, "k", "a", "s", dict(_full_detail, stage=-0.0))])
+@settings(max_examples=300, deadline=None)
+def test_a_shared_cell_memo_builds_what_fresh_memos_build(rows):
+    """A write shares one ``_Cells`` across its rows; each row must still
+    equal the row built with a memo of its own."""
+    shared = events._Cells()
+    for tick, kind, actor, subject, detail in rows:
+        ev = Event(tick, kind, actor, subject, detail)
+        detail_json = _stable_detail(detail)
+        for name, _, _, row in CSV_TABLES:
+            assert row(ev, detail_json, shared) == \
+                row(ev, detail_json, events._Cells()), name
 
 
 ledger_blocks = st.builds(

@@ -24,6 +24,7 @@ from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import (
     FenwickWeights,
     SeededRng,
+    float_sum,
     sample_without_replacement,
 )
 from gdpsim.transmission import aggregation_oracle
@@ -305,6 +306,40 @@ def test_active_view_never_goes_stale(changes):
             world, SimpleNamespace(parties=[party])) == [
             p for p in active
             if p != party and world.devices[p].operator_group != party_group]
+
+
+_stake_ops = st.one_of(
+    st.tuples(st.just("slash"), st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("status"), st.integers(min_value=0, max_value=30),
+              st.sampled_from(list(DeviceStatus))),
+    st.tuples(st.just("join"),
+              st.floats(min_value=0.0, max_value=1e3, allow_nan=False)))
+
+
+@given(st.lists(_stake_ops, min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_kept_stake_total_equals_a_fresh_sum(ops):
+    """``consensus.active_stake_total`` keeps its sum between calls; after
+    slashes, status flips and new accounts it is still the very float a
+    fresh ``float_sum`` over the active devices gives."""
+    world = mini_world(operator_groups=3)
+    for joined, op in enumerate(ops):
+        consensus.active_stake_total(world)  # a kept total, to go stale
+        devices = list(world.devices)
+        if op[0] == "slash":
+            incentives.apply_penalty(world, devices[op[1] % len(devices)],
+                                     Severity.MAJOR, "p")
+        elif op[0] == "status":
+            world.set_status(devices[op[1] % len(devices)], op[2])
+        else:
+            onboard(world, fresh_actor(9000 + joined),
+                    stake=world.cfg.onboarding.min_stake + op[1])
+        fresh = float_sum(world.stake_accounts[p].staked
+                          for p, prof in world.devices.items()
+                          if prof.status is DeviceStatus.ACTIVE)
+        kept = consensus.active_stake_total(world)
+        assert (kept, type(kept)) == (fresh, type(fresh))
+        assert consensus.active_stake_total(world) is kept
 
 
 _device_change = st.tuples(st.integers(min_value=0, max_value=10),

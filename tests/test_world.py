@@ -403,13 +403,14 @@ def test_device_status_has_one_writer():
 
 def _attribute_writes(tree, attrs):
     """(line, enclosing function) of each store to an attribute named in
-    ``attrs``, augmented or unpacked, and of each ``setattr`` naming one."""
+    ``attrs`` or to an item of one, augmented or unpacked, and of each
+    ``setattr`` naming one."""
     found = []
 
     def stored(target):
         if isinstance(target, (ast.Tuple, ast.List)):
             return any(stored(t) for t in target.elts)
-        if isinstance(target, ast.Starred):
+        if isinstance(target, (ast.Starred, ast.Subscript)):
             return stored(target.value)
         return isinstance(target, ast.Attribute) and target.attr in attrs
 
@@ -455,6 +456,38 @@ def test_reputation_score_has_one_writer():
               "    world.scores[p] = 0.4\n")
     assert _attribute_writes(ast.parse(sample), {"score"}) == [
         (3, "f"), (4, "f"), (5, "f"), (6, "f")]
+
+
+def test_stake_writes_bump_the_stake_version():
+    """``consensus.active_stake_total`` keeps its sum until the active view
+    or ``world.stake_version`` changes. So the one store to ``staked``
+    (``incentives._forfeit``, the slash) and the one store into
+    ``stake_accounts`` (``incentives.open_account``) each bump the version;
+    the world's constructor makes both. The replay in ``metrics.py`` folds
+    the log into a ``staked`` map of its own, which is not world stake."""
+    package = Path(gdpsim.__file__).parent
+    writers, bumps = set(), set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writers |= {(path.name, func) for _, func in _attribute_writes(
+            tree, {"staked", "stake_accounts"})}
+        bumps |= {(path.name, func) for _, func in _attribute_writes(
+            tree, {"stake_version"})}
+    replay = {("metrics.py", "__init__"), ("metrics.py", "replay_events")}
+    assert writers - replay == {("incentives.py", "_forfeit"),
+                                ("incentives.py", "open_account"),
+                                ("world.py", "__init__")}
+    writers -= replay
+    assert writers <= bumps
+    sample = ("def f(world, p):\n"
+              "    acct = world.stake_accounts[p]\n"
+              "    acct.staked -= 1.0\n"
+              "    world.stake_accounts[p] = acct\n"
+              "    a, acct.staked = 1, 0.2\n"
+              "    setattr(acct, 'staked', 0.3)\n"
+              "    acct.liquid += 1.0\n")
+    assert _attribute_writes(ast.parse(sample), {"staked", "stake_accounts"}) \
+        == [(3, "f"), (4, "f"), (5, "f"), (6, "f")]
 
 
 def test_onboarding_fixes_what_the_draw_indexes_key_on():
