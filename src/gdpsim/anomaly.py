@@ -104,43 +104,50 @@ class StreamBaseline:
         Returns ``(changepoint, point)`` alerts, each None when quiet. Both
         residuals are taken against the window as it stood before the
         sample entered; the first ``window`` samples build it silently.
-
-        The changepoint test is a two-sided CUSUM over standardized
-        residuals that resets after an alarm. The point test compares
-        ``|z|`` with the calibrated cut; a zero-std window treats any
-        deviation as infinitely anomalous.
         """
         cp = po = None
-        n = self.window
-        if self.fed >= n:
-            # ``stats`` and ``std`` inline: this runs per device and tick
-            if self.n_fractional == 0:
-                s1 = self.s1
-                mean = s1 / n
-                var = (n * self.s2 - s1 * s1) / n / (n - 1)
-            else:
-                mean, m2 = self.stats()
-                var = m2 / (n - 1)
-            std = math.sqrt(var) if var > 0 else 0.0
-            z = 0.0 if std == 0.0 else (sample - mean) / std
-            self.cusum_pos = max(0.0, self.cusum_pos + z - drift)
-            self.cusum_neg = max(0.0, self.cusum_neg - z - drift)
-            if self.cusum_pos > limit or self.cusum_neg > limit:
-                stat = max(self.cusum_pos, self.cusum_neg)
-                self.cusum_pos = 0.0
-                self.cusum_neg = 0.0
-                cp = AnomalyAlert(self.stream_id, tick, sample,
-                                  stat if z >= 0 else -stat,
+        if self.fed >= self.window:
+            changepoint, self.cusum_pos, self.cusum_neg, point = self._judge(
+                sample, z_threshold, drift, limit, self.cusum_pos,
+                self.cusum_neg)
+            if changepoint is not None:
+                cp = AnomalyAlert(self.stream_id, tick, sample, changepoint,
                                   AlertKind.CHANGEPOINT, subject)
-            if std == 0.0:
-                if sample != mean:
-                    po = AnomalyAlert(self.stream_id, tick, sample, math.inf,
-                                      AlertKind.POINT_OUTLIER, subject)
-            elif abs(z) > calibrated_cut(z_threshold, n):
-                po = AnomalyAlert(self.stream_id, tick, sample, z,
+            if point is not None:
+                po = AnomalyAlert(self.stream_id, tick, sample, point,
                                   AlertKind.POINT_OUTLIER, subject)
         self.push(sample)
         return cp, po
+
+    def _judge(self, sample: float, z_threshold: float, drift: float,
+               limit: float, pos: float, neg: float) -> tuple:
+        """``(changepoint, pos, neg, point)`` for ``sample`` against the full
+        window from CUSUMs ``pos`` and ``neg``, changing no state: each
+        alert's z-score or None, and the CUSUMs after the sample.
+
+        The changepoint test is a two-sided CUSUM over standardized
+        residuals; an alarm scores the larger CUSUM, signed by the residual,
+        and resets both. The point test compares ``|z|`` with the calibrated
+        cut; a zero-std window treats any deviation as infinitely anomalous.
+        """
+        n = self.window
+        mean, m2 = self._moments(n)
+        var = m2 / (n - 1)
+        std = math.sqrt(var) if var > 0 else 0.0
+        z = 0.0 if std == 0.0 else (sample - mean) / std
+        pos = max(0.0, pos + z - drift)
+        neg = max(0.0, neg - z - drift)
+        changepoint = point = None
+        if pos > limit or neg > limit:
+            stat = max(pos, neg)
+            changepoint = stat if z >= 0 else -stat
+            pos = neg = 0.0
+        if std == 0.0:
+            if sample != mean:
+                point = math.inf
+        elif abs(z) > calibrated_cut(z_threshold, n):
+            point = z
+        return changepoint, pos, neg, point
 
     def quiet_span(self, z_threshold: float = 3.0, drift: float = 0.5,
                    limit: float = 5.0) -> float:
@@ -149,35 +156,29 @@ class StreamBaseline:
 
         The stream is quiet when its window is integral, both CUSUMs are 0,
         and a 0 fed into the full window would raise no alert and leave
-        both CUSUMs at 0: ``feed``'s own float operations on ``s1``, ``s2``
-        and the window length. Zeros then change nothing but the ring until
-        one evicts a non-zero sample (the sums change), which is due through
-        ``feed``. A 0 into a warming window runs no detector and leaves the
-        sums as they are, so the window that zeros would fill is judged
-        now: if it is not quiet, the zero that fills it is due. 0 when the
-        full window is not quiet; inf when no zero can wake the stream.
+        both CUSUMs at 0, as ``_judge`` finds for ``feed``. Zeros then
+        change nothing but the ring until one evicts a non-zero sample (the
+        sums change), which is due through ``feed``. A 0 into a warming
+        window runs no detector and leaves the sums as they are, so the
+        window that zeros would fill is judged now: if it is not quiet, the
+        zero that fills it is due. 0 when the full window is not quiet; inf
+        when no zero can wake the stream.
         """
         if self.n_fractional or self.cusum_pos or self.cusum_neg:
             return 0
-        n = self.window
-        fed = self.fed
-        s1 = self.s1
-        mean = s1 / n
-        var = (n * self.s2 - s1 * s1) / n / (n - 1)
-        std = math.sqrt(var) if var > 0 else 0.0
-        z = 0.0 if std == 0.0 else (0.0 - mean) / std
-        pos = max(0.0, 0.0 + z - drift)
-        neg = max(0.0, 0.0 - z - drift)
-        if pos > limit or neg > limit or pos or neg or (
-                0.0 != mean if std == 0.0
-                else abs(z) > calibrated_cut(z_threshold, n)):
+        n, fed, ring = self.window, self.fed, self.ring
+        quiet = (None, 0.0, 0.0, None)
+        if self._judge(0.0, z_threshold, drift, limit, 0.0, 0.0) != quiet:
             return max(0, n - 1 - fed)
-        ring = self.ring
         return ring[0][0] + n - fed if ring else math.inf
 
     def stats(self) -> tuple:
         """``(mean, sum of squared deviations)`` of a non-empty window."""
-        n = min(self.fed, self.window)
+        return self._moments(min(self.fed, self.window))
+
+    def _moments(self, n: int) -> tuple:
+        """``stats`` of the last ``n`` samples, counting as zeros those that
+        a window not yet full lacks."""
         if self.n_fractional == 0:
             s1 = self.s1
             return s1 / n, (n * self.s2 - s1 * s1) / n

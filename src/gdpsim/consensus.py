@@ -164,12 +164,8 @@ def vote_weight(world, node: bytes, total_stake: float = None) -> float:
     return sw * stake_share + (1.0 - sw) * rep
 
 
-def active_nodes(world) -> list:
-    return world.active_devices()
-
-
 def current_proposer(world) -> Optional[bytes]:
-    nodes = active_nodes(world)
+    nodes = world.active_devices()
     if not nodes:
         return None
     return nodes[world.round_no % len(nodes)]
@@ -205,7 +201,7 @@ def mempool_order(world, ids) -> list:
     return sorted(ids, key=key)
 
 
-def propose_block(world, node: bytes, rng=None) -> Proposal:
+def propose_block(world, node: bytes) -> Proposal:
     """Proposal phase: up to batch_cap witnessed transactions plus any
     pending arbitration verdict records, extending the node's head."""
     if node != current_proposer(world):
@@ -333,7 +329,7 @@ def commit_block(world, proposal: Proposal, votes: list,
         accept_weight=accept_weight, total_weight=total_weight,
         proposal_tick=proposal.tick)
 
-    recipients = active_nodes(world)
+    recipients = world.active_devices()
     world.canonical.append(block, world.transactions)
     for node in recipients:
         if world.heights[node] == height - 1:

@@ -129,26 +129,40 @@ class _Encoded(dict):
         return encoded
 
 
-def _jsonl_line(ev: Event, detail: str, strings: dict) -> str:
-    """The event's ``events.jsonl`` line around its detail JSON. ``strings``
-    is a write's memo of encoded actors, kinds and subjects (see
-    ``_Encoded``). A tick is an int, which formats as the encoder writes it."""
+def _logged_types(ev: Event) -> bool:
+    """Whether the tick is an ``int`` and the actor, kind and subject are
+    ``str`` (exact types). Only such an event goes through a write's memos
+    and ``_jsonl_line``: ``1 == True == 1.0`` would share a memo entry, and
+    a bool or float tick would break the template."""
+    return (type(ev.tick) is int
+            and type(ev.actor) is type(ev.kind) is type(ev.subject) is str)
+
+
+def _jsonl_line(ev: Event, detail: str, strings: _Encoded) -> str:
+    """The line of an event of the logged types around its detail JSON,
+    with ``strings`` a write's memo of encoded actors, kinds and subjects."""
     return (f'{{"actor":{strings[ev.actor]},"detail":{detail},'
             f'"kind":{strings[ev.kind]},"subject":{strings[ev.subject]},'
             f'"tick":{ev.tick}}}\n')
 
 
-def encode_event(ev: Event, strings: dict = None) -> tuple[str, str]:
+def _record_line(ev: Event) -> str:
+    """The line of any event: one ``_encode`` of its whole record."""
+    return _encode({"actor": ev.actor, "detail": ev.detail, "kind": ev.kind,
+                    "subject": ev.subject, "tick": ev.tick}) + "\n"
+
+
+def encode_event(ev: Event) -> tuple[str, str]:
     """The event's ``events.jsonl`` line, byte-equal to ``json.dumps`` of the
     record with sorted keys, and the detail JSON inside it: the one-event
-    reference for the batched writers."""
-    if strings is None:
-        strings = _Encoded()
+    reference for ``write_log``."""
     detail = _encode(ev.detail) if ev.detail else "{}"
-    return _jsonl_line(ev, detail, strings), detail
+    if _logged_types(ev):
+        return _jsonl_line(ev, detail, _Encoded()), detail
+    return _record_line(ev), detail
 
 
-# The writers encode details a batch at a time: each ``_encode`` call builds
+# ``write_log`` encodes details a batch at a time: each ``_encode`` call builds
 # a new C encoder, which costs more than encoding a typical detail does.
 _BATCH = 512            # events per batch
 _BREAK = "\x1e"         # put between a batch's details (ASCII record separator)
@@ -185,14 +199,6 @@ def _encoded_batches(log):
     events = iter(log)
     while batch := list(islice(events, _BATCH)):
         yield batch, _encode_details(batch)
-
-
-def write_events_jsonl(log: EventLog, path: Path) -> None:
-    strings = _Encoded()
-    with open(path, "w") as fh:
-        for batch, details in _encoded_batches(log):
-            fh.write("".join([_jsonl_line(ev, detail, strings)
-                              for ev, detail in zip(batch, details)]))
 
 
 def read_events_jsonl(path: Path) -> list[Event]:
@@ -235,38 +241,37 @@ def _line(cells) -> str:
 class _Cells(dict):
     """Each str and int's ``_cell``, computed on first use. Ticks, subjects,
     kinds and actors repeat across a log, so a write keeps one of these for
-    its own call. Its keys are only ever str or int: since ``1 == True`` and
-    ``0.0 == -0.0``, a bool or float key would hand its cell to an equal
-    value of another type. So the row builders look up only events whose
-    fields have the logged types, and format any other event afresh."""
+    its events of the logged types."""
 
     def __missing__(self, value) -> str:
         cell = self[value] = _cell(value)
         return cell
 
 
+class _FreshCells:
+    """``_Cells`` without the memo, for an event of other types."""
+
+    def __getitem__(self, value) -> str:
+        return _cell(value)
+
+
+_FRESH = _FreshCells()
+
+
 def _transaction_line(ev: Event, detail_json: str, cells: _Cells) -> str:
-    tick, subject, kind, actor = ev.tick, ev.subject, ev.kind, ev.actor
-    if (type(tick) is int and type(subject) is str and type(kind) is str
-            and type(actor) is str):
-        return (f"{cells[tick]},{cells[subject]},{cells[kind]},"
-                f"{cells[actor]},{_detail_cell(detail_json)}\r\n")
-    return (",".join(map(_cell, (tick, subject, kind, actor))) + ","
-            + _detail_cell(detail_json) + "\r\n")
+    return (f"{cells[ev.tick]},{cells[ev.subject]},{cells[ev.kind]},"
+            f"{cells[ev.actor]},{_detail_cell(detail_json)}\r\n")
 
 
 def _dispute_line(ev: Event, detail_json: str, cells: _Cells) -> str:
-    tick, subject = ev.tick, ev.subject
     stage = _cell(ev.detail.get("stage", ev.kind))
-    if type(tick) is int and type(subject) is str:
-        tick, subject = cells[tick], cells[subject]
-    else:
-        tick, subject = _cell(tick), _cell(subject)
-    return f"{tick},{subject},{stage},{_detail_cell(detail_json)}\r\n"
+    return (f"{cells[ev.tick]},{cells[ev.subject]},{stage},"
+            f"{_detail_cell(detail_json)}\r\n")
 
 
 # file, header, the kinds it carries (no kind in two files) and the line built
-# from an event, its detail JSON and the write's ``_Cells``
+# from an event, its detail JSON and the write's ``_Cells`` (``_FRESH`` for an
+# event of other types)
 
 CSV_TABLES = (
     ("transactions.csv", ("tick", "txn_id", "event", "actor", "detail"),
@@ -312,11 +317,13 @@ def write_log(log: EventLog, out_dir: Path) -> None:
         for batch, details in _encoded_batches(log):
             lines = []
             for ev, detail in zip(batch, details):
-                lines.append(_jsonl_line(ev, detail, strings))
+                plain = _logged_types(ev)
+                lines.append(_jsonl_line(ev, detail, strings) if plain
+                             else _record_line(ev))
                 routed = route.get(ev.kind)
                 if routed is not None:
                     write, row = routed
-                    write(row(ev, detail, cells))
+                    write(row(ev, detail, cells if plain else _FRESH))
             jsonl.write("".join(lines))
 
 

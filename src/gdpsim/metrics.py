@@ -42,7 +42,7 @@ def liveness_bound(cfg) -> int:
     return cfg.panel.reveal_deadline + 3 * round_span + cfg.inspection.max_commit_delay
 
 
-def derive_metrics(events, cfg, scenario_name: str = "") -> dict:
+def derive_metrics(events, cfg) -> dict:
     """Fold the event log into the structured metrics report."""
     submitted = 0
     tampered_submitted = 0
@@ -149,7 +149,7 @@ def derive_metrics(events, cfg, scenario_name: str = "") -> dict:
 
     return {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "scenario": scenario_name or cfg.name,
+        "scenario": cfg.name,
         "seed": cfg.seed,
         "duration_ticks": cfg.duration_ticks,
         "final_tick": final_tick,

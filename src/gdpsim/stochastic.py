@@ -133,10 +133,10 @@ def challenge_proposer(world, proposer: bytes, proposal_dig: Digest,
 
 def pick_random_validators(world, rng, m: int) -> list:
     """Uniform validator subset for this round, proposer excluded."""
-    from .consensus import active_nodes, current_proposer
+    from .consensus import current_proposer
 
     proposer = current_proposer(world)
-    eligible = [n for n in active_nodes(world) if n != proposer]
+    eligible = [n for n in world.active_devices() if n != proposer]
     if m > len(eligible):
         raise InsufficientNodes(f"need {m}, have {len(eligible)}")
     return rng.sample(eligible, m)

@@ -145,11 +145,12 @@ def select_witnesses(world, txn: DataTransaction, rng,
     group_use: dict = {}
 
     def capped(pub):
-        """The rest of ``pub``'s group once its picks reach the cap."""
+        """``pub``'s group once its picks reach the cap; its members that
+        are not active, or are out of the tree already, weigh 0."""
         group = view.groups[position[pub]]
         used = group_use[group] = group_use.get(group, 0) + 1
         if used >= diversity and view.group_counts[group] > used:
-            return view.members(group)
+            return world.group_members[group]
         return ()
 
     panel = weights.draw(rng, [view.active[i] for i in drop], k, capped)

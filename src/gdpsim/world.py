@@ -75,7 +75,6 @@ class ActiveView:
         self.group_counts = Counter(groups)  # group -> active members
         self.senders: Optional[list] = None  # filled by World.sender_pool
         self._capacity = (None, 0)         # (diversity, capacity) memo
-        self._members: Optional[dict] = None  # group -> active pubs
         # (world.stake_version, total): consensus.active_stake_total
         self.stake_total: Optional[tuple] = None
 
@@ -85,14 +84,6 @@ class ActiveView:
             self._capacity = (diversity, sum(
                 min(n, diversity) for n in self.group_counts.values()))
         return self._capacity[1]
-
-    def members(self, group: str) -> list:
-        """The active devices of one operator group, in device order."""
-        if self._members is None:
-            self._members = {}
-            for pub, g in zip(self.active, self.groups):
-                self._members.setdefault(g, []).append(pub)
-        return self._members[group]
 
 
 class WitnessWeights:
@@ -715,7 +706,7 @@ def _consensus_round(world: World) -> None:
             return
 
     m = world.cfg.consensus.random_validators
-    eligible = [n for n in consensus.active_nodes(world) if n != proposer]
+    eligible = [n for n in world.active_devices() if n != proposer]
     if m and m < len(eligible):
         validators = stochastic.pick_random_validators(
             world, world.rng_consensus.derive("validators", world.round_no), m)

@@ -23,7 +23,7 @@ from gdpsim.arbitration import DisputeStage
 from gdpsim.cli import main as cli_main
 from gdpsim.config import AdversarySpec
 from gdpsim.consensus import Vote, tally, vote_weight, active_stake_total
-from gdpsim.events import write_events_jsonl
+from gdpsim.events import write_log
 from gdpsim.incentives import deterrence_margin, simulate_cheater_average_payoff
 from gdpsim.metrics import (derive_metrics, replay_matches_world,
                             snapshot_digest, snapshot_state, write_outputs)
@@ -109,8 +109,8 @@ def test_criterion_2_safety_boundary_and_detection(tmp_path, update_goldens):
     cfg = population_cfg(duration_ticks=1450, drain_ticks=150)
     world = run_world(cfg)
     assert replay_matches_world(world) == {}
+    write_log(world.log, tmp_path)
     events_path = tmp_path / "events.jsonl"
-    write_events_jsonl(world.log, events_path)
     pin = {"events_sha256": hashlib.sha256(events_path.read_bytes()).hexdigest()}
     if update_goldens:
         _pin_digests({POPULATION_PIN: pin})
@@ -350,8 +350,10 @@ def test_event_bytes_do_not_depend_on_sum_rounding(tmp_path, monkeypatch):
     for name in sorted(BUILTIN_SCENARIOS):
         cfg = get_scenario(name)
         world = run_world(cfg)
-        path = tmp_path / f"{name}.jsonl"
-        write_events_jsonl(world.log, path)
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        write_log(world.log, out_dir)
+        path = out_dir / "events.jsonl"
         if hashlib.sha256(path.read_bytes()).hexdigest() != \
                 pins[name]["events_sha256"]:
             moved.append(name)

@@ -86,7 +86,7 @@ def test_propose_batch_cap(world):
 
 def test_propose_not_proposer(world):
     witness_and_pool(world, 1)
-    others = [n for n in consensus.active_nodes(world)
+    others = [n for n in world.active_devices()
               if n != current_proposer(world)]
     with pytest.raises(NotProposer):
         propose_block(world, others[0])
@@ -101,7 +101,7 @@ def test_validate_accepts_valid(world):
     witness_and_pool(world, 2)
     proposer = current_proposer(world)
     proposal = propose_block(world, proposer)
-    node = next(n for n in consensus.active_nodes(world) if n != proposer)
+    node = next(n for n in world.active_devices() if n != proposer)
     vote = validate_proposal(world, node, proposal)
     assert vote.accept
 
@@ -111,14 +111,14 @@ def test_validate_rejects_committed_replay(world):
     proposer = current_proposer(world)
     proposal = propose_block(world, proposer)
     votes = [validate_proposal(world, n, proposal)
-             for n in consensus.active_nodes(world) if n != proposer]
+             for n in world.active_devices() if n != proposer]
     total = sum(v.weight for v in votes)
     block = commit_block(world, proposal, votes, total)
     assert block is not None
     # re-propose the same ids: a double spend any validator must reject
     replay = signed_proposal(world, proposer, ids, world.canonical.head,
                              world.tick)
-    node = next(n for n in consensus.active_nodes(world) if n != proposer)
+    node = next(n for n in world.active_devices() if n != proposer)
     assert not honest_accept(world, node, replay)
 
 
@@ -132,7 +132,7 @@ def test_validate_rejects_nonce_gap(world):
     proposer = current_proposer(world)
     proposal = signed_proposal(world, proposer, gap_ids, world.canonical.head,
                                world.tick)
-    node = next(n for n in consensus.active_nodes(world) if n != proposer)
+    node = next(n for n in world.active_devices() if n != proposer)
     assert not honest_accept(world, node, proposal)
 
 
@@ -140,7 +140,7 @@ def test_validate_rejects_proposal_not_signed_by_proposer(world):
     witness_and_pool(world, 2)
     proposer = current_proposer(world)
     proposal = propose_block(world, proposer)
-    node, other = [n for n in consensus.active_nodes(world)
+    node, other = [n for n in world.active_devices()
                    if n != proposer][:2]
     assert validate_proposal(world, node, proposal).accept
     # the right digest, signed under another node's key
@@ -158,7 +158,7 @@ def test_commit_majority_three_of_five(world):
     witness_and_pool(world, 1)
     proposer = current_proposer(world)
     proposal = propose_block(world, proposer)
-    validators = [n for n in consensus.active_nodes(world) if n != proposer][:5]
+    validators = [n for n in world.active_devices() if n != proposer][:5]
     votes = [cast_vote(world, n, proposal, accept=(i < 3))
              for i, n in enumerate(validators)]
     w = votes[0].weight
@@ -175,7 +175,7 @@ def test_commit_below_majority_rejected(world):
     ids = witness_and_pool(world, 1)
     proposer = current_proposer(world)
     proposal = propose_block(world, proposer)
-    validators = [n for n in consensus.active_nodes(world) if n != proposer][:5]
+    validators = [n for n in world.active_devices() if n != proposer][:5]
     votes = [cast_vote(world, n, proposal, accept=(i < 2))
              for i, n in enumerate(validators)]
     total = 5 * votes[0].weight
@@ -221,7 +221,7 @@ def test_exhaustive_vote_patterns_equal_weight():
 
 def test_vote_weight_formula(world):
     # hand-recompute: 0.5*stake_share + 0.5*reputation
-    node = consensus.active_nodes(world)[0]
+    node = world.active_devices()[0]
     total_stake = sum(a.staked for p, a in world.stake_accounts.items()
                       if world.devices[p].status.value == "Active")
     expected = 0.5 * world.stake_accounts[node].staked / total_stake \
@@ -235,7 +235,7 @@ def _grow_chain(world, blocks=3):
         proposer = current_proposer(world)
         proposal = propose_block(world, proposer)
         votes = [validate_proposal(world, n, proposal)
-                 for n in consensus.active_nodes(world) if n != proposer]
+                 for n in world.active_devices() if n != proposer]
         total = sum(v.weight for v in votes)
         assert commit_block(world, proposal, votes, total) is not None
         world.round_no += 1
@@ -244,7 +244,7 @@ def _grow_chain(world, blocks=3):
 
 def test_synchronize_adopts_missing_blocks(world):
     _grow_chain(world, 3)
-    nodes = consensus.active_nodes(world)
+    nodes = world.active_devices()
     a, b = nodes[0], nodes[1]
     # put b behind by lowering its height
     world.heights[b] = 1
@@ -255,13 +255,13 @@ def test_synchronize_adopts_missing_blocks(world):
 
 def test_synchronize_equal_heads_noop(world):
     _grow_chain(world, 1)
-    nodes = consensus.active_nodes(world)
+    nodes = world.active_devices()
     assert synchronize(world, nodes[0], nodes[1]) == 0
 
 
 def test_synchronize_rejects_tampered_block(world):
     _grow_chain(world, 2)
-    nodes = consensus.active_nodes(world)
+    nodes = world.active_devices()
     a, b = nodes[0], nodes[1]
     world.heights[b] = 0
 
@@ -287,7 +287,7 @@ def test_synchronize_rejects_tampered_block(world):
 
 def test_resync_does_not_reverify_vote_signatures(world, monkeypatch):
     _grow_chain(world, 3)
-    a, b = consensus.active_nodes(world)[:2]
+    a, b = world.active_devices()[:2]
     verified = count_ed25519_verifies(monkeypatch)
     read = record_signature_reads(monkeypatch)
     for _ in range(2):  # the first sync and a second one of the same blocks
@@ -339,7 +339,7 @@ def test_verify_chain_rejects_altered_votes(world, forgery):
 
 def test_lagging_node_judges_from_its_own_height(world):
     _grow_chain(world, 2)  # sender nonces 0-1 at height 1, 2-3 at height 2
-    proposer, node = consensus.active_nodes(world)[:2]
+    proposer, node = world.active_devices()[:2]
     world.heights[node] = 1
 
     def on_block(height, ids):
@@ -396,7 +396,7 @@ def test_resolve_conflict_escalates_contested_disputed_txn():
     txn = _witnessed_with_minority_objection(world)
     proposer = current_proposer(world)
     proposal = propose_block(world, proposer)
-    validators = [n for n in consensus.active_nodes(world) if n != proposer][:4]
+    validators = [n for n in world.active_devices() if n != proposer][:4]
     # a 50/50 vote split sits inside the contested band around the threshold
     votes = [cast_vote(world, n, proposal, accept=(i < 2))
              for i, n in enumerate(validators)]
@@ -413,7 +413,7 @@ def test_resolve_conflict_noop_without_disputes(world):
     witness_and_pool(world, 1)
     proposer = current_proposer(world)
     proposal = propose_block(world, proposer)
-    validators = [n for n in consensus.active_nodes(world) if n != proposer][:4]
+    validators = [n for n in world.active_devices() if n != proposer][:4]
     votes = [cast_vote(world, n, proposal, accept=(i < 2))
              for i, n in enumerate(validators)]
     total = sum(v.weight for v in votes)
@@ -426,7 +426,7 @@ def test_resolve_conflict_noop_outside_band(world):
     txn = _witnessed_with_minority_objection(world)
     proposer = current_proposer(world)
     proposal = propose_block(world, proposer)
-    validators = [n for n in consensus.active_nodes(world) if n != proposer]
+    validators = [n for n in world.active_devices() if n != proposer]
     votes = [cast_vote(world, n, proposal, accept=True) for n in validators]
     total = sum(v.weight for v in votes)
     outcome = resolve_vote_conflict(world, proposal, votes, total, SeededRng(42))
@@ -440,7 +440,7 @@ def test_resolve_conflict_escalation_cap_reaches_arbitration(world):
     txn.escalations = world.cfg.panel.max_escalations
     proposer = current_proposer(world)
     proposal = propose_block(world, proposer)
-    validators = [n for n in consensus.active_nodes(world) if n != proposer][:4]
+    validators = [n for n in world.active_devices() if n != proposer][:4]
     votes = [cast_vote(world, n, proposal, accept=(i < 2))
              for i, n in enumerate(validators)]
     total = sum(v.weight for v in votes)

@@ -4,6 +4,7 @@ the CSV lines it builds against ``json.dumps`` and ``csv.writer``."""
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gdpsim import events
 from gdpsim.events import (CSV_TABLES, Event, EventLog, encode_event,
-                           write_events_jsonl, write_ledger_csv, write_log)
+                           write_ledger_csv, write_log)
 from gdpsim.scenarios import get_scenario
 from gdpsim.world import run_world
 
@@ -262,9 +263,33 @@ def _assert_write_log_reproduces(log, tmp_path):
     _assert_same_files(tmp_path / "reference", tmp_path / "one_scan")
     for path in (tmp_path / "reference").iterdir():
         assert path.read_bytes().count(b"\n") > 1, path.name
-    write_events_jsonl(log, tmp_path / "thin.jsonl")
-    assert (tmp_path / "thin.jsonl").read_bytes() == \
+    # a second write, with memos of its own, writes the same events.jsonl
+    (tmp_path / "thin").mkdir()
+    write_log(log, tmp_path / "thin")
+    assert (tmp_path / "thin" / "events.jsonl").read_bytes() == \
         (tmp_path / "reference" / "events.jsonl").read_bytes()
+
+
+def test_fields_of_other_types_are_written_as_json_and_csv_write_them(
+        tmp_path):
+    """Actors ``1``, ``True`` and ``1.0`` are equal keys of a write's memos,
+    and a bool or nan tick fits no line template: every such event's line
+    must still equal ``json.dumps`` of its record, and its rows what
+    ``csv.writer`` writes, in ``write_log`` and in ``encode_event``."""
+    log = _mixed_log(1)
+    for tick in (2, True, math.nan, 1.0):
+        for actor in (1, True, 1.0, "1"):
+            for subject in ("s", 0, False, -0.0):
+                for kind in ("txn_status", "dispute_stage", 1):
+                    log.append(tick, kind, actor=actor, subject=subject,
+                               stage=subject)
+    log.append(3, "objection", actor="1", subject="s", n=1)
+    _assert_write_log_reproduces(log, tmp_path)
+    for ev in log:
+        assert encode_event(ev)[0] == json.dumps(
+            {"tick": ev.tick, "kind": ev.kind, "actor": ev.actor,
+             "subject": ev.subject, "detail": ev.detail},
+            sort_keys=True, separators=(",", ":")) + "\n"
 
 
 # what each built-in brings that the mixed log lacks: sybil_flood logs over a
@@ -363,15 +388,17 @@ _full_detail = {key: 0 for key in ("stream", "alert_kind", "z_score", "value",
           (-0.0, "k", "a", "s", dict(_full_detail, stage=-0.0))])
 @settings(max_examples=300, deadline=None)
 def test_a_shared_cell_memo_builds_what_fresh_memos_build(rows):
-    """A write shares one ``_Cells`` across its rows; each row must still
-    equal the row built with a memo of its own."""
+    """A write shares one ``_Cells`` across the rows of its events of the
+    logged types and builds any other event's cells afresh; each row must
+    still equal the row built with no memo."""
     shared = events._Cells()
     for tick, kind, actor, subject, detail in rows:
         ev = Event(tick, kind, actor, subject, detail)
         detail_json = _stable_detail(detail)
+        memo = shared if events._logged_types(ev) else events._FRESH
         for name, _, _, row in CSV_TABLES:
-            assert row(ev, detail_json, shared) == \
-                row(ev, detail_json, events._Cells()), name
+            assert row(ev, detail_json, memo) == \
+                row(ev, detail_json, events._FRESH), name
 
 
 ledger_blocks = st.builds(

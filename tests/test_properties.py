@@ -285,7 +285,6 @@ def test_active_view_never_goes_stale(changes):
                   if prof.status is DeviceStatus.ACTIVE]
         view = world.active_view()
         assert world.active_devices() == active
-        assert consensus.active_nodes(world) == active
         assert view.position == {p: i for i, p in enumerate(active)}
         groups = [world.devices[p].operator_group for p in active]
         assert view.groups == groups
@@ -503,6 +502,8 @@ _stream_segment = st.one_of(
        st.floats(min_value=0.5, max_value=6.0),
        st.floats(min_value=0.0, max_value=2.0),
        st.floats(min_value=0.1, max_value=10.0))
+# at z_threshold 0 the cut is 0.0, so a residual of 0 lands on it: no outlier
+@example([1.0, -1.0, 0.0], 2, 0.0, 0.5, 5.0)
 @settings(max_examples=300, deadline=None)
 def test_feed_matches_detect_changepoint_then_observe(stream, window,
                                                       z_threshold, drift,
@@ -519,6 +520,32 @@ def test_feed_matches_detect_changepoint_then_observe(stream, window,
         assert [_alert_fields(a) for a in got] == \
             [_alert_fields(a) for a in want]
         assert _baseline_state(fused) == _baseline_state(reference)
+
+
+@given(st.integers(min_value=2, max_value=12),
+       st.lists(st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, 3, 7, 40]),
+                max_size=40),
+       st.sampled_from([0.5, 1.0, 2.0, 3.0]),
+       st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+       st.sampled_from([0.5, 2.0, 5.0]))
+@settings(max_examples=300, deadline=None)
+def test_quiet_span_zeros_raise_nothing(window, samples, z_threshold, drift,
+                                        limit):
+    """From any integral window with both CUSUMs at 0, the zeros that
+    ``quiet_span`` lets ``push_zeros`` take, fed through ``feed`` instead,
+    raise no alert and leave both CUSUMs at 0, and end in the state that
+    ``push_zeros`` leaves."""
+    b = StreamBaseline("s", window)
+    for x in samples:
+        b.push(float(x))
+    count = min(b.quiet_span(z_threshold, drift, limit), 300)
+    fed, skipped = copy.deepcopy(b), copy.deepcopy(b)
+    for tick in range(count):
+        assert fed.feed(0.0, tick, "dev", z_threshold, drift,
+                        limit) == (None, None)
+        assert (fed.cusum_pos, fed.cusum_neg) == (0.0, 0.0)
+    skipped.push_zeros(count)
+    assert _baseline_state(fed) == _baseline_state(skipped)
 
 
 # --- floored periodic polls against the unconditional polls ---

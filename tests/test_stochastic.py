@@ -160,8 +160,8 @@ def test_pick_random_validators_excludes_proposer(world):
 
 
 def test_pick_random_validators_all_equals_full(world):
-    from gdpsim.consensus import active_nodes, current_proposer
-    eligible = [n for n in active_nodes(world) if n != current_proposer(world)]
+    from gdpsim.consensus import current_proposer
+    eligible = [n for n in world.active_devices() if n != current_proposer(world)]
     subset = pick_random_validators(world, SeededRng(7), len(eligible))
     assert sorted(subset) == sorted(eligible)
     with pytest.raises(InsufficientNodes):
@@ -169,8 +169,8 @@ def test_pick_random_validators_all_equals_full(world):
 
 
 def test_pick_random_validators_inclusion_frequency(world):
-    from gdpsim.consensus import active_nodes, current_proposer
-    eligible = [n for n in active_nodes(world) if n != current_proposer(world)]
+    from gdpsim.consensus import current_proposer
+    eligible = [n for n in world.active_devices() if n != current_proposer(world)]
     n, m = len(eligible), 3
     counts = dict.fromkeys(eligible, 0)
     rounds = 100_000

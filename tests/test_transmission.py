@@ -186,12 +186,16 @@ def test_select_witnesses_matches_k_pass_reference():
         return "panel"
 
     for case in range(400):
+        world.group_members = {}
         for pub in devices:
             world.reputation_accounts[pub].score = (
                 0.0 if gen.bernoulli(0.25) else gen.random())
             # groups never change in a run; the regrouping reaches the active
-            # view because every set_status call below marks it stale
+            # view because every set_status call below marks it stale, and
+            # the group index that onboarding fills is refilled to match
             world.devices[pub].operator_group = f"g{gen.below(1 + case % 9)}"
+            world.group_members.setdefault(
+                world.devices[pub].operator_group, []).append(pub)
             world.set_status(pub, transmission.DeviceStatus.QUARANTINED
                              if gen.bernoulli(0.1)
                              else transmission.DeviceStatus.ACTIVE)

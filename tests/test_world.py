@@ -142,14 +142,13 @@ def test_replay_fold_catches_altered_accounts():
 
 
 def test_metrics_rederivable_from_written_log(tmp_path):
-    from gdpsim.events import read_events_jsonl, write_events_jsonl
+    from gdpsim.events import read_events_jsonl, write_log
     cfg = get_scenario("baseline")
     cfg.duration_ticks, cfg.drain_ticks = 120, 40
     world = run_world(cfg)
     report = derive_metrics(world.log, cfg)
-    path = tmp_path / "events.jsonl"
-    write_events_jsonl(world.log, path)
-    reread = read_events_jsonl(path)
+    write_log(world.log, tmp_path)
+    reread = read_events_jsonl(tmp_path / "events.jsonl")
     assert derive_metrics(reread, cfg) == report
 
 
@@ -585,6 +584,51 @@ def test_stream_state_has_one_owner():
               "    b.push_zeros(n)\n")
     assert _stream_state_writes(ast.parse(sample)) == [
         (2, "f"), (3, "f"), (4, "f"), (5, "f"), (6, "f"), (7, "f")]
+
+
+def _stream_tests(tree):
+    """(line, enclosing ``Class.function``) of each call to
+    ``calibrated_cut`` and of each CUSUM step, a subtraction of ``drift``."""
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call):
+            name = node.func
+            name = name.attr if isinstance(name, ast.Attribute) else \
+                getattr(name, "id", None)
+            if name == "calibrated_cut":
+                found.append((node.lineno, scope))
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.Sub)):
+            right = node.right if isinstance(node, ast.BinOp) else node.value
+            if isinstance(right, ast.Name) and right.id == "drift":
+                found.append((node.lineno, scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, None)
+    return found
+
+
+def test_stream_tests_are_written_once():
+    """``StreamBaseline._judge`` is the one place that steps the CUSUMs and
+    makes the point test, so ``feed`` and ``quiet_span`` judge a sample
+    with the same float operations; a restated test would drift apart."""
+    path = Path(gdpsim.__file__).parent / "anomaly.py"
+    scopes = [scope for _, scope in _stream_tests(ast.parse(path.read_text()))]
+    assert scopes == ["StreamBaseline._judge"] * 3
+    sample = ("class B:\n"
+              "    def f(self, z, drift):\n"
+              "        pos = max(0.0, self.pos + z - drift)\n"
+              "        self.neg -= drift\n"
+              "        return anomaly.calibrated_cut(3.0, 9)\n"
+              "def g(z, drift):\n"
+              "    return calibrated_cut(z, drift - 1)\n")
+    assert _stream_tests(ast.parse(sample)) == [
+        (3, "B.f"), (4, "B.f"), (5, "B.f"), (7, "g")]
 
 
 def test_txrate_feeds_follow_txns_not_devices(monkeypatch):

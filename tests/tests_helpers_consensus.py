@@ -8,7 +8,7 @@ def grow_chain_with_verdict(world):
     proposer = consensus.current_proposer(world)
     proposal = consensus.propose_block(world, proposer)
     votes = [consensus.validate_proposal(world, n, proposal)
-             for n in consensus.active_nodes(world) if n != proposer]
+             for n in world.active_devices() if n != proposer]
     total = sum(v.weight for v in votes)
     block = consensus.commit_block(world, proposal, votes, total)
     assert block is not None
