@@ -42,7 +42,12 @@ class DeviceActor:
 
     def witness_verdict(self, world, txn) -> transmission.Verdict:
         """Honest witnesses compare the advertised digest with the one they
-        observe on the wire (the simulator's observation channel)."""
+        observe on the wire (the simulator's observation channel).
+
+        Every override must stay pure: read no ``self.rng``, store no
+        attribute, call nothing that changes state. Deep scrutiny skips the
+        re-derivation for witnesses that cannot object, which moves no byte
+        only because a call leaves nothing behind."""
         truth = world.ground_truth[txn.id]
         if txn.payload_digest == truth.true_digest:
             return transmission.Verdict.VALID

@@ -157,12 +157,14 @@ class StreamBaseline:
         The stream is quiet when its window is integral, both CUSUMs are 0,
         and a 0 fed into the full window would raise no alert and leave
         both CUSUMs at 0, as ``_judge`` finds for ``feed``. Zeros then
-        change nothing but the ring until one evicts a non-zero sample (the
-        sums change), which is due through ``feed``. A 0 into a warming
-        window runs no detector and leaves the sums as they are, so the
-        window that zeros would fill is judged now: if it is not quiet, the
-        zero that fills it is due. 0 when the full window is not quiet; inf
-        when no zero can wake the stream.
+        change nothing but the ring until one evicts a non-zero sample.
+        That zero is still judged against the window it evicts from, so it
+        is quiet too; the zero after it meets the changed sums and is due
+        through ``feed``. A 0 into a warming window runs no detector and
+        leaves the sums as they are, so the window that zeros would fill is
+        judged now: if it is not quiet, the zero that fills it is due. 0
+        when the full window is not quiet; inf when no zero can wake the
+        stream.
         """
         if self.n_fractional or self.cusum_pos or self.cusum_neg:
             return 0
@@ -170,7 +172,7 @@ class StreamBaseline:
         quiet = (None, 0.0, 0.0, None)
         if self._judge(0.0, z_threshold, drift, limit, 0.0, 0.0) != quiet:
             return max(0, n - 1 - fed)
-        return ring[0][0] + n - fed if ring else math.inf
+        return ring[0][0] + n - fed + 1 if ring else math.inf
 
     def stats(self) -> tuple:
         """``(mean, sum of squared deviations)`` of a non-empty window."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import (
@@ -41,8 +42,10 @@ class Proposal:
     tick: int
     signature: Signature
 
-    @property
+    @cached_property
     def digest(self) -> Digest:
+        """Hashed on first read; ``dataclasses.replace`` makes a new
+        instance, which hashes its own fields again."""
         return proposal_digest(self.proposer, self.txn_ids, self.parent_block,
                                self.tick)
 
@@ -220,9 +223,10 @@ def propose_block(world, node: bytes) -> Proposal:
         raise EmptyMempool("no chainable transactions")
     ids = tuple(chosen)
     secret = world.actors[node].keypair.secret_key
-    sig = sign(secret, proposal_digest(node, ids, head, world.tick))
+    dig = proposal_digest(node, ids, head, world.tick)
     proposal = Proposal(proposer=node, txn_ids=ids, parent_block=head,
-                        tick=world.tick, signature=sig)
+                        tick=world.tick, signature=sign(secret, dig))
+    vars(proposal)["digest"] = dig  # the signed digest fills the cache
     world.log.append(world.tick, "proposal", actor=node.hex(),
                      subject=proposal.digest.hex(), txn_count=len(ids),
                      parent=head.hex())

@@ -191,8 +191,7 @@ class SeededRng:
 
     def derive(self, *key_parts) -> "SeededRng":
         """Independent substream keyed by (seed, *key_parts)."""
-        h = hashlib.sha256()
-        h.update(self.seed.to_bytes(8, "big"))
+        h = hashlib.sha256(self.seed.to_bytes(8, "big"))
         for part in key_parts:
             if isinstance(part, bytes):
                 h.update(b"b" + part)
@@ -224,10 +223,20 @@ class SeededRng:
         return self.random() < p
 
     def bytes(self, n: int) -> bytes:
-        out = bytearray()
-        while len(out) < n:
-            out += self.next_u64().to_bytes(8, "big")
-        return bytes(out[:n])
+        """The next ceil(n / 8) ``next_u64`` words, big-endian, cut to n.
+
+        The loop repeats ``next_u64``'s step on a local state, and the
+        words collect in one int that is converted once."""
+        words = -(-n // 8)
+        state = self._state
+        acc = 0
+        for _ in range(words):
+            state = (state + _GAMMA) & _MASK64
+            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
+            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+            acc = acc << 64 | z ^ z >> 31
+        self._state = state
+        return acc.to_bytes(words * 8, "big")[:n]
 
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """One normal draw per call (Box-Muller, cosine branch)."""

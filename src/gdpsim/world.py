@@ -659,19 +659,24 @@ def _aggregate_due(world: World) -> None:
 
 def _witness_deep_flags(world: World, txn) -> None:
     """Deep-scrutiny channel: flagged witnesses re-derive their verdict;
-    a witness whose verdict lost to the aggregate raises a formal objection."""
+    a witness whose verdict lost to the aggregate raises a formal objection.
+
+    Only a witness that revealed Invalid without equivocating can object,
+    so only such a witness is drawn for. Skipping the others' draws moves
+    no other draw: ``derive`` reads only the inspection stream's seed, and
+    ``witness_verdict`` is pure."""
     rate = world.cfg.inspection.rate_witness_deep
     if rate <= 0:
         return
     for witness in txn.panel:
+        att = txn.attestations.get(witness)
+        if (att is None or att.equivocated
+                or att.revealed_verdict is not Verdict.INVALID):
+            continue
         if not stochastic.should_inspect(world.rng_inspection, rate,
                                          "wdeep", txn.id, witness):
             continue
-        att = txn.attestations.get(witness)
-        if att is None or att.revealed_verdict is None or att.equivocated:
-            continue
-        rederived = world.actors[witness].witness_verdict(world, txn)
-        if rederived is Verdict.INVALID and att.revealed_verdict is Verdict.INVALID:
+        if world.actors[witness].witness_verdict(world, txn) is Verdict.INVALID:
             txn.objected = True
             world.log.append(world.tick, "objection", actor=witness.hex(),
                              subject=txn.id.hex())

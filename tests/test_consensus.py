@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from gdpsim import consensus, transmission
+from gdpsim import world as world_mod
 from gdpsim.consensus import (
     Vote,
     cast_vote,
@@ -151,6 +152,37 @@ def test_validate_rejects_proposal_not_signed_by_proposer(world):
     # a genuine signature, but the proposer swapped after signing
     swapped = dataclasses.replace(proposal, proposer=other)
     assert not validate_proposal(world, node, swapped).accept
+
+
+def test_a_round_hashes_each_proposal_once(monkeypatch):
+    """A round of 16 validators hashes its proposal once, when it is
+    signed: every later read of ``digest`` is the cached one. A
+    ``dataclasses.replace`` copy hashes its own fields."""
+    world = mini_world(n_honest_devices=3, n_witness_pool=14)
+    witness_and_pool(world, 2)
+    calls, proposals = [], []
+    real_digest, real_propose = consensus.proposal_digest, consensus.propose_block
+
+    def counted(*args):
+        calls.append(args)
+        return real_digest(*args)
+
+    def kept(*args):
+        proposals.append(real_propose(*args))
+        return proposals[-1]
+
+    monkeypatch.setattr(consensus, "proposal_digest", counted)
+    monkeypatch.setattr(consensus, "propose_block", kept)
+    world_mod._consensus_round(world)
+    assert sum(e.kind == "vote" for e in world.log) == 16
+    assert len(calls) == 1
+    proposal, = proposals
+    fields = (proposal.proposer, proposal.txn_ids, proposal.parent_block,
+              proposal.tick)
+    assert proposal.digest == real_digest(*fields)
+    later = dataclasses.replace(proposal, tick=proposal.tick + 1)
+    assert later.digest == real_digest(*fields[:3], proposal.tick + 1)
+    assert later.digest != proposal.digest and len(calls) == 2
 
 
 def test_commit_majority_three_of_five(world):

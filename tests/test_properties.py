@@ -80,6 +80,24 @@ def test_rng_streams_reproducible(seed):
     assert a.derive("k", 1).next_u64() == b.derive("k", 1).next_u64()
 
 
+@given(st.integers(min_value=0, max_value=2 ** 64 - 1),
+       st.integers(min_value=0, max_value=300))
+@example(0, 0)
+@example(1234567, 1)
+@example(1234567, 7)
+@example(2 ** 64 - 1, 8)
+@example(0, 9)
+@settings(max_examples=200, deadline=None)
+def test_rng_bytes_match_per_word_draws(seed, n):
+    """``bytes`` repeats ``next_u64``'s step in its own loop: its bytes are
+    the big-endian words cut to n, and it leaves the same state."""
+    fast, slow = SeededRng(seed), SeededRng(seed)
+    words = b"".join(slow.next_u64().to_bytes(8, "big")
+                     for _ in range(-(-n // 8)))
+    assert fast.bytes(n) == words[:n]
+    assert fast._state == slow._state
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
                 min_size=1, max_size=30),
        st.integers(min_value=0, max_value=2 ** 32))
@@ -528,13 +546,16 @@ def test_feed_matches_detect_changepoint_then_observe(stream, window,
        st.sampled_from([0.5, 1.0, 2.0, 3.0]),
        st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
        st.sampled_from([0.5, 2.0, 5.0]))
+@example(4, [1, 0, 0, 0], 3.0, 0.5, 5.0)  # one zero, and it evicts the 1
 @settings(max_examples=300, deadline=None)
 def test_quiet_span_zeros_raise_nothing(window, samples, z_threshold, drift,
                                         limit):
     """From any integral window with both CUSUMs at 0, the zeros that
     ``quiet_span`` lets ``push_zeros`` take, fed through ``feed`` instead,
     raise no alert and leave both CUSUMs at 0, and end in the state that
-    ``push_zeros`` leaves."""
+    ``push_zeros`` leaves. A span from a quiet full window ends with the
+    zero that evicts the oldest non-zero sample: that zero is still judged
+    against the window it evicts from."""
     b = StreamBaseline("s", window)
     for x in samples:
         b.push(float(x))
@@ -546,6 +567,8 @@ def test_quiet_span_zeros_raise_nothing(window, samples, z_threshold, drift,
         assert (fed.cusum_pos, fed.cusum_neg) == (0.0, 0.0)
     skipped.push_zeros(count)
     assert _baseline_state(fed) == _baseline_state(skipped)
+    if b.ring and count and skipped.fed > window:
+        assert b.ring[0] not in skipped.ring
 
 
 # --- floored periodic polls against the unconditional polls ---

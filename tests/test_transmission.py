@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from gdpsim import incentives, transmission
+from gdpsim import incentives, stochastic, transmission
+from gdpsim import world as world_mod
 from gdpsim.errors import (
     AlreadyCommitted,
     CommitMismatch,
@@ -10,7 +11,9 @@ from gdpsim.errors import (
     NotOnPanel,
     RevealTooEarly,
 )
+from gdpsim.events import encode_event
 from gdpsim.primitives import SeededRng, digest
+from gdpsim.scenarios import get_scenario
 from gdpsim.transmission import (
     TxnStatus,
     Verdict,
@@ -479,4 +482,67 @@ def test_witness_deep_flag_objection_path():
     for ev in objections:
         txn = world.transactions[bytes.fromhex(ev.subject)]
         att = txn.attestations[bytes.fromhex(ev.actor)]
+        assert att.revealed_verdict is Verdict.INVALID
+
+
+def _reference_witness_deep_flags(world, txn):
+    """Deep scrutiny in the reference order: a draw for every panel seat,
+    then the attestation checks."""
+    rate = world.cfg.inspection.rate_witness_deep
+    if rate <= 0:
+        return
+    for witness in txn.panel:
+        if not stochastic.should_inspect(world.rng_inspection, rate,
+                                         "wdeep", txn.id, witness):
+            continue
+        att = txn.attestations.get(witness)
+        if att is None or att.revealed_verdict is None or att.equivocated:
+            continue
+        rederived = world.actors[witness].witness_verdict(world, txn)
+        if rederived is Verdict.INVALID and att.revealed_verdict is Verdict.INVALID:
+            txn.objected = True
+            world.log.append(world.tick, "objection", actor=witness.hex(),
+                             subject=txn.id.hex())
+
+
+def _deep_scrutiny_run(monkeypatch, reference: bool):
+    """``collusion_at_quorum`` with deep scrutiny at p=0.5 (no built-in
+    logs an objection at its own rates); returns the world and, per
+    ``"wdeep"`` draw, the attestation it named at the time of the draw."""
+    cfg = get_scenario("collusion_at_quorum")
+    cfg.inspection.rate_witness_deep = 0.5
+    cfg.duration_ticks = 80
+    world = world_mod.build_world(cfg)
+    drawn = []
+    real = stochastic.should_inspect
+
+    def recording(rng, rate, *key_parts):
+        if key_parts[0] == "wdeep":
+            txn_id, witness = key_parts[1:]
+            drawn.append(world.transactions[txn_id].attestations.get(witness))
+        return real(rng, rate, *key_parts)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stochastic, "should_inspect", recording)
+        if reference:
+            patch.setattr(world_mod, "_witness_deep_flags",
+                          _reference_witness_deep_flags)
+        for _ in range(cfg.duration_ticks):
+            world_mod.step(world)
+    return world, drawn
+
+
+def test_deep_flags_draw_only_for_witnesses_that_can_object(monkeypatch):
+    """Only a witness that revealed Invalid without equivocating can
+    object, so deep scrutiny draws only for such a witness, and the log is
+    the one that drawing for every panel seat writes: each draw is keyed by
+    its target, and ``witness_verdict`` is pure."""
+    world, drawn = _deep_scrutiny_run(monkeypatch, reference=False)
+    reference, ref_drawn = _deep_scrutiny_run(monkeypatch, reference=True)
+    assert any(e.kind == "objection" for e in world.log)
+    assert [encode_event(e) for e in world.log] == \
+        [encode_event(e) for e in reference.log]
+    assert drawn and len(drawn) < len(ref_drawn)
+    for att in drawn:
+        assert att is not None and not att.equivocated
         assert att.revealed_verdict is Verdict.INVALID

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import gdpsim
-from gdpsim import incentives, metrics, transmission
+from gdpsim import actors, incentives, metrics, transmission
 from gdpsim import world as world_mod
 from gdpsim.anomaly import StreamBaseline
 from gdpsim.config import AdversarySpec, ScenarioConfig
@@ -629,6 +629,81 @@ def test_stream_tests_are_written_once():
               "    return calibrated_cut(z, drift - 1)\n")
     assert _stream_tests(ast.parse(sample)) == [
         (3, "B.f"), (4, "B.f"), (5, "B.f"), (7, "g")]
+
+
+# calls a witness policy may make: each is known to leave nothing behind
+_PURE_CALLS = {"super", "witness_verdict", "digest", "len", "isinstance"}
+
+
+def _impure_verdict_steps(tree):
+    """(line, class) of each step in a ``witness_verdict`` method that could
+    leave something behind: a read of an ``rng`` attribute, a store or
+    delete through an attribute or an item, a ``global`` or ``nonlocal``,
+    and a call to a name not in ``_PURE_CALLS``. Stores to local names are
+    the method's own."""
+    found = []
+
+    def stored(target):
+        if isinstance(target, (ast.Tuple, ast.List)):
+            return any(stored(t) for t in target.elts)
+        if isinstance(target, ast.Starred):
+            return stored(target.value)
+        return isinstance(target, (ast.Attribute, ast.Subscript))
+
+    def visit(node, owner):
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        impure = any(stored(t) for t in targets) or isinstance(
+            node, (ast.Global, ast.Nonlocal))
+        if isinstance(node, ast.Attribute) and node.attr.startswith("rng"):
+            impure = True
+        if isinstance(node, ast.Call):
+            call = node.func
+            name = call.attr if isinstance(call, ast.Attribute) else \
+                getattr(call, "id", None)
+            impure = impure or name not in _PURE_CALLS
+        if impure:
+            found.append((node.lineno, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    scanned = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if (isinstance(fn, ast.FunctionDef)
+                        and fn.name == "witness_verdict"):
+                    scanned.add(cls.name)
+                    visit(fn, cls.name)
+    return found, scanned
+
+
+def test_witness_verdict_policies_are_pure():
+    """Deep scrutiny re-derives a verdict only for witnesses that revealed
+    Invalid, which moves no byte only while every ``witness_verdict`` is
+    pure: no policy may draw from an rng, store through an attribute or an
+    item, or make a call the scan does not know to be pure."""
+    path = Path(actors.__file__)
+    found, scanned = _impure_verdict_steps(ast.parse(path.read_text()))
+    assert found == []
+    assert scanned == {name for name, cls in vars(actors).items()
+                       if isinstance(cls, type)
+                       and "witness_verdict" in vars(cls)}
+    sample = ("class A:\n"
+              "    def witness_verdict(self, world, txn):\n"
+              "        truth = world.ground_truth[txn.id]\n"
+              "        self.seen = truth\n"
+              "        world.counts[txn.id] += 1\n"
+              "        if self.rng.random() < 0.5:\n"
+              "            world.log.append(0, 'k')\n"
+              "        return super().witness_verdict(world, txn)\n"
+              "    def make_salt(self):\n"
+              "        return self.rng.bytes(16)\n")
+    assert _impure_verdict_steps(ast.parse(sample)) == (
+        [(4, "A"), (5, "A"), (6, "A"), (6, "A"), (7, "A")], {"A"})
 
 
 def test_txrate_feeds_follow_txns_not_devices(monkeypatch):
