@@ -233,9 +233,16 @@ def propose_block(world, node: bytes) -> Proposal:
     return proposal
 
 
-def honest_accept(world, node: bytes, proposal: Proposal) -> bool:
+def honest_accept(world, node: bytes, proposal: Proposal,
+                  checks: dict = None) -> bool:
     """Validation phase rule: proposer's signature, witness quorum, nonce
-    continuity, no replay."""
+    continuity, no replay.
+
+    The signature and parent checks are the node's own. The transaction
+    checks read the node only through its height, so a round passes one
+    ``checks`` dict (height -> verdict) to all its validators and each
+    height checks the transactions once. The dict must not outlive the
+    round: the verdict is only good for the state it was made in."""
     if not verify(proposal.proposer, proposal.digest, proposal.signature):
         return False
     height = world.heights[node]
@@ -245,6 +252,18 @@ def honest_accept(world, node: bytes, proposal: Proposal) -> bool:
         if not known:
             raise UnknownParent(proposal.parent_block.hex())
         return False  # stale proposal extending an old block
+    if checks is None:
+        return _txns_acceptable(world, proposal, height)
+    verdict = checks.get(height)
+    if verdict is None:
+        verdict = checks[height] = _txns_acceptable(world, proposal, height)
+    return verdict
+
+
+def _txns_acceptable(world, proposal: Proposal, height: int) -> bool:
+    """The proposal's transactions on the chain at ``height``: none
+    committed, each witnessed by a quorum of Valid reveals, and each
+    sender's nonces chaining gaplessly."""
     quorum = world.cfg.panel.effective_quorum()
     committed_ids, watermark = world.canonical.state_at(height, world.transactions)
     expected = dict(watermark)
@@ -269,8 +288,11 @@ def honest_accept(world, node: bytes, proposal: Proposal) -> bool:
 
 
 def cast_vote(world, node: bytes, proposal: Proposal, accept: bool,
-              total_stake: float = None) -> Vote:
-    weight = vote_weight(world, node, total_stake)
+              weight: float = None) -> Vote:
+    """The node's signed vote; ``weight`` is its ``vote_weight``, weighed
+    here when the caller has not weighed it already."""
+    if weight is None:
+        weight = vote_weight(world, node)
     secret = world.actors[node].keypair.secret_key
     sig = sign(secret, vote_message(proposal.digest, accept, weight))
     vote = Vote(validator=node, proposal_digest=proposal.digest, accept=accept,
@@ -281,16 +303,17 @@ def cast_vote(world, node: bytes, proposal: Proposal, accept: bool,
 
 
 def validate_proposal(world, node: bytes, proposal: Proposal,
-                      total_stake: float = None) -> Vote:
-    """Honest validator behavior: check the rules, vote accordingly."""
+                      weight: float = None, checks: dict = None) -> Vote:
+    """Honest validator behavior: check the rules, vote accordingly.
+    ``weight`` goes to ``cast_vote``, ``checks`` to ``honest_accept``."""
     if node == proposal.proposer:
         raise NotProposer("proposer does not validate its own proposal")
     profile = world.devices.get(node)
     if profile is None or profile.status is not DeviceStatus.ACTIVE:
         from .errors import NotAuthorized
         raise NotAuthorized(f"{node.hex()} is not an active node")
-    return cast_vote(world, node, proposal, honest_accept(world, node, proposal),
-                     total_stake)
+    return cast_vote(world, node, proposal,
+                     honest_accept(world, node, proposal, checks), weight)
 
 
 def accepted_weight(votes) -> float:
@@ -383,7 +406,8 @@ def resolve_vote_conflict(world, proposal: Proposal, votes: list,
         if tid in world.mempool:
             world.mempool.remove(tid)
         outcomes.append(reescalate_disputed(world, txn, rng))
-    remaining = tuple(t for t in proposal.txn_ids if t not in set(flagged))
+    escalated = set(flagged)
+    remaining = tuple(t for t in proposal.txn_ids if t not in escalated)
     return {"action": "escalated", "escalated": [t.hex() for t in flagged],
             "remaining": remaining, "outcomes": outcomes}
 

@@ -70,9 +70,17 @@ class EventLog:
         ref = len(self._events)
         self._events.append(Event(tick, kind, actor, subject, detail))
         index = self._refs_by_key
-        index.setdefault(subject, []).append(ref)
+        refs = index.get(subject)
+        if refs is None:
+            index[subject] = [ref]
+        else:
+            refs.append(ref)
         if actor != subject:
-            index.setdefault(actor, []).append(ref)
+            refs = index.get(actor)
+            if refs is None:
+                index[actor] = [ref]
+            else:
+                refs.append(ref)
         return ref
 
     def __len__(self) -> int:

@@ -55,13 +55,40 @@ class ReputationAccount:
     last_bonus_tick: int = -1   # -1: never received a longevity bonus
 
 
-@dataclass(frozen=True)
 class IncentiveEvent:
-    tick: int
-    subject: bytes
-    kind: IncentiveKind
-    delta: float
-    cause: str
+    """One stake or reputation mutation, as ``_emit`` returns it. No field
+    is written after it is built.
+
+    A ``__slots__`` class rather than a frozen dataclass, as ``events.Event``
+    is, because every reward and penalty builds one and this builds in
+    about a quarter of the time. Records are equal when every field is equal,
+    and hash by their fields.
+    """
+
+    __slots__ = ("tick", "subject", "kind", "delta", "cause")
+
+    def __init__(self, tick: int, subject: bytes, kind: IncentiveKind,
+                 delta: float, cause: str):
+        self.tick = tick
+        self.subject = subject
+        self.kind = kind
+        self.delta = delta
+        self.cause = cause
+
+    def _fields(self) -> tuple:
+        return (self.tick, self.subject, self.kind, self.delta, self.cause)
+
+    def __eq__(self, other):
+        if not isinstance(other, IncentiveEvent):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return ("IncentiveEvent(tick=%r, subject=%r, kind=%r, delta=%r, "
+                "cause=%r)" % self._fields())
 
 
 def _emit(world, subject: bytes, kind: IncentiveKind, delta: float,

@@ -241,15 +241,18 @@ def snapshot_state(world) -> dict:
 
 
 def snapshot_digest(world) -> str:
-    body = json.dumps(snapshot_state(world), sort_keys=True,
-                      separators=(",", ":"))
+    return _state_digest(snapshot_state(world))
+
+
+def _state_digest(state: dict) -> str:
+    body = json.dumps(state, sort_keys=True, separators=(",", ":"))
     return digest(body.encode()).hex()
 
 
 def write_snapshot(world, path: Path) -> None:
     state = snapshot_state(world)
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "state": state,
-               "digest": snapshot_digest(world)}
+               "digest": _state_digest(state)}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 

@@ -334,9 +334,16 @@ class World:
     def set_score(self, pub: bytes, score: float) -> None:
         """The one writer of reputation scores; re-weighs the device's
         witness draws. Lifting an active device to the longevity minimum
-        lowers the due floors."""
+        lowers the due floors. Writing the float already held, sign and
+        all, changes nothing and re-weighs nothing."""
         rep = self.reputation_accounts[pub]
-        lifted = rep.score < self.cfg.incentives.longevity_min_score <= score
+        held = rep.score
+        if score == held and math.copysign(1.0, score) == math.copysign(1.0, held):
+            # The same float: nothing to re-weigh, unless the tree lacks pub.
+            if self._weights is not None and pub not in self._weights.index:
+                self._weights = None
+            return
+        lifted = held < self.cfg.incentives.longevity_min_score <= score
         rep.score = score
         self._reweigh(pub)
         if lifted and self.devices[pub].status is DeviceStatus.ACTIVE:
@@ -720,13 +727,15 @@ def _consensus_round(world: World) -> None:
     votes = []
     total_weight = 0.0
     stake_total = consensus.active_stake_total(world)
+    checks = {}  # height -> verdict on the proposal's txns, for this round
     for node in validators:
-        total_weight += consensus.vote_weight(world, node, stake_total)
+        weight = consensus.vote_weight(world, node, stake_total)
+        total_weight += weight
         policy_vote = world.actors[node].vote_accept(world, proposal)
         if policy_vote is None:
             try:
                 vote = consensus.validate_proposal(world, node, proposal,
-                                                   stake_total)
+                                                   weight, checks)
             except UnknownParent:
                 try:
                     consensus.synchronize(world, proposal.proposer, node)
@@ -734,13 +743,13 @@ def _consensus_round(world: World) -> None:
                     pass
                 try:
                     vote = consensus.validate_proposal(world, node, proposal,
-                                                       stake_total)
+                                                       weight, checks)
                 except UnknownParent:
                     vote = consensus.cast_vote(world, node, proposal, False,
-                                               stake_total)
+                                               weight)
         else:
             vote = consensus.cast_vote(world, node, proposal, policy_vote,
-                                       stake_total)
+                                       weight)
         _feed_stream(world, world.baseline(f"voteagainst:{node.hex()[:16]}"),
                      node.hex(), 0.0 if vote.accept else 1.0)
         votes.append(vote)

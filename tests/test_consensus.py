@@ -3,8 +3,9 @@ import itertools
 
 import pytest
 
-from gdpsim import consensus, transmission
+from gdpsim import consensus, scenarios, transmission
 from gdpsim import world as world_mod
+from gdpsim.config import AdversarySpec, OutageSpec
 from gdpsim.consensus import (
     Vote,
     cast_vote,
@@ -24,6 +25,7 @@ from gdpsim.errors import (
     EmptyMempool,
     NotProposer,
 )
+from gdpsim.events import encode_event
 from gdpsim.primitives import (
     SeededRng,
     Signature,
@@ -157,11 +159,17 @@ def test_validate_rejects_proposal_not_signed_by_proposer(world):
 def test_a_round_hashes_each_proposal_once(monkeypatch):
     """A round of 16 validators hashes its proposal once, when it is
     signed: every later read of ``digest`` is the cached one. A
-    ``dataclasses.replace`` copy hashes its own fields."""
+    ``dataclasses.replace`` copy hashes its own fields. It weighs each
+    validator once, for both the total and the vote."""
     world = mini_world(n_honest_devices=3, n_witness_pool=14)
     witness_and_pool(world, 2)
-    calls, proposals = [], []
+    calls, proposals, weighed = [], [], []
     real_digest, real_propose = consensus.proposal_digest, consensus.propose_block
+    real_weight = consensus.vote_weight
+
+    def counted_weight(world, node, *args):
+        weighed.append(node)
+        return real_weight(world, node, *args)
 
     def counted(*args):
         calls.append(args)
@@ -173,8 +181,10 @@ def test_a_round_hashes_each_proposal_once(monkeypatch):
 
     monkeypatch.setattr(consensus, "proposal_digest", counted)
     monkeypatch.setattr(consensus, "propose_block", kept)
+    monkeypatch.setattr(consensus, "vote_weight", counted_weight)
     world_mod._consensus_round(world)
-    assert sum(e.kind == "vote" for e in world.log) == 16
+    voters = [bytes.fromhex(e.actor) for e in world.log if e.kind == "vote"]
+    assert len(voters) == 16 and weighed == voters
     assert len(calls) == 1
     proposal, = proposals
     fields = (proposal.proposer, proposal.txn_ids, proposal.parent_block,
@@ -183,6 +193,94 @@ def test_a_round_hashes_each_proposal_once(monkeypatch):
     later = dataclasses.replace(proposal, tick=proposal.tick + 1)
     assert later.digest == real_digest(*fields[:3], proposal.tick + 1)
     assert later.digest != proposal.digest and len(calls) == 2
+
+
+def _lagging_forged_sync():
+    """``forged_sync`` with three forgers that no sync inspection catches
+    and eight staggered outages: peers coming back from an outage stay
+    behind after a forged batch, and vote in rounds at their own height."""
+    cfg = scenarios.get_scenario("forged_sync")
+    cfg.adversaries = [AdversarySpec(kind="forged_sync_node", count=3)]
+    cfg.outages = [OutageSpec(device_index=i, start=30 + 9 * i, duration=25)
+                   for i in range(8)]
+    cfg.inspection.rate_sync_verify = 0.0
+    cfg.duration_ticks = 200
+    return cfg
+
+
+def _checked_run(monkeypatch, cfg, reference: bool):
+    """Run ``cfg``; return the world, the (round, height) of every check
+    of a proposal's transactions, and, per round, the heights at which
+    validators entered ``honest_accept``. The reference checks the
+    transactions once per validator, as ``honest_accept`` does without a
+    memo."""
+    world = world_mod.build_world(cfg)
+    checked, entered = [], {}
+    real_check, real_accept = consensus._txns_acceptable, consensus.honest_accept
+
+    def counted(world, proposal, height):
+        checked.append((world.round_no, height))
+        return real_check(world, proposal, height)
+
+    def entering(world, node, proposal, checks=None):
+        entered.setdefault(world.round_no, set()).add(world.heights[node])
+        return real_accept(world, node, proposal,
+                           None if reference else checks)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(consensus, "_txns_acceptable", counted)
+        patch.setattr(consensus, "honest_accept", entering)
+        for _ in range(cfg.duration_ticks):
+            world_mod.step(world)
+    return world, checked, entered
+
+
+@pytest.mark.parametrize("cfg, lagging", [
+    (scenarios.get_scenario("forged_sync"), False),
+    (_lagging_forged_sync(), True),
+], ids=["forged_sync", "lagging"])
+def test_round_checks_txns_once_per_height(monkeypatch, cfg, lagging):
+    """A round checks its proposal's transactions once per validator
+    height, and logs what checking them for every validator logs. Only
+    validators whose head is the proposal's parent reach the check, and
+    the parent fixes their height, so each round checks once."""
+    world, checked, entered = _checked_run(monkeypatch, cfg, reference=False)
+    reference, ref_checked, _ = _checked_run(monkeypatch, cfg, reference=True)
+    assert [encode_event(e) for e in world.log] == \
+        [encode_event(e) for e in reference.log]
+    assert sorted(checked) == sorted(set(ref_checked))
+    assert len(ref_checked) > 2 * len(checked)
+    assert any(len(heights) > 1 for heights in entered.values()) == lagging
+
+
+def test_each_round_checks_txns_afresh(monkeypatch):
+    """A round's verdict on its transactions is made in that round: after
+    a round whose block never lands, the next round at the same height
+    checks the new proposal against the state as it is then."""
+    world = mini_world(inspection__max_commit_delay=1000,
+                       inspection__rate_proposer_challenge=0.0)
+    witness_and_pool(world, 1)
+    checked = []
+    real_check = consensus._txns_acceptable
+
+    def counted(world, proposal, height):
+        checked.append(height)
+        return real_check(world, proposal, height)
+
+    def accepts():
+        return [e.detail["accept"] for e in world.log if e.kind == "vote"]
+
+    monkeypatch.setattr(consensus, "_txns_acceptable", counted)
+    world_mod._consensus_round(world)
+    first = accepts()
+    assert first and all(first)
+    world.pending_block = None  # the block never lands
+    txn = world.transactions[world.mempool[0]]
+    for witness, att in list(txn.attestations.items()):
+        txn.attestations[witness] = dataclasses.replace(att, equivocated=True)
+    world_mod._consensus_round(world)
+    assert not any(accepts()[len(first):])
+    assert checked == [0, 0]
 
 
 def test_commit_majority_three_of_five(world):

@@ -3,6 +3,7 @@ import pytest
 from gdpsim import anomaly, incentives
 from gdpsim.errors import InvalidProportion, SubjectBanned
 from gdpsim.incentives import (
+    IncentiveEvent,
     IncentiveKind,
     Severity,
     apply_contribution_reward,
@@ -35,9 +36,15 @@ def test_performance_reward(world, owner):
     rep = world.reputation_accounts[owner]
     acct = world.stake_accounts[owner]
     world.set_score(owner, 0.50)
-    apply_performance_reward(world, owner, cause="test")
+    ev = apply_performance_reward(world, owner, cause="test")
     assert rep.score == pytest.approx(0.51)
     assert acct.liquid == pytest.approx(1.0)
+    fields = (world.tick, owner, IncentiveKind.PERF_REWARD,
+              world.cfg.incentives.perf_reward, "test")
+    assert (ev.tick, ev.subject, ev.kind, ev.delta, ev.cause) == fields
+    twin = IncentiveEvent(*fields)
+    assert ev == twin and hash(ev) == hash(twin) and len({ev, twin}) == 1
+    assert ev != IncentiveEvent(*fields[:4], "other")
 
 
 def test_performance_reward_clamped(world, owner):

@@ -359,6 +359,85 @@ def test_kept_stake_total_equals_a_fresh_sum(ops):
         assert consensus.active_stake_total(world) is kept
 
 
+def _weights_state(weights):
+    """A witness-weight tree as exact weights, whatever its unit."""
+    tree = weights.tree
+    unit = Fraction(1, 1 << tree.shift)
+    return (weights.pubs, weights.index, weights.unscored,
+            [v * unit for v in tree.values],
+            [tree.prefix_sum(i) * unit for i in range(len(tree.values) + 1)],
+            tree.total * unit)
+
+
+_weight_step = st.one_of(
+    st.tuples(st.just("score"), st.integers(min_value=0, max_value=12),
+              st.one_of(scores, st.sampled_from([-0.0, "held"]))),
+    st.tuples(st.just("status"), st.integers(min_value=0, max_value=12),
+              st.sampled_from(list(DeviceStatus))),
+    st.tuples(st.just("join")),
+    st.tuples(st.just("build")),
+)
+
+
+@given(st.lists(_weight_step, min_size=1, max_size=30))
+@example([("build",), ("score", 0, 0.0), ("score", 0, -0.0),
+          ("score", 0, -0.0), ("score", 0, 0.0)])
+@example([("build",), ("score", 1, "held"), ("join",), ("score", 1, "held"),
+          ("build",), ("score", 11, "held")])
+@settings(max_examples=80, deadline=None)
+def test_witness_weights_match_a_fresh_build(steps):
+    """After every status or score write, the held witness-weight tree, if
+    any, is the one ``WitnessWeights`` builds afresh: a write of the score
+    already held (``"held"``) changes nothing, a device that joined after
+    the build drops the tree, and each score keeps the float last written,
+    so 0.0 then -0.0 is a write."""
+    world = mini_world()
+    written = {}
+    joined = 0
+    for step in steps:
+        kind, *args = step
+        devices = list(world.devices)
+        if kind == "score":
+            pub = devices[args[0] % len(devices)]
+            score = args[1]
+            if score == "held":
+                score = world.reputation_accounts[pub].score
+            world.set_score(pub, score)
+            written[pub] = score
+        elif kind == "status":
+            world.set_status(devices[args[0] % len(devices)], args[1])
+        elif kind == "join":
+            joined += 1
+            onboard(world, fresh_actor(9000 + joined))
+        else:
+            world.witness_weights()
+        if world._weights is not None:
+            assert _weights_state(world._weights) == \
+                _weights_state(world_mod.WitnessWeights(world))
+        for pub, score in written.items():
+            held = world.reputation_accounts[pub].score
+            assert held == score
+            assert math.copysign(1.0, held) == math.copysign(1.0, score)
+
+
+def test_held_score_write_drops_a_tree_without_the_device():
+    """A write of the score already held re-weighs nothing, but a tree that
+    does not hold the device is still dropped, to be rebuilt on the next
+    draw: no status write has dropped it for a device that entered
+    ``world.devices`` after the build."""
+    world = mini_world()
+    held = world.witness_weights()
+    first = next(iter(world.devices))
+    world.set_score(first, world.reputation_accounts[first].score)
+    assert world.witness_weights() is held
+    pub = fresh_actor(9000).pub
+    world.devices[pub] = copy.copy(next(iter(world.devices.values())))
+    world.reputation_accounts[pub] = incentives.ReputationAccount(owner=pub)
+    world.set_score(pub, world.reputation_accounts[pub].score)
+    assert world._weights is None
+    assert pub in world.witness_weights().index
+
+
 _device_change = st.tuples(st.integers(min_value=0, max_value=10),
                            st.one_of(st.sampled_from(list(DeviceStatus)),
                                      scores))
