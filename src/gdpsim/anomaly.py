@@ -270,10 +270,8 @@ def is_violation(ev) -> bool:
 
 @dataclass
 class InvestigationReport:
-    subject: str
-    alert_ref: int
-    window: tuple
-    events: list
+    """What ``investigate`` found; its ``investigation`` event logs the
+    subject and the alert."""
     violations: list
     dispute_id: Optional[str] = None
 
@@ -283,26 +281,18 @@ def investigate(world, alert_ref: int) -> InvestigationReport:
     protocol violations; conclusive violations open an arbitration dispute."""
     alert_ev = world.log[alert_ref]
     subject = alert_ev.subject
-    radius = world.cfg.anomaly.investigate_radius
-    lo = max(0, alert_ev.tick - radius)
-    hi = alert_ev.tick + radius
-    events = world.log.slice_around(alert_ev.tick, radius, subject=subject)
-    violations = [(ref, ev) for ref, ev in events if is_violation(ev)]
-    report = InvestigationReport(subject=subject, alert_ref=alert_ref,
-                                 window=(lo, hi),
-                                 events=[ev for _, ev in events],
-                                 violations=[ev for _, ev in violations])
-    dispute_ref = None
+    violations = [(ref, ev) for ref, ev in world.log.slice_around(
+        alert_ev.tick, world.cfg.anomaly.investigate_radius, subject=subject)
+        if is_violation(ev)]
+    dispute_id = None
     if violations:
         from .arbitration import can_be_party, open_dispute
         subject_key = bytes.fromhex(subject)
         if can_be_party(world, subject_key):
             claim = {"category": "anomaly", "accused": subject,
                      "event_refs": [ref for ref, _ in violations]}
-            dispute = open_dispute(world, [subject_key], claim)
-            report.dispute_id = dispute.id
-            dispute_ref = dispute.id
+            dispute_id = open_dispute(world, [subject_key], claim).id
     world.log.append(world.tick, "investigation", subject=subject,
                      alert_ref=alert_ref, violations=len(violations),
-                     dispute=dispute_ref or "")
-    return report
+                     dispute=dispute_id or "")
+    return InvestigationReport([ev for _, ev in violations], dispute_id)

@@ -384,9 +384,11 @@ def commit_block(world, proposal: Proposal, votes: list,
 
 
 def resolve_vote_conflict(world, proposal: Proposal, votes: list,
-                          total_weight: float, rng) -> dict:
+                          total_weight: float, rng) -> tuple:
     """Contested-band handler: escalate objected transactions to a fresh
-    witness round and leave the rest for the next proposal."""
+    witness round and leave the rest for the next proposal. The ids it
+    escalated, in proposal order; an empty tuple when the vote is not
+    contested or nothing is flagged."""
     from .transmission import reescalate_disputed
 
     threshold = world.cfg.consensus.commit_threshold
@@ -398,18 +400,14 @@ def resolve_vote_conflict(world, proposal: Proposal, votes: list,
                and (world.transactions[tid].objected
                     or world.transactions[tid].status is TxnStatus.DISPUTED)]
     if not contested or not flagged:
-        return {"action": "noop", "contested": contested, "flagged": len(flagged)}
-    outcomes = []
+        return ()
     for tid in flagged:
         txn = world.transactions[tid]
         txn.status = TxnStatus.DISPUTED
         if tid in world.mempool:
             world.mempool.remove(tid)
-        outcomes.append(reescalate_disputed(world, txn, rng))
-    escalated = set(flagged)
-    remaining = tuple(t for t in proposal.txn_ids if t not in escalated)
-    return {"action": "escalated", "escalated": [t.hex() for t in flagged],
-            "remaining": remaining, "outcomes": outcomes}
+        reescalate_disputed(world, txn, rng)
+    return tuple(flagged)
 
 
 def verify_batch(world, start_head: Digest, start_height: int,

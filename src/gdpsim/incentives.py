@@ -2,9 +2,11 @@
 
 All magnitudes live in ``IncentiveConfig``; defaults are chosen so that the
 default inspection rate makes cheating a negative-expectation activity (see
-``deterrence_margin``). Every mutation of stake or reputation emits exactly
-one IncentiveEvent into the world log, which is what the token-conservation
-replay check joins against.
+``deterrence_margin``). Every mutation of stake or reputation appends
+exactly one ``incentive`` event to the world log, which is what the
+token-conservation replay check joins against; the log is the one record of
+it, so the reward and penalty functions return nothing, and
+``apply_longevity_bonus`` only whether it paid.
 """
 
 from __future__ import annotations
@@ -55,52 +57,14 @@ class ReputationAccount:
     last_bonus_tick: int = -1   # -1: never received a longevity bonus
 
 
-class IncentiveEvent:
-    """One stake or reputation mutation, as ``_emit`` returns it. No field
-    is written after it is built.
-
-    A ``__slots__`` class rather than a frozen dataclass, as ``events.Event``
-    is, because every reward and penalty builds one and this builds in
-    about a quarter of the time. Records are equal when every field is equal,
-    and hash by their fields.
-    """
-
-    __slots__ = ("tick", "subject", "kind", "delta", "cause")
-
-    def __init__(self, tick: int, subject: bytes, kind: IncentiveKind,
-                 delta: float, cause: str):
-        self.tick = tick
-        self.subject = subject
-        self.kind = kind
-        self.delta = delta
-        self.cause = cause
-
-    def _fields(self) -> tuple:
-        return (self.tick, self.subject, self.kind, self.delta, self.cause)
-
-    def __eq__(self, other):
-        if not isinstance(other, IncentiveEvent):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return ("IncentiveEvent(tick=%r, subject=%r, kind=%r, delta=%r, "
-                "cause=%r)" % self._fields())
-
-
 def _emit(world, subject: bytes, kind: IncentiveKind, delta: float,
-          cause: str) -> IncentiveEvent:
-    ev = IncentiveEvent(world.tick, subject, kind, delta, cause)
+          cause: str) -> None:
     world.log.append(world.tick, "incentive", subject=subject.hex(),
                      incentive_kind=kind.value, delta=delta, cause=cause)
-    return ev
 
 
 def open_account(world, owner: bytes, staked: float, tick: int,
-                 initial_reputation: float) -> IncentiveEvent:
+                 initial_reputation: float) -> None:
     """Escrow the onboarding stake deposit and start the reputation record."""
     world.stake_accounts[owner] = StakeAccount(owner=owner, staked=staked)
     world.stake_version += 1
@@ -108,7 +72,7 @@ def open_account(world, owner: bytes, staked: float, tick: int,
         owner=owner, onboarded_tick=tick)
     world.set_score(owner, initial_reputation)
     world.total_deposited += staked
-    return _emit(world, owner, IncentiveKind.STAKE_DEPOSIT, staked, "onboarding")
+    _emit(world, owner, IncentiveKind.STAKE_DEPOSIT, staked, "onboarding")
 
 
 def _is_banned(world, owner: bytes) -> bool:
@@ -123,7 +87,7 @@ def _adjust_reputation(world, owner: bytes, new_score: float) -> float:
     return world.reputation_accounts[owner].score
 
 
-def apply_performance_reward(world, owner: bytes, cause: str) -> IncentiveEvent:
+def apply_performance_reward(world, owner: bytes, cause: str) -> None:
     if _is_banned(world, owner):
         raise SubjectBanned(owner.hex())
     cfg = world.cfg.incentives
@@ -132,11 +96,11 @@ def apply_performance_reward(world, owner: bytes, cause: str) -> IncentiveEvent:
     acct.liquid += cfg.perf_reward
     world.total_minted += cfg.perf_reward
     _adjust_reputation(world, owner, rep.score + cfg.perf_rep_bonus)
-    return _emit(world, owner, IncentiveKind.PERF_REWARD, cfg.perf_reward, cause)
+    _emit(world, owner, IncentiveKind.PERF_REWARD, cfg.perf_reward, cause)
 
 
 def apply_contribution_reward(world, owner: bytes, contributed_units: float,
-                              total_units: float, cause: str) -> IncentiveEvent:
+                              total_units: float, cause: str) -> None:
     if total_units <= 0 or contributed_units < 0 or contributed_units > total_units:
         raise InvalidProportion(
             f"contributed={contributed_units} of total={total_units}")
@@ -147,21 +111,23 @@ def apply_contribution_reward(world, owner: bytes, contributed_units: float,
     acct = world.stake_accounts[owner]
     acct.liquid += amount
     world.total_minted += amount
-    return _emit(world, owner, IncentiveKind.CONTRIB_REWARD, amount, cause)
+    _emit(world, owner, IncentiveKind.CONTRIB_REWARD, amount, cause)
 
 
-def apply_longevity_bonus(world, owner: bytes, tick: int):
-    """Bonus for long, clean, high-reputation tenure; at most once per period."""
+def apply_longevity_bonus(world, owner: bytes, tick: int) -> bool:
+    """Bonus for long, clean, high-reputation tenure; at most once per period.
+    Whether it was paid."""
     cfg = world.cfg.incentives
     acct = world.stake_accounts[owner]
     rep = world.reputation_accounts[owner]
     if _is_banned(world, owner) or tick < longevity_due(world, owner):
-        return None
+        return False
     acct.liquid += cfg.longevity_bonus
     world.total_minted += cfg.longevity_bonus
     rep.last_bonus_tick = tick
-    return _emit(world, owner, IncentiveKind.LONGEVITY_BONUS, cfg.longevity_bonus,
-                 "longevity")
+    _emit(world, owner, IncentiveKind.LONGEVITY_BONUS, cfg.longevity_bonus,
+          "longevity")
+    return True
 
 
 def longevity_due(world, owner: bytes) -> float:
@@ -179,52 +145,50 @@ def longevity_due(world, owner: bytes) -> float:
     return rep.onboarded_tick + period
 
 
-def _forfeit(world, acct: StakeAccount, fraction: float, cause: str) -> IncentiveEvent:
+def _forfeit(world, acct: StakeAccount, fraction: float, cause: str) -> None:
     amount = acct.staked * fraction
     acct.staked -= amount
     world.stake_version += 1
     world.treasury += amount
-    return _emit(world, acct.owner, IncentiveKind.STAKE_FORFEIT, -amount, cause)
+    _emit(world, acct.owner, IncentiveKind.STAKE_FORFEIT, -amount, cause)
 
 
 def apply_penalty(world, owner: bytes, severity: Severity,
-                  cause: str) -> list[IncentiveEvent]:
-    """Graduated penalty. Returns every event emitted (penalty + any ban)."""
+                  cause: str) -> None:
+    """Graduated penalty: a reputation cut, then any forfeit and ban."""
     cfg = world.cfg.incentives
     acct = world.stake_accounts[owner]
     rep = world.reputation_accounts[owner]
-    events = []
 
     before = rep.score
     after = _adjust_reputation(world, owner, before * cfg.rep_penalty_factor)
-    events.append(_emit(world, owner, IncentiveKind.REPUTATION_PENALTY,
-                        after - before, cause))
+    _emit(world, owner, IncentiveKind.REPUTATION_PENALTY, after - before, cause)
 
     if severity is Severity.MAJOR:
         fraction = cfg.major_first_forfeit if acct.offense_count == 0 else 1.0
-        events.append(_forfeit(world, acct, fraction, cause))
+        _forfeit(world, acct, fraction, cause)
         acct.offense_count += 1
     elif severity is Severity.CRITICAL:
-        events.append(_forfeit(world, acct, 1.0, cause))
+        _forfeit(world, acct, 1.0, cause)
         acct.offense_count += 1
-        events.append(_ban(world, owner, permanent=True, cause=cause))
-        return events
+        _ban(world, owner, permanent=True, cause=cause)
+        return
 
     if after < cfg.ban_threshold and not _is_banned(world, owner):
-        events.append(_ban(world, owner, permanent=False, cause=cause))
-    return events
+        _ban(world, owner, permanent=False, cause=cause)
 
 
-def _ban(world, owner: bytes, permanent: bool, cause: str) -> IncentiveEvent:
+def _ban(world, owner: bytes, permanent: bool, cause: str) -> None:
     """Ban ``owner`` after ending its open quarantine: one hold per device."""
     anomaly.release_quarantine(world, owner)
     if owner in world.devices:
         world.set_status(owner, DeviceStatus.BANNED)
     if permanent:
         world.ban_until.pop(owner, None)
-        return _emit(world, owner, IncentiveKind.PERM_BAN, 0.0, cause)
+        _emit(world, owner, IncentiveKind.PERM_BAN, 0.0, cause)
+        return
     world.ban_until[owner] = world.tick + world.cfg.incentives.temp_ban_ticks
-    return _emit(world, owner, IncentiveKind.TEMP_BAN, 0.0, cause)
+    _emit(world, owner, IncentiveKind.TEMP_BAN, 0.0, cause)
 
 
 def release_due_bans(world) -> list[bytes]:
@@ -242,16 +206,15 @@ def release_due_bans(world) -> list[bytes]:
 
 
 def restore_reputation(world, owner: bytes, amount: float,
-                       cause: str) -> IncentiveEvent:
+                       cause: str) -> None:
     """Arbitration remedy for wrongly accused parties."""
     rep = world.reputation_accounts[owner]
     before = rep.score
     after = _adjust_reputation(world, owner, before + amount)
-    return _emit(world, owner, IncentiveKind.REPUTATION_RESTORE, after - before,
-                 cause)
+    _emit(world, owner, IncentiveKind.REPUTATION_RESTORE, after - before, cause)
 
 
-def post_bond(world, owner: bytes, amount: float, cause: str) -> IncentiveEvent:
+def post_bond(world, owner: bytes, amount: float, cause: str) -> None:
     """Move liquid tokens into the world's bond escrow."""
     acct = world.stake_accounts[owner]
     if acct.liquid < amount:
@@ -259,18 +222,19 @@ def post_bond(world, owner: bytes, amount: float, cause: str) -> IncentiveEvent:
         raise InsufficientBond(f"{owner.hex()} has {acct.liquid}, needs {amount}")
     acct.liquid -= amount
     world.bond_escrow += amount
-    return _emit(world, owner, IncentiveKind.BOND_POSTED, -amount, cause)
+    _emit(world, owner, IncentiveKind.BOND_POSTED, -amount, cause)
 
 
 def settle_bond(world, owner: bytes, amount: float, refunded: bool,
-                cause: str) -> IncentiveEvent:
+                cause: str) -> None:
     world.bond_escrow -= amount
     if refunded:
         acct = world.stake_accounts[owner]
         acct.liquid += amount
-        return _emit(world, owner, IncentiveKind.BOND_REFUNDED, amount, cause)
+        _emit(world, owner, IncentiveKind.BOND_REFUNDED, amount, cause)
+        return
     world.treasury += amount
-    return _emit(world, owner, IncentiveKind.STAKE_FORFEIT, -amount, cause)
+    _emit(world, owner, IncentiveKind.STAKE_FORFEIT, -amount, cause)
 
 
 def token_totals(world) -> dict:

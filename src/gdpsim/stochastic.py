@@ -8,7 +8,6 @@ and an arbitration dispute or quarantine; nothing fails silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from . import incentives
@@ -24,15 +23,6 @@ class TargetKind(Enum):
     PROPOSER = "Proposer"
     SYNC_BATCH = "SyncBatch"
     DEVICE = "Device"
-
-
-@dataclass(frozen=True)
-class InspectionOutcome:
-    tick: int
-    target_kind: TargetKind
-    target_id: str
-    passed: bool
-    evidence: tuple = ()
 
 
 def should_inspect(rng, rate: float, *key_parts) -> bool:
@@ -71,17 +61,19 @@ def solve_puzzle(base: Digest, difficulty: int, max_attempts: int):
     return None, max_attempts
 
 
-def _record(world, outcome: InspectionOutcome) -> InspectionOutcome:
-    world.log.append(outcome.tick, "inspection", subject=outcome.target_id,
-                     target_kind=outcome.target_kind.value, passed=outcome.passed,
-                     evidence=list(outcome.evidence))
-    return outcome
+def _record(world, target_kind: TargetKind, target_id: str, passed: bool,
+            evidence: list) -> None:
+    """Log an inspection's outcome; the log is its one record."""
+    world.log.append(world.tick, "inspection", subject=target_id,
+                     target_kind=target_kind.value, passed=passed,
+                     evidence=evidence)
 
 
-def deep_inspect_transaction(world, txn) -> InspectionOutcome:
+def deep_inspect_transaction(world, txn) -> bool:
     """Deep-dive packet analysis: re-derive the payload digest from the
     simulator's ground truth and replay every attestation's commit binding
-    and signature. Any mismatch is conclusive: dispute plus critical penalty."""
+    and signature. Any mismatch is conclusive: dispute plus critical penalty.
+    Whether the transaction passed."""
     assert txn.status in (TxnStatus.WITNESSED, TxnStatus.COMMITTED,
                           TxnStatus.REJECTED, TxnStatus.DISPUTED)
     evidence = []
@@ -96,9 +88,7 @@ def deep_inspect_transaction(world, txn) -> InspectionOutcome:
             evidence.append(f"attestation signature invalid for {witness.hex()[:16]}")
 
     passed = not evidence
-    outcome = _record(world, InspectionOutcome(
-        world.tick, TargetKind.TRANSACTION, txn.id.hex(), passed,
-        tuple(evidence)))
+    _record(world, TargetKind.TRANSACTION, txn.id.hex(), passed, evidence)
     if not passed:
         sender = txn.sender
         from .arbitration import can_be_party, open_dispute
@@ -109,26 +99,26 @@ def deep_inspect_transaction(world, txn) -> InspectionOutcome:
                           "event_refs": [len(world.log) - 1]})
         incentives.apply_penalty(world, sender, incentives.Severity.CRITICAL,
                                  cause=f"deep_inspect:{txn.id.hex()[:16]}")
-    return outcome
+    return passed
 
 
 def challenge_proposer(world, proposer: bytes, proposal_dig: Digest,
-                       rng) -> InspectionOutcome:
+                       rng) -> bool:
     """Anti-Sybil puzzle: the proposer must find a nonce giving the proposal
-    digest enough leading zero bits; failure skips the round and costs it."""
+    digest enough leading zero bits; failure skips the round and costs it.
+    Whether the proposer passed."""
     policy = world.cfg.inspection
     answer = world.actors[proposer].solve_puzzle(proposal_dig,
                                                  policy.puzzle_difficulty,
                                                  policy.puzzle_max_attempts)
     passed = (answer is not None
               and verify_puzzle(proposal_dig, answer, policy.puzzle_difficulty))
-    outcome = _record(world, InspectionOutcome(
-        world.tick, TargetKind.PROPOSER, proposer.hex(), passed,
-        (proposal_dig.hex(),)))
+    _record(world, TargetKind.PROPOSER, proposer.hex(), passed,
+            [proposal_dig.hex()])
     if not passed:
         incentives.apply_penalty(world, proposer, incentives.Severity.MINOR,
                                  cause="proposer_puzzle")
-    return outcome
+    return passed
 
 
 def pick_random_validators(world, rng, m: int) -> list:
@@ -151,29 +141,30 @@ def random_commit_delay(rng, max_delay: int) -> int:
 
 def verify_sync_integrity(world, source: bytes, target: bytes,
                           batch: list, start_head: Digest,
-                          start_height: int) -> InspectionOutcome:
+                          start_height: int) -> bool:
     """Stochastic deep verification of a sync transfer; a forged batch costs
-    the propagating node its stake and membership."""
+    the propagating node its stake and membership. Whether the batch
+    passed."""
     try:
         verify_batch(world, start_head, start_height, batch)
-        evidence = ()
-        passed = True
+        evidence = []
     except ChainIntegrityViolation as exc:
-        evidence = (str(exc),)
-        passed = False
-    outcome = _record(world, InspectionOutcome(
-        world.tick, TargetKind.SYNC_BATCH,
-        f"{source.hex()[:16]}->{target.hex()[:16]}", passed, evidence))
+        evidence = [str(exc)]
+    passed = not evidence
+    _record(world, TargetKind.SYNC_BATCH,
+            f"{source.hex()[:16]}->{target.hex()[:16]}", passed, evidence)
     if not passed:
         incentives.apply_penalty(world, source, incentives.Severity.CRITICAL,
                                  cause="forged_sync")
-    return outcome
+    return passed
 
 
-def inspect_device(world, device: bytes) -> InspectionOutcome:
-    """Onboarding integration: immediate forced re-validation."""
+def inspect_device(world, device: bytes) -> bool:
+    """Onboarding integration: immediate forced re-validation. Whether the
+    device passed."""
     from .onboarding import revalidate_device
 
-    ok = revalidate_device(world, world.devices[device], world.tick, force=True)
-    return _record(world, InspectionOutcome(
-        world.tick, TargetKind.DEVICE, device.hex(), ok))
+    passed = revalidate_device(world, world.devices[device], world.tick,
+                               force=True)
+    _record(world, TargetKind.DEVICE, device.hex(), passed, [])
+    return passed

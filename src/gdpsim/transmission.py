@@ -268,7 +268,7 @@ def aggregation_oracle(reveals: list, quorum: int) -> str:
     return "Disputed"
 
 
-def _txn_to_arbitration(world, txn: DataTransaction) -> dict:
+def _txn_to_arbitration(world, txn: DataTransaction) -> None:
     """Open a dispute against the sender; a sender that can no longer be a
     dispute party (banned, say) leaves the txn Disputed with the reason
     logged."""
@@ -278,7 +278,7 @@ def _txn_to_arbitration(world, txn: DataTransaction) -> dict:
         world.log.append(world.tick, "dispute_skipped", subject=subject,
                          accused=txn.sender.hex(),
                          reason="sender is neither active nor quarantined")
-        return {"action": "arbitration_skipped"}
+        return
     refs = [ref for ref in world.log.refs_of(subject)
             if world.log[ref].subject == subject]
     claim = {"category": "attestation_conflict",
@@ -286,17 +286,17 @@ def _txn_to_arbitration(world, txn: DataTransaction) -> dict:
     dispute = open_dispute(world, [txn.sender], claim)
     world.log.append(world.tick, "dispute_opened_from_txn",
                      subject=txn.id.hex(), dispute=dispute.id)
-    return {"action": "arbitration", "dispute": dispute.id}
 
 
-def reescalate_disputed(world, txn: DataTransaction, rng) -> dict:
+def reescalate_disputed(world, txn: DataTransaction, rng) -> bool:
     """Re-run the round with a fresh panel disjoint from every earlier one;
     after the escalation cap (or when no disjoint panel exists), hand the
-    conflict to arbitration."""
+    conflict to arbitration. Whether a fresh panel was seated."""
     if txn.status is not TxnStatus.DISPUTED:
-        return {"action": "noop", "status": txn.status.value}
+        return False
     if txn.escalations >= world.cfg.panel.max_escalations:
-        return _txn_to_arbitration(world, txn)
+        _txn_to_arbitration(world, txn)
+        return False
     txn.escalations += 1
     txn.status = TxnStatus.PENDING
     txn.objected = False
@@ -305,13 +305,14 @@ def reescalate_disputed(world, txn: DataTransaction, rng) -> dict:
     except InsufficientWitnesses:
         txn.status = TxnStatus.DISPUTED
         txn.escalations -= 1
-        return _txn_to_arbitration(world, txn)
+        _txn_to_arbitration(world, txn)
+        return False
     world.log.append(world.tick, "txn_escalated", subject=txn.id.hex(),
                      escalation=txn.escalations)
-    return {"action": "escalated", "round": txn.escalations}
+    return True
 
 
-def evaluate_witnesses(world, txn: DataTransaction) -> list:
+def evaluate_witnesses(world, txn: DataTransaction) -> None:
     """Settle witness accuracy against the terminal outcome.
 
     Truth is Valid for Committed transactions and Invalid for Rejected ones.
@@ -319,11 +320,9 @@ def evaluate_witnesses(world, txn: DataTransaction) -> list:
     the revealed verdicts earn rewards or penalties.
     """
     truth = Verdict.VALID if txn.status is TxnStatus.COMMITTED else Verdict.INVALID
-    results = []
     for witness in txn.panel:
         att = txn.attestations.get(witness)
         if att is None or att.equivocated or att.revealed_verdict is None:
-            results.append((witness, "already_penalized"))
             continue
         correct = att.revealed_verdict is truth
         world.log.append(world.tick, "witness_eval", actor=witness.hex(),
@@ -333,11 +332,6 @@ def evaluate_witnesses(world, txn: DataTransaction) -> list:
             if profile is not None and profile.status is DeviceStatus.ACTIVE:
                 incentives.apply_performance_reward(
                     world, witness, cause=f"attestation:{txn.id.hex()[:16]}")
-                results.append((witness, "reward"))
-            else:
-                results.append((witness, "ineligible"))
         else:
             incentives.apply_penalty(world, witness, incentives.Severity.MINOR,
                                      cause=f"wrong_verdict:{txn.id.hex()[:16]}")
-            results.append((witness, "penalty"))
-    return results

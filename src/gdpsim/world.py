@@ -657,10 +657,9 @@ def _aggregate_due(world: World) -> None:
         elif status is TxnStatus.REJECTED:
             transmission.evaluate_witnesses(world, txn)
         else:  # Disputed: fresh panel or arbitration
-            outcome = transmission.reescalate_disputed(
-                world, txn, world.rng_selection.derive("escalate", tid,
-                                                       txn.escalations))
-            if outcome["action"] == "escalated":
+            if transmission.reescalate_disputed(
+                    world, txn, world.rng_selection.derive("escalate", tid,
+                                                           txn.escalations)):
                 _run_commit_phase(world, txn)
 
 
@@ -709,10 +708,8 @@ def _consensus_round(world: World) -> None:
     if stochastic.should_inspect(world.rng_inspection,
                                  policy.rate_proposer_challenge,
                                  "puzzle", world.round_no, proposer):
-        outcome = stochastic.challenge_proposer(world, proposer,
-                                                proposal.digest,
-                                                world.rng_consensus)
-        if not outcome.passed:
+        if not stochastic.challenge_proposer(world, proposer, proposal.digest,
+                                             world.rng_consensus):
             world.log.append(world.tick, "round_skipped",
                              subject=proposer.hex(), round_no=world.round_no)
             return
@@ -768,12 +765,12 @@ def _land_pending(world: World) -> None:
     if pending is None or world.tick < pending.land_tick:
         return
     world.pending_block = None
-    resolution = consensus.resolve_vote_conflict(
+    escalated = consensus.resolve_vote_conflict(
         world, pending.proposal, pending.votes, pending.total_weight,
         world.rng_selection.derive("conflict", world.round_no))
-    if resolution["action"] == "escalated":
-        for tid_hex in resolution["escalated"]:
-            txn = world.transactions[bytes.fromhex(tid_hex)]
+    if escalated:
+        for tid in escalated:
+            txn = world.transactions[tid]
             if txn.status is TxnStatus.PENDING:  # fresh panel selected
                 _run_commit_phase(world, txn)
         return
@@ -896,7 +893,7 @@ def _incentive_upkeep(world: World) -> None:
         # apply_longevity_bonus pays nothing before the due tick
         due = incentives.longevity_due(world, pub)
         if world.tick >= due and incentives.apply_longevity_bonus(
-                world, pub, world.tick) is not None:
+                world, pub, world.tick):
             due = incentives.longevity_due(world, pub)
         floor = min(floor, due)
     world.longevity_floor = min(world.longevity_floor, floor)

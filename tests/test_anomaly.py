@@ -256,7 +256,7 @@ def test_investigate_benign_spike_no_dispute(world):
     assert report.dispute_id is None
 
 
-def test_investigate_subjectless_alert_reads_the_empty_key():
+def test_investigate_subjectless_alert_reads_the_empty_key(monkeypatch):
     # payload-size alerts carry no subject, so their investigation slices
     # the events that name "" as subject or actor
     world = run_world(get_scenario("equivocation"))
@@ -268,17 +268,20 @@ def test_investigate_subjectless_alert_reads_the_empty_key():
             expected[ref] = [ev for ev in world.log if lo <= ev.tick <= hi
                              and (ev.subject == "" or ev.actor == "")]
     assert expected
+    read = []
+    real_slice = world.log.slice_around
+
+    def slice_read(center_tick, radius, subject=None):
+        read.append(real_slice(center_tick, radius, subject))
+        return read[-1]
+
+    monkeypatch.setattr(world.log, "slice_around", slice_read)
     for ref, events in expected.items():
         assert any(ev.subject != "" for ev in events)  # actor-side matches
         report = investigate(world, ref)
-        assert report.subject == ""
-        assert report.events == events
-
-
-def test_investigate_window_clamped(world):
-    subject = world.active_devices()[0]
-    ref = world.log.append(30, "alert", subject=subject.hex(),
-                           stream="txrate", alert_kind="PointOutlier",
-                           z_score=3.5, value=9.0)
-    report = investigate(world, ref)
-    assert report.window == (0, 80)  # radius 50 around tick 30, floor at 0
+        assert [ev for _, ev in read.pop()] == events
+        assert report.violations == [ev for ev in events
+                                     if anomaly.is_violation(ev)]
+        logged = world.log[len(world.log) - 1]
+        assert (logged.kind, logged.subject, logged.detail["alert_ref"]) == (
+            "investigation", "", ref)

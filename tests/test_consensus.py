@@ -36,7 +36,12 @@ from gdpsim.primitives import (
 )
 from gdpsim.transmission import TxnStatus, Verdict
 
-from conftest import count_ed25519_verifies, mini_world, record_signature_reads
+from conftest import (
+    count_ed25519_verifies,
+    mini_cfg,
+    mini_world,
+    record_signature_reads,
+)
 
 
 def witness_and_pool(world, n=3, sender_idx=0, receiver_idx=1):
@@ -251,6 +256,145 @@ def test_round_checks_txns_once_per_height(monkeypatch, cfg, lagging):
     assert sorted(checked) == sorted(set(ref_checked))
     assert len(ref_checked) > 2 * len(checked)
     assert any(len(heights) > 1 for heights in entered.values()) == lagging
+
+
+class _FaultyPick:
+    """A proposer's pick that slips one bad transaction into a proposal,
+    round by round in the cycle of ``KINDS``: an honest round, then one of
+    the four faults ``_txns_acceptable`` refuses, each met first by its own
+    check.
+
+    - ``replayed``: the last committed transaction again;
+    - ``unwitnessed``: a transaction whose panel has not yet aggregated;
+    - ``unquorate``: a copy of a picked transaction, Witnessed in status
+      but with no Valid reveal behind it. No run makes one, so the pick
+      registers it;
+    - ``gapped``: the honest pick without a sender's first transaction,
+      when it holds two of that sender's.
+
+    A kind with no material this round leaves the pick honest.
+    ``by_digest`` maps each proposal digest (hex) to its kind, None when
+    honest."""
+
+    KINDS = (None, "replayed", "unwitnessed", "unquorate", "gapped")
+
+    def __init__(self):
+        self.honest = consensus._chainable
+        self.propose = consensus.propose_block
+        self.kind = None
+        self.by_digest = {}
+
+    def pick(self, world, watermark, ordered, cap):
+        chosen = self.honest(world, watermark, ordered, cap)
+        kind = self.KINDS[world.round_no % len(self.KINDS)]
+        bad = self._bad(world, kind, chosen) if chosen else None
+        self.kind = kind if bad is not None else None
+        return chosen if bad is None else bad
+
+    def propose_block(self, world, node):
+        proposal = self.propose(world, node)
+        self.by_digest[proposal.digest.hex()] = self.kind
+        return proposal
+
+    def _bad(self, world, kind, chosen):
+        txns = world.transactions
+        if kind == "replayed":
+            return next(([*chosen, tid] for block in world.canonical.blocks[::-1]
+                         for tid in block.txn_ids if tid in txns), None)
+        if kind == "unwitnessed":
+            return next(([*chosen, tid] for tid, txn in reversed(txns.items())
+                         if txn.status is TxnStatus.PENDING), None)
+        if kind == "unquorate":
+            base = txns[chosen[-1]]
+            if base.status is not TxnStatus.WITNESSED:
+                return None
+            fake = digest(base.id + b"unquorate")
+            txns.setdefault(fake, dataclasses.replace(base, id=fake,
+                                                      attestations={}))
+            return [*chosen, fake]
+        if kind == "gapped":
+            senders = [txns[t].sender if t in txns else None for t in chosen]
+            for i, sender in enumerate(senders):
+                if sender is not None and sender in senders[i + 1:]:
+                    return chosen[:i] + chosen[i + 1:]
+        return None
+
+
+def test_round_rejects_a_faulty_proposal_once_per_height(monkeypatch):
+    """Honest validators refuse every faulty proposal of a whole run, and
+    the round's memo reaches the verdicts that checking for each validator
+    reaches: the same log, one check per (round, height)."""
+    cfg = mini_cfg(txn_arrival_rate=2.0, duration_ticks=150)
+    runs = []
+    for reference in (False, True):
+        faulty = _FaultyPick()
+        with monkeypatch.context() as patch:
+            patch.setattr(consensus, "_chainable", faulty.pick)
+            patch.setattr(consensus, "propose_block", faulty.propose_block)
+            runs.append((faulty, *_checked_run(monkeypatch, cfg, reference)))
+    (faulty, world, checked, _), (_, reference, ref_checked, _) = runs
+    assert [encode_event(e) for e in world.log] == \
+        [encode_event(e) for e in reference.log]
+    assert sorted(checked) == sorted(set(ref_checked))
+    accepts = {}
+    for ev in world.log:
+        if ev.kind == "vote":
+            kind = faulty.by_digest[ev.subject]
+            accepts.setdefault(kind, []).append(ev.detail["accept"])
+    assert set(accepts) == set(_FaultyPick.KINDS)
+    assert any(accepts.pop(None))
+    assert not any(itertools.chain(*accepts.values()))
+
+
+def test_contested_escalation_seats_a_fresh_panel_in_a_whole_run(monkeypatch):
+    """A super-majority threshold puts every near-unanimous vote in the
+    contested band, and full deep scrutiny lets the one honest witness on
+    a colluding panel object. A block that lands then escalates its
+    objected transactions instead of committing them: a fresh panel,
+    disjoint from the earlier ones, runs its commit phase in the same tick,
+    or the transaction goes to arbitration."""
+    cfg = scenarios.get_scenario("collusion_at_quorum")
+    cfg.seed = 2
+    cfg.n_witness_pool = 3
+    cfg.adversaries = [
+        AdversarySpec(kind="tampering_sender", count=1,
+                      params={"tamper_rate": 1.0}),
+        AdversarySpec(kind="colluding_witnesses", count=8),
+    ]
+    cfg.inspection.rate_witness_deep = 1.0
+    cfg.consensus.commit_threshold = 0.95
+    escalations = []
+    resolve = consensus.resolve_vote_conflict
+
+    def recorded(world, *args):
+        mark = len(world.log)
+        escalated = resolve(world, *args)
+        escalations.extend((world.tick, mark, tid) for tid in escalated)
+        return escalated
+
+    monkeypatch.setattr(consensus, "resolve_vote_conflict", recorded)
+    world = world_mod.run_world(cfg)
+    assert escalations
+    seated = arbitrated = 0
+    for tick, mark, tid in escalations:
+        mine = [ev for ev in world.log if ev.subject == tid.hex()]
+        later = [ev for ev in list(world.log)[mark:]
+                 if ev.tick == tick and ev.subject == tid.hex()]
+        if later[0].kind == "dispute_opened_from_txn":
+            arbitrated += 1
+            continue
+        selected, escalated, *rest = later
+        assert (selected.kind, escalated.kind) == ("panel_selected",
+                                                   "txn_escalated")
+        panel = selected.detail["witnesses"]
+        earlier = {w for ev in mine[:mine.index(selected)]
+                   if ev.kind == "panel_selected"
+                   for w in ev.detail["witnesses"]}
+        assert earlier and earlier.isdisjoint(panel)
+        assert [ev.actor for ev in rest[:len(panel)]
+                if ev.kind == "attestation_commit"] == panel
+        seated += 1
+    assert seated and arbitrated
 
 
 def test_each_round_checks_txns_afresh(monkeypatch):
@@ -531,10 +675,10 @@ def test_resolve_conflict_escalates_contested_disputed_txn():
     votes = [cast_vote(world, n, proposal, accept=(i < 2))
              for i, n in enumerate(validators)]
     total = sum(v.weight for v in votes)
-    outcome = resolve_vote_conflict(world, proposal, votes, total, SeededRng(40))
-    assert outcome["action"] == "escalated"
-    assert txn.id.hex() in outcome["escalated"]
-    assert txn.id not in outcome["remaining"]
+    escalated = resolve_vote_conflict(world, proposal, votes, total,
+                                      SeededRng(40))
+    assert escalated == (txn.id,)
+    assert txn.id not in world.mempool
     assert txn.status is TxnStatus.PENDING  # fresh panel, new round running
 
 
@@ -547,8 +691,10 @@ def test_resolve_conflict_noop_without_disputes(world):
     votes = [cast_vote(world, n, proposal, accept=(i < 2))
              for i, n in enumerate(validators)]
     total = sum(v.weight for v in votes)
-    outcome = resolve_vote_conflict(world, proposal, votes, total, SeededRng(41))
-    assert outcome["action"] == "noop"
+    before = len(world.log)
+    assert resolve_vote_conflict(world, proposal, votes, total,
+                                 SeededRng(41)) == ()
+    assert len(world.log) == before
 
 
 def test_resolve_conflict_noop_outside_band(world):
@@ -559,9 +705,10 @@ def test_resolve_conflict_noop_outside_band(world):
     validators = [n for n in world.active_devices() if n != proposer]
     votes = [cast_vote(world, n, proposal, accept=True) for n in validators]
     total = sum(v.weight for v in votes)
-    outcome = resolve_vote_conflict(world, proposal, votes, total, SeededRng(42))
-    assert outcome["action"] == "noop"  # unanimous accept: not contested
-    assert outcome["contested"] is False
+    # unanimous accept: not contested, so the objected txn stays put
+    assert resolve_vote_conflict(world, proposal, votes, total,
+                                 SeededRng(42)) == ()
+    assert txn.status is TxnStatus.WITNESSED and txn.id in world.mempool
 
 
 def test_resolve_conflict_escalation_cap_reaches_arbitration(world):
@@ -574,7 +721,9 @@ def test_resolve_conflict_escalation_cap_reaches_arbitration(world):
     votes = [cast_vote(world, n, proposal, accept=(i < 2))
              for i, n in enumerate(validators)]
     total = sum(v.weight for v in votes)
-    outcome = resolve_vote_conflict(world, proposal, votes, total, SeededRng(43))
-    assert outcome["action"] == "escalated"
-    assert outcome["outcomes"][0]["action"] == "arbitration"
-    assert outcome["outcomes"][0]["dispute"] in world.disputes
+    assert resolve_vote_conflict(world, proposal, votes, total,
+                                 SeededRng(43)) == (txn.id,)
+    opened = world.log[len(world.log) - 1]
+    assert (opened.kind, opened.subject) == ("dispute_opened_from_txn",
+                                             txn.id.hex())
+    assert opened.detail["dispute"] in world.disputes

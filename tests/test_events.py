@@ -114,6 +114,16 @@ json_details = st.dictionaries(
     max_size=5)
 
 
+def test_slice_around_clamps_the_window_at_tick_0():
+    # radius 50 around tick 30 is the window [0, 80]: an event before tick
+    # 0 stays out, although it lies within the radius
+    log = EventLog()
+    refs = [log.append(tick, "k", subject="s") for tick in (-1, 0, 80, 81)]
+    for subject in (None, "s"):
+        assert [ref for ref, _ in log.slice_around(30, 50, subject)] == \
+            refs[1:3]
+
+
 @given(st.integers(min_value=0, max_value=2**64), awkward_text, awkward_text,
        awkward_text, json_details)
 @settings(max_examples=200, deadline=None)

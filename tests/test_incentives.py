@@ -3,7 +3,6 @@ import pytest
 from gdpsim import anomaly, incentives
 from gdpsim.errors import InvalidProportion, SubjectBanned
 from gdpsim.incentives import (
-    IncentiveEvent,
     IncentiveKind,
     Severity,
     apply_contribution_reward,
@@ -32,19 +31,26 @@ def owner(world):
     return world.active_devices()[0]
 
 
+def logged_since(world, mark: int) -> list:
+    """The ``incentive`` events appended after the first ``mark`` log
+    events, as (tick, subject, kind, delta, cause)."""
+    return [(ev.tick, bytes.fromhex(ev.subject),
+             IncentiveKind(ev.detail["incentive_kind"]), ev.detail["delta"],
+             ev.detail["cause"])
+            for ev in list(world.log)[mark:] if ev.kind == "incentive"]
+
+
 def test_performance_reward(world, owner):
     rep = world.reputation_accounts[owner]
     acct = world.stake_accounts[owner]
     world.set_score(owner, 0.50)
-    ev = apply_performance_reward(world, owner, cause="test")
+    mark = len(world.log)
+    assert apply_performance_reward(world, owner, cause="test") is None
     assert rep.score == pytest.approx(0.51)
     assert acct.liquid == pytest.approx(1.0)
-    fields = (world.tick, owner, IncentiveKind.PERF_REWARD,
-              world.cfg.incentives.perf_reward, "test")
-    assert (ev.tick, ev.subject, ev.kind, ev.delta, ev.cause) == fields
-    twin = IncentiveEvent(*fields)
-    assert ev == twin and hash(ev) == hash(twin) and len({ev, twin}) == 1
-    assert ev != IncentiveEvent(*fields[:4], "other")
+    assert logged_since(world, mark) == [
+        (world.tick, owner, IncentiveKind.PERF_REWARD,
+         world.cfg.incentives.perf_reward, "test")]
 
 
 def test_performance_reward_clamped(world, owner):
@@ -81,32 +87,36 @@ def test_contribution_invalid_proportion(world, owner):
 def test_longevity_bonus_earned(world, owner):
     rep = world.reputation_accounts[owner]
     world.set_score(owner, 0.9)
-    event = apply_longevity_bonus(world, owner, rep.onboarded_tick + 1000)
-    assert event is not None
-    assert event.kind is IncentiveKind.LONGEVITY_BONUS
+    mark = len(world.log)
+    assert apply_longevity_bonus(world, owner, rep.onboarded_tick + 1000) is True
+    assert logged_since(world, mark) == [
+        (world.tick, owner, IncentiveKind.LONGEVITY_BONUS,
+         world.cfg.incentives.longevity_bonus, "longevity")]
     assert world.stake_accounts[owner].liquid == pytest.approx(5.0)
 
 
 def test_longevity_boundary_tenure(world, owner):
     world.set_score(owner, 0.9)
     tick = world.reputation_accounts[owner].onboarded_tick + 999
-    assert apply_longevity_bonus(world, owner, tick) is None
+    mark = len(world.log)
+    assert apply_longevity_bonus(world, owner, tick) is False
+    assert logged_since(world, mark) == []
 
 
 def test_longevity_blocked_by_offense(world, owner):
     rep = world.reputation_accounts[owner]
     world.set_score(owner, 0.9)
     world.stake_accounts[owner].offense_count = 1
-    assert apply_longevity_bonus(world, owner, rep.onboarded_tick + 2000) is None
+    assert apply_longevity_bonus(world, owner, rep.onboarded_tick + 2000) is False
 
 
 def test_longevity_at_most_once_per_period(world, owner):
     rep = world.reputation_accounts[owner]
     world.set_score(owner, 0.9)
     base = rep.onboarded_tick
-    assert apply_longevity_bonus(world, owner, base + 1000) is not None
-    assert apply_longevity_bonus(world, owner, base + 1500) is None
-    assert apply_longevity_bonus(world, owner, base + 2000) is not None
+    assert apply_longevity_bonus(world, owner, base + 1000) is True
+    assert apply_longevity_bonus(world, owner, base + 1500) is False
+    assert apply_longevity_bonus(world, owner, base + 2000) is True
 
 
 def test_minor_penalty_reputation_only(world, owner):
@@ -140,12 +150,14 @@ def test_major_penalty_repeat_full_forfeit(world, owner):
 
 def test_critical_penalty_permban(world, owner):
     acct = world.stake_accounts[owner]
-    events = apply_penalty(world, owner, Severity.CRITICAL, cause="test")
+    mark = len(world.log)
+    assert apply_penalty(world, owner, Severity.CRITICAL, cause="test") is None
     assert acct.staked == 0.0
     assert world.devices[owner].status is DeviceStatus.BANNED
     assert owner not in world.ban_until  # permanent: never released
-    kinds = [e.kind for e in events]
-    assert IncentiveKind.PERM_BAN in kinds
+    assert [e[2] for e in logged_since(world, mark)] == [
+        IncentiveKind.REPUTATION_PENALTY, IncentiveKind.STAKE_FORFEIT,
+        IncentiveKind.PERM_BAN]
     world.tick += 10 * world.cfg.incentives.temp_ban_ticks
     assert release_due_bans(world) == []
     assert world.devices[owner].status is DeviceStatus.BANNED
@@ -155,9 +167,11 @@ def test_tempban_threshold_derived(world, owner):
     # 0.24 * 0.8 = 0.192 < 0.2 threshold: the penalty trips a temp ban
     rep = world.reputation_accounts[owner]
     world.set_score(owner, 0.24)
-    events = apply_penalty(world, owner, Severity.MINOR, cause="test")
+    mark = len(world.log)
+    apply_penalty(world, owner, Severity.MINOR, cause="test")
     assert rep.score == pytest.approx(0.192)
-    assert IncentiveKind.TEMP_BAN in [e.kind for e in events]
+    assert [e[2] for e in logged_since(world, mark)] == [
+        IncentiveKind.REPUTATION_PENALTY, IncentiveKind.TEMP_BAN]
     assert world.devices[owner].status is DeviceStatus.BANNED
     assert world.ban_until[owner] == world.tick + world.cfg.incentives.temp_ban_ticks
 

@@ -67,20 +67,30 @@ def test_puzzle_expected_attempts():
     assert abs(mean - 256) / 256 < 0.10
 
 
+def last_inspection(world):
+    """The log's last ``inspection`` event, the one record of a check."""
+    return next(ev for ev in reversed(list(world.log))
+                if ev.kind == "inspection")
+
+
 def test_challenge_proposer_honest_passes(world):
     proposer = world.active_devices()[0]
-    outcome = challenge_proposer(world, proposer, digest(b"proposal"),
-                                 SeededRng(4))
-    assert outcome.passed
+    assert challenge_proposer(world, proposer, digest(b"proposal"),
+                              SeededRng(4)) is True
+    ev = last_inspection(world)
+    assert (ev.tick, ev.subject, ev.detail) == (
+        world.tick, proposer.hex(),
+        {"target_kind": "Proposer", "passed": True,
+         "evidence": [digest(b"proposal").hex()]})
 
 
 def test_challenge_proposer_nonresponder_penalized(world):
     proposer = world.active_devices()[0]
     world.actors[proposer].solve_puzzle = lambda base, d, m: None
     before = world.reputation_accounts[proposer].score
-    outcome = challenge_proposer(world, proposer, digest(b"proposal"),
-                                 SeededRng(5))
-    assert not outcome.passed
+    assert challenge_proposer(world, proposer, digest(b"proposal"),
+                              SeededRng(5)) is False
+    assert last_inspection(world).detail["passed"] is False
     assert world.reputation_accounts[proposer].score < before
 
 
@@ -109,16 +119,18 @@ def _witnessed_txn(world, tamper=False):
 
 def test_deep_inspect_honest_passes(world):
     txn = _witnessed_txn(world, tamper=False)
-    outcome = deep_inspect_transaction(world, txn)
-    assert outcome.passed
-    assert outcome.evidence == ()
+    assert deep_inspect_transaction(world, txn) is True
+    ev = last_inspection(world)
+    assert (ev.subject, ev.detail) == (
+        txn.id.hex(),
+        {"target_kind": "Transaction", "passed": True, "evidence": []})
 
 
 def test_deep_inspect_tampered_fails_with_evidence(world):
     txn = _witnessed_txn(world, tamper=True)
-    outcome = deep_inspect_transaction(world, txn)
-    assert not outcome.passed
-    assert any("payload digest mismatch" in e for e in outcome.evidence)
+    assert deep_inspect_transaction(world, txn) is False
+    evidence = last_inspection(world).detail["evidence"]
+    assert any("payload digest mismatch" in e for e in evidence)
 
 
 def test_deep_inspect_catches_forged_attestation_signatures(world):
@@ -129,9 +141,8 @@ def test_deep_inspect_catches_forged_attestation_signatures(world):
     first.signature, second.signature = second.signature, first.signature
     secret = world.actors[third.witness].keypair.secret_key
     third.signature = sign(secret, digest(b"another txn") + third.commit)
-    outcome = deep_inspect_transaction(world, txn)
-    assert not outcome.passed
-    assert set(outcome.evidence) == {
+    assert deep_inspect_transaction(world, txn) is False
+    assert set(last_inspection(world).detail["evidence"]) == {
         f"attestation signature invalid for {att.witness.hex()[:16]}"
         for att in (first, second, third)}
 
@@ -199,9 +210,9 @@ def test_sync_integrity_honest_batch_passes(world):
     source = world.active_devices()[0]
     batch = world.actors[source].serve_sync(world, 0)
     genesis = world.canonical.blocks[0]
-    outcome = verify_sync_integrity(world, source, world.active_devices()[1],
-                                    batch, genesis.block_digest, 0)
-    assert outcome.passed
+    assert verify_sync_integrity(world, source, world.active_devices()[1],
+                                 batch, genesis.block_digest, 0) is True
+    assert last_inspection(world).detail["evidence"] == []
 
 
 def test_sync_integrity_forged_batch_penalized(world):
@@ -222,17 +233,21 @@ def test_sync_integrity_forged_batch_penalized(world):
         total_weight=real[0].total_weight,
         proposal_tick=real[0].proposal_tick)
     genesis = world.canonical.blocks[0]
-    outcome = verify_sync_integrity(world, source, world.active_devices()[1],
-                                    [forged], genesis.block_digest, 0)
-    assert not outcome.passed
+    assert verify_sync_integrity(world, source, world.active_devices()[1],
+                                 [forged], genesis.block_digest, 0) is False
+    ev = last_inspection(world)
+    assert ev.detail["target_kind"] == "SyncBatch"
+    assert ev.detail["passed"] is False and len(ev.detail["evidence"]) == 1
     assert world.devices[source].status is DeviceStatus.BANNED
 
 
 def test_device_inspection_forced_revalidation(world):
     device = world.active_devices()[0]
-    outcome = inspect_device(world, device)
-    assert outcome.passed
-    assert outcome.target_kind is TargetKind.DEVICE
+    assert inspect_device(world, device) is True
+    ev = last_inspection(world)
+    assert ev.subject == device.hex()
+    assert ev.detail == {"target_kind": TargetKind.DEVICE.value,
+                         "passed": True, "evidence": []}
 
 
 def test_device_inspection_frequency():

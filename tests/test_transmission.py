@@ -362,8 +362,8 @@ def test_escalation_fresh_disjoint_panel(world):
         _aggregate_with_pattern(w, txn, ["valid", "valid", "valid",
                                          "invalid", "invalid"])
         first_panel = set(txn.panel)
-        outcome = transmission.reescalate_disputed(w, txn, SeededRng(seed))
-        assert outcome["action"] == "escalated"
+        assert transmission.reescalate_disputed(w, txn, SeededRng(seed)) \
+            is True
         assert set(txn.panel).isdisjoint(first_panel)
         assert txn.status is TxnStatus.PENDING
 
@@ -374,14 +374,16 @@ def test_escalation_cap_opens_dispute(world):
                                          "invalid", "invalid"])
     txn.escalations = world.cfg.panel.max_escalations
     before = len(world.log)
-    outcome = transmission.reescalate_disputed(world, txn, SeededRng(15))
-    assert outcome["action"] == "arbitration"
-    assert outcome["dispute"] in world.disputes
+    assert transmission.reescalate_disputed(world, txn, SeededRng(15)) is False
+    opened = world.log[len(world.log) - 1]
+    assert (opened.kind, opened.subject) == ("dispute_opened_from_txn",
+                                             txn.id.hex())
+    assert opened.detail["dispute"] in world.disputes
     # the claim cites the txn's last eight events logged before the hand-off
     txn_refs = [ref for ref in range(before)
                 if world.log[ref].subject == txn.id.hex()]
     assert len(txn_refs) > 8
-    claim = world.disputes[outcome["dispute"]].claim
+    claim = world.disputes[opened.detail["dispute"]].claim
     assert claim["event_refs"] == txn_refs[-8:]
 
 
@@ -396,8 +398,7 @@ def test_escalation_cap_skips_dispute_against_banned_sender(world):
     assert world.devices[txn.sender].status is transmission.DeviceStatus.BANNED
     txn.escalations = world.cfg.panel.max_escalations
     before = len(world.log)
-    outcome = transmission.reescalate_disputed(world, txn, SeededRng(15))
-    assert outcome == {"action": "arbitration_skipped"}
+    assert transmission.reescalate_disputed(world, txn, SeededRng(15)) is False
     assert txn.status is TxnStatus.DISPUTED
     assert world.disputes == {}
     assert [(e.kind, e.subject, e.detail["accused"])
@@ -405,12 +406,23 @@ def test_escalation_cap_skips_dispute_against_banned_sender(world):
         == [("dispute_skipped", txn.id.hex(), txn.sender.hex())]
 
 
+def _evaluated(world, txn) -> dict:
+    """Run ``evaluate_witnesses``; map each witness it settled to the cause
+    of the incentive the log records for it: ``attestation`` for a reward,
+    ``wrong_verdict`` for a penalty."""
+    mark = len(world.log)
+    assert transmission.evaluate_witnesses(world, txn) is None
+    tag = ":" + txn.id.hex()[:16]
+    return {bytes.fromhex(ev.subject): ev.detail["cause"][:-len(tag)]
+            for ev in list(world.log)[mark:]
+            if ev.kind == "incentive" and ev.detail["cause"].endswith(tag)}
+
+
 def test_evaluate_all_honest_committed(world):
     txn = make_txn(world)
     _aggregate_with_pattern(world, txn, ["valid"] * 5)
     txn.status = TxnStatus.COMMITTED
-    results = transmission.evaluate_witnesses(world, txn)
-    assert [r for _, r in results] == ["reward"] * 5
+    assert _evaluated(world, txn) == dict.fromkeys(txn.panel, "attestation")
 
 
 def test_evaluate_one_liar(world):
@@ -418,10 +430,10 @@ def test_evaluate_one_liar(world):
     _aggregate_with_pattern(world, txn, ["valid", "valid", "valid",
                                          "valid", "invalid"])
     txn.status = TxnStatus.COMMITTED
-    results = dict(transmission.evaluate_witnesses(world, txn))
+    results = _evaluated(world, txn)
     liar = txn.panel[4]
-    assert results[liar] == "penalty"
-    assert sum(1 for r in results.values() if r == "reward") == 4
+    assert results == {**dict.fromkeys(txn.panel[:4], "attestation"),
+                       liar: "wrong_verdict"}
 
 
 def test_evaluate_equivocator_already_penalized(world):
@@ -429,8 +441,11 @@ def test_evaluate_equivocator_already_penalized(world):
     _aggregate_with_pattern(world, txn, ["valid", "valid", "valid",
                                          "valid", "equivocate"])
     txn.status = TxnStatus.COMMITTED
-    results = dict(transmission.evaluate_witnesses(world, txn))
-    assert results[txn.panel[4]] == "already_penalized"
+    mark = len(world.log)
+    results = _evaluated(world, txn)
+    assert txn.panel[4] not in results and len(results) == 4
+    assert not any(ev.actor == txn.panel[4].hex()
+                   for ev in list(world.log)[mark:])
 
 
 def test_commit_binding_invariant_replayable(world):

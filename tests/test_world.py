@@ -457,6 +457,57 @@ def test_reputation_score_has_one_writer():
         (3, "f"), (4, "f"), (5, "f"), (6, "f")]
 
 
+def _event_appends(tree, kinds):
+    """(line, enclosing function, kind) of each call that appends or builds
+    an event of a kind in ``kinds``: an ``append`` or ``Event`` call whose
+    second positional argument, or ``kind`` keyword, is that string."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else \
+                getattr(callee, "id", None)
+            kind = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "kind"), None)
+            if (name in ("append", "Event") and isinstance(kind, ast.Constant)
+                    and kind.value in kinds):
+                found.append((node.lineno, func, kind.value))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(tree, None)
+    return found
+
+
+def test_incentive_and_inspection_events_have_one_writer_each():
+    """The log is the one record of every stake or reputation change and
+    of every inspection, and no operation returns a copy of it. So each
+    kind has one writer that fixes its fields: ``incentives._emit`` for
+    ``incentive`` events, ``stochastic._record`` for ``inspection``
+    events."""
+    package = Path(gdpsim.__file__).parent
+    writers = sorted({(path.name, func, kind)
+                      for path in sorted(package.glob("*.py"))
+                      for _, func, kind in _event_appends(
+                          ast.parse(path.read_text()),
+                          {"incentive", "inspection"})})
+    assert writers == [("incentives.py", "_emit", "incentive"),
+                       ("stochastic.py", "_record", "inspection")]
+    sample = ("def f(world, ev):\n"
+              "    world.log.append(world.tick, 'incentive', subject='a')\n"
+              "    world.log.append(world.tick, kind='inspection')\n"
+              "    events.append(Event(1, 'inspection', '', '', {}))\n"
+              "    if ev.kind == 'incentive':\n"
+              "        world.log.append(world.tick, 'vote')\n"
+              "    counts.append('incentive')\n")
+    assert _event_appends(ast.parse(sample), {"incentive", "inspection"}) \
+        == [(2, "f", "incentive"), (3, "f", "inspection"),
+            (4, "f", "inspection")]
+
+
 def test_stake_writes_bump_the_stake_version():
     """``consensus.active_stake_total`` keeps its sum until the active view
     or ``world.stake_version`` changes. So the one store to ``staked``
