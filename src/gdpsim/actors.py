@@ -92,7 +92,8 @@ class DeviceActor:
 
     def conclusive(self, world, dispute) -> bool:
         """The claim cites a protocol violation."""
-        return any(anomaly.is_violation(world.log[ref])
+        _, kinds, _, _, details = world.log.columns()
+        return any(anomaly.is_violation(kinds[ref], details[ref])
                    for ref in dispute.claim.get("event_refs", []))
 
     def community_vote(self, world, dispute) -> bool:

@@ -259,13 +259,14 @@ def release_due_quarantines(world) -> list[bytes]:
     return released
 
 
-def is_violation(ev) -> bool:
-    """A logged protocol violation: a commit mismatch, a rejected sync, or a
-    failed revalidation or inspection."""
-    if ev.kind in ("commit_mismatch", "sync_rejected"):
+def is_violation(kind: str, detail: dict) -> bool:
+    """Whether an event of this kind and detail is a logged protocol
+    violation: a commit mismatch, a rejected sync, or a failed revalidation
+    or inspection."""
+    if kind in ("commit_mismatch", "sync_rejected"):
         return True
-    return (ev.kind in ("revalidation", "inspection")
-            and not ev.detail.get("passed", True))
+    return (kind in ("revalidation", "inspection")
+            and not detail.get("passed", True))
 
 
 @dataclass
@@ -278,21 +279,24 @@ class InvestigationReport:
 
 def investigate(world, alert_ref: int) -> InvestigationReport:
     """Pull the subject's event-log slice around the alert and look for
-    protocol violations; conclusive violations open an arbitration dispute."""
-    alert_ev = world.log[alert_ref]
-    subject = alert_ev.subject
-    violations = [(ref, ev) for ref, ev in world.log.slice_around(
-        alert_ev.tick, world.cfg.anomaly.investigate_radius, subject=subject)
-        if is_violation(ev)]
+    protocol violations; conclusive violations open an arbitration dispute.
+    The slice is read by ref: only a violation is built as an ``Event``."""
+    ticks, kinds, _, subjects, details = world.log.columns()
+    subject = subjects[alert_ref]
+    violations = [ref for ref in world.log.slice_around(
+        ticks[alert_ref], world.cfg.anomaly.investigate_radius,
+        subject=subject)
+        if is_violation(kinds[ref], details[ref])]
     dispute_id = None
     if violations:
         from .arbitration import can_be_party, open_dispute
         subject_key = bytes.fromhex(subject)
         if can_be_party(world, subject_key):
             claim = {"category": "anomaly", "accused": subject,
-                     "event_refs": [ref for ref, _ in violations]}
+                     "event_refs": violations}
             dispute_id = open_dispute(world, [subject_key], claim).id
     world.log.append(world.tick, "investigation", subject=subject,
                      alert_ref=alert_ref, violations=len(violations),
                      dispute=dispute_id or "")
-    return InvestigationReport([ev for _, ev in violations], dispute_id)
+    return InvestigationReport([world.log[ref] for ref in violations],
+                               dispute_id)

@@ -10,19 +10,14 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from contextlib import ExitStack
-from itertools import islice
-from operator import attrgetter
 from pathlib import Path
 
 
 class Event:
-    """One logged event. ``actor`` is a public key hex, or "" for the
-    network/world itself; ``subject`` is the id of the primary object (txn,
-    device, dispute, ...). No field is written after the event is built.
-
-    A ``__slots__`` class rather than a frozen dataclass, because
-    ``EventLog.append`` builds one per event and this builds in about a
-    quarter of the time. Events are equal when every field is equal, and
+    """One logged event, as ``EventLog`` reads it back. ``actor`` is a public
+    key hex, or "" for the network/world itself; ``subject`` is the id of the
+    primary object (txn, device, dispute, ...). No field is written after the
+    event is built. Events are equal when every field is equal, and
     unhashable.
     """
 
@@ -49,26 +44,39 @@ class Event:
                 % self._fields())
 
 
-_tick = attrgetter("tick")
-
-
 class EventLog:
     """Total-ordered append-only log; indices double as event references.
 
+    The log keeps one column per field: tick, kind, actor, subject and
+    detail, each a list indexed by ref. An event is no object of its own
+    until a reader asks for one (``log[ref]``, iteration), so appending
+    builds none and the cyclic collector has nothing per event to walk: the
+    atom columns hold no container, and a detail dict holding only atoms is
+    never tracked.
+
     Events arrive in non-decreasing tick order, which lets window queries
-    bisect instead of scanning. A key index maps each event's subject and
-    actor (once when they are equal) to the refs that name it; refs enter in
-    append order, so every key's list is ascending and bisects by ref.
+    bisect the tick column instead of scanning. A key index maps each
+    event's subject and actor (once when they are equal) to the refs that
+    name it; refs enter in append order, so every key's list is ascending
+    and bisects by ref.
     """
 
     def __init__(self):
-        self._events: list[Event] = []
+        self._ticks: list = []
+        self._kinds: list = []
+        self._actors: list = []
+        self._subjects: list = []
+        self._details: list = []
         self._refs_by_key: dict[str, list[int]] = {}
 
     def append(self, tick: int, kind: str, actor: str = "", subject: str = "",
                **detail) -> int:
-        ref = len(self._events)
-        self._events.append(Event(tick, kind, actor, subject, detail))
+        ref = len(self._ticks)
+        self._ticks.append(tick)
+        self._kinds.append(kind)
+        self._actors.append(actor)
+        self._subjects.append(subject)
+        self._details.append(detail)
         index = self._refs_by_key
         refs = index.get(subject)
         if refs is None:
@@ -84,19 +92,31 @@ class EventLog:
         return ref
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._ticks)
 
     def __iter__(self):
-        return iter(self._events)
+        """Each event in ref order, built as it is reached."""
+        return map(Event, self._ticks, self._kinds, self._actors,
+                   self._subjects, self._details)
 
     def __getitem__(self, ref: int) -> Event:
-        return self._events[ref]
+        """The event at ``ref`` (negative refs count from the end)."""
+        return Event(self._ticks[ref], self._kinds[ref], self._actors[ref],
+                     self._subjects[ref], self._details[ref])
+
+    def columns(self) -> tuple[list, list, list, list, list]:
+        """The tick, kind, actor, subject and detail columns, each indexed
+        by ref: the way to scan the log, or read one field of an event,
+        without building an ``Event``. The lists are the log's own; callers
+        read them and never mutate them."""
+        return (self._ticks, self._kinds, self._actors, self._subjects,
+                self._details)
 
     def exists(self, ref) -> bool:
         """Whether ``ref`` is an int naming a logged event. A bool is
         refused, although ``True == 1``: it names no event."""
         return (isinstance(ref, int) and not isinstance(ref, bool)
-                and 0 <= ref < len(self._events))
+                and 0 <= ref < len(self._ticks))
 
     def refs_of(self, key: str) -> list[int]:
         """Ascending refs of the events whose subject or actor is ``key``.
@@ -106,20 +126,17 @@ class EventLog:
         return self._refs_by_key.get(key, [])
 
     def slice_around(self, center_tick: int, radius: int,
-                     subject: str = None) -> list[tuple[int, Event]]:
-        """Events within +-radius ticks, as (ref, event) pairs; with a
-        subject, only those whose subject or actor is that key."""
-        lo = max(0, center_tick - radius)
-        hi = center_tick + radius
-        events = self._events
-        start = bisect_left(events, lo, key=_tick)
-        stop = bisect_right(events, hi, key=_tick)
+                     subject: str = None) -> list[int]:
+        """Ascending refs of the events within +-radius ticks (never before
+        tick 0); with a subject, only those whose subject or actor is that
+        key."""
+        ticks = self._ticks
+        start = bisect_left(ticks, max(0, center_tick - radius))
+        stop = bisect_right(ticks, center_tick + radius)
         if subject is None:
-            refs = range(start, stop)
-        else:
-            keyed = self.refs_of(subject)
-            refs = keyed[bisect_left(keyed, start):bisect_left(keyed, stop)]
-        return [(ref, events[ref]) for ref in refs]
+            return list(range(start, stop))
+        keyed = self.refs_of(subject)
+        return keyed[bisect_left(keyed, start):bisect_left(keyed, stop)]
 
 
 # One encoder serves every output file: json.dumps with these arguments builds
@@ -137,37 +154,39 @@ class _Encoded(dict):
         return encoded
 
 
-def _logged_types(ev: Event) -> bool:
+def _logged_types(tick, kind, actor, subject) -> bool:
     """Whether the tick is an ``int`` and the actor, kind and subject are
     ``str`` (exact types). Only such an event goes through a write's memos
     and ``_jsonl_line``: ``1 == True == 1.0`` would share a memo entry, and
     a bool or float tick would break the template."""
-    return (type(ev.tick) is int
-            and type(ev.actor) is type(ev.kind) is type(ev.subject) is str)
+    return (type(tick) is int
+            and type(actor) is type(kind) is type(subject) is str)
 
 
-def _jsonl_line(ev: Event, detail: str, strings: _Encoded) -> str:
+def _jsonl_line(tick, kind, actor, subject, detail_json: str,
+                strings: _Encoded) -> str:
     """The line of an event of the logged types around its detail JSON,
     with ``strings`` a write's memo of encoded actors, kinds and subjects."""
-    return (f'{{"actor":{strings[ev.actor]},"detail":{detail},'
-            f'"kind":{strings[ev.kind]},"subject":{strings[ev.subject]},'
-            f'"tick":{ev.tick}}}\n')
+    return (f'{{"actor":{strings[actor]},"detail":{detail_json},'
+            f'"kind":{strings[kind]},"subject":{strings[subject]},'
+            f'"tick":{tick}}}\n')
 
 
-def _record_line(ev: Event) -> str:
+def _record_line(tick, kind, actor, subject, detail: dict) -> str:
     """The line of any event: one ``_encode`` of its whole record."""
-    return _encode({"actor": ev.actor, "detail": ev.detail, "kind": ev.kind,
-                    "subject": ev.subject, "tick": ev.tick}) + "\n"
+    return _encode({"actor": actor, "detail": detail, "kind": kind,
+                    "subject": subject, "tick": tick}) + "\n"
 
 
 def encode_event(ev: Event) -> tuple[str, str]:
     """The event's ``events.jsonl`` line, byte-equal to ``json.dumps`` of the
     record with sorted keys, and the detail JSON inside it: the one-event
     reference for ``write_log``."""
+    fields = ev.tick, ev.kind, ev.actor, ev.subject
     detail = _encode(ev.detail) if ev.detail else "{}"
-    if _logged_types(ev):
-        return _jsonl_line(ev, detail, _Encoded()), detail
-    return _record_line(ev), detail
+    if _logged_types(*fields):
+        return _jsonl_line(*fields, detail, _Encoded()), detail
+    return _record_line(*fields, ev.detail), detail
 
 
 # ``write_log`` encodes details a batch at a time: each ``_encode`` call builds
@@ -177,8 +196,8 @@ _BREAK = "\x1e"         # put between a batch's details (ASCII record separator)
 _SPLIT = "," + _encode(_BREAK) + ","
 
 
-def _encode_details(events: list) -> list[str]:
-    """The detail JSON of each event, equal to ``encode_event``'s, from one
+def _encode_details(details: list) -> list[str]:
+    """The JSON of each detail, equal to ``encode_event``'s, from one
     ``_encode`` of a list of the non-empty details with ``_BREAK`` between
     them.
 
@@ -189,34 +208,35 @@ def _encode_details(events: list) -> list[str]:
     adds pieces: then the count differs, and the batch takes one ``_encode``
     per detail.
     """
-    full = [ev.detail for ev in events if ev.detail]
+    full = [detail for detail in details if detail]
     if not full:
-        return ["{}"] * len(events)
+        return ["{}"] * len(details)
     items = [_BREAK] * (2 * len(full) - 1)
     items[::2] = full
     pieces = _encode(items)[1:-1].split(_SPLIT)
     if len(pieces) != len(full):
         pieces = [_encode(detail) for detail in full]
     pieces = iter(pieces)
-    return [next(pieces) if ev.detail else "{}" for ev in events]
+    return [next(pieces) if detail else "{}" for detail in details]
 
 
-def _encoded_batches(log):
-    """The log's events in batches of up to ``_BATCH``, each with its
-    events' detail JSON."""
-    events = iter(log)
-    while batch := list(islice(events, _BATCH)):
+def _encoded_batches(details: list):
+    """The detail column in batches of up to ``_BATCH``, in ref order, each
+    with its details' JSON."""
+    for start in range(0, len(details), _BATCH):
+        batch = details[start:start + _BATCH]
         yield batch, _encode_details(batch)
 
 
-def read_events_jsonl(path: Path) -> list[Event]:
-    out = []
+def read_events_jsonl(path: Path) -> EventLog:
+    """The log an ``events.jsonl`` file holds, appended line by line."""
+    log = EventLog()
     with open(path) as fh:
         for line in fh:
             d = json.loads(line)
-            out.append(Event(d["tick"], d["kind"], d["actor"], d["subject"],
-                             d["detail"]))
-    return out
+            log.append(d["tick"], d["kind"], d["actor"], d["subject"],
+                       **d["detail"])
+    return log
 
 
 # --- per-module CSV exports (stable column orders are a contract) ----------
@@ -266,20 +286,42 @@ class _FreshCells:
 _FRESH = _FreshCells()
 
 
-def _transaction_line(ev: Event, detail_json: str, cells: _Cells) -> str:
-    return (f"{cells[ev.tick]},{cells[ev.subject]},{cells[ev.kind]},"
-            f"{cells[ev.actor]},{_detail_cell(detail_json)}\r\n")
+# Each table's line is built from an event's tick, kind, actor, subject and
+# detail, its detail JSON and the write's ``_Cells`` (``_FRESH`` for an event
+# of other types).
 
-
-def _dispute_line(ev: Event, detail_json: str, cells: _Cells) -> str:
-    stage = _cell(ev.detail.get("stage", ev.kind))
-    return (f"{cells[ev.tick]},{cells[ev.subject]},{stage},"
+def _transaction_line(tick, kind, actor, subject, detail, detail_json,
+                      cells) -> str:
+    return (f"{cells[tick]},{cells[subject]},{cells[kind]},{cells[actor]},"
             f"{_detail_cell(detail_json)}\r\n")
 
 
-# file, header, the kinds it carries (no kind in two files) and the line built
-# from an event, its detail JSON and the write's ``_Cells`` (``_FRESH`` for an
-# event of other types)
+def _alert_line(tick, kind, actor, subject, detail, detail_json,
+                cells) -> str:
+    return _line((tick, detail["stream"], subject, detail["alert_kind"],
+                  detail["z_score"], detail["value"]))
+
+
+def _incentive_line(tick, kind, actor, subject, detail, detail_json,
+                    cells) -> str:
+    return _line((tick, subject, detail["incentive_kind"], detail["delta"],
+                  detail["cause"]))
+
+
+def _dispute_line(tick, kind, actor, subject, detail, detail_json,
+                  cells) -> str:
+    stage = _cell(detail.get("stage", kind))
+    return (f"{cells[tick]},{cells[subject]},{stage},"
+            f"{_detail_cell(detail_json)}\r\n")
+
+
+def _inspection_line(tick, kind, actor, subject, detail, detail_json,
+                     cells) -> str:
+    return _line((tick, detail["target_kind"], subject, detail["passed"],
+                  ";".join(str(r) for r in detail.get("evidence", []))))
+
+
+# file, header, the kinds it carries (no kind in two files) and its line
 
 CSV_TABLES = (
     ("transactions.csv", ("tick", "txn_id", "event", "actor", "detail"),
@@ -288,51 +330,51 @@ CSV_TABLES = (
       "txn_escalated", "txn_committed", "witness_eval", "objection"),
      _transaction_line),
     ("alerts.csv", ("tick", "stream", "subject", "kind", "z_score", "value"),
-     ("alert",),
-     lambda ev, dj, cells: _line((ev.tick, ev.detail["stream"], ev.subject,
-                                  ev.detail["alert_kind"],
-                                  ev.detail["z_score"], ev.detail["value"]))),
+     ("alert",), _alert_line),
     ("incentives.csv", ("tick", "subject", "kind", "delta", "cause_ref"),
-     ("incentive",),
-     lambda ev, dj, cells: _line((ev.tick, ev.subject,
-                                  ev.detail["incentive_kind"],
-                                  ev.detail["delta"], ev.detail["cause"]))),
+     ("incentive",), _incentive_line),
     ("disputes.csv", ("tick", "dispute_id", "stage", "detail"),
      ("dispute_opened", "dispute_stage", "verdict", "appeal"),
      _dispute_line),
     ("inspections.csv",
      ("tick", "target_kind", "target", "passed", "evidence_refs"),
-     ("inspection",),
-     lambda ev, dj, cells: _line((ev.tick, ev.detail["target_kind"],
-                                  ev.subject, ev.detail["passed"],
-                                  ";".join(str(r) for r in
-                                           ev.detail.get("evidence", []))))),
+     ("inspection",), _inspection_line),
 )
 
 
 def write_log(log: EventLog, out_dir: Path) -> None:
-    """Write ``events.jsonl`` and every CSV table in one scan of the log,
-    encoding each detail once, writing each batch's ``events.jsonl`` lines
-    at once and streaming each CSV line to its file."""
+    """Write ``events.jsonl`` and every CSV table in one scan of the log's
+    columns, encoding each detail once, writing each batch's
+    ``events.jsonl`` lines at once and streaming each CSV line to its
+    file."""
     strings, cells = _Encoded(), _Cells()
+    ticks, kinds, actors, subjects, details = log.columns()
     with ExitStack() as stack:
         jsonl = stack.enter_context(open(out_dir / "events.jsonl", "w"))
         route = {}
-        for name, header, kinds, row in CSV_TABLES:
+        for name, header, table_kinds, row in CSV_TABLES:
             fh = stack.enter_context(open(out_dir / name, "w", newline=""))
             fh.write(_line(header))
-            route.update((kind, (fh.write, row)) for kind in kinds)
-        for batch, details in _encoded_batches(log):
+            route.update((kind, (fh.write, row)) for kind in table_kinds)
+        start = 0
+        for batch, encoded in _encoded_batches(details):
+            stop = start + len(batch)
             lines = []
-            for ev, detail in zip(batch, details):
-                plain = _logged_types(ev)
-                lines.append(_jsonl_line(ev, detail, strings) if plain
-                             else _record_line(ev))
-                routed = route.get(ev.kind)
+            for tick, kind, actor, subject, detail, detail_json in zip(
+                    ticks[start:stop], kinds[start:stop], actors[start:stop],
+                    subjects[start:stop], batch, encoded):
+                plain = _logged_types(tick, kind, actor, subject)
+                lines.append(
+                    _jsonl_line(tick, kind, actor, subject, detail_json,
+                                strings) if plain
+                    else _record_line(tick, kind, actor, subject, detail))
+                routed = route.get(kind)
                 if routed is not None:
                     write, row = routed
-                    write(row(ev, detail, cells if plain else _FRESH))
+                    write(row(tick, kind, actor, subject, detail, detail_json,
+                              cells if plain else _FRESH))
             jsonl.write("".join(lines))
+            start = stop
 
 
 def write_ledger_csv(blocks, path: Path) -> None:

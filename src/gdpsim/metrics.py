@@ -42,7 +42,7 @@ def liveness_bound(cfg) -> int:
     return cfg.panel.reveal_deadline + 3 * round_span + cfg.inspection.max_commit_delay
 
 
-def derive_metrics(events, cfg) -> dict:
+def derive_metrics(log: EventLog, cfg) -> dict:
     """Fold the event log into the structured metrics report."""
     submitted = 0
     tampered_submitted = 0
@@ -73,54 +73,53 @@ def derive_metrics(events, cfg) -> dict:
     rep_samples: dict = {}
     onboard_rejected = 0
     finalized = 0
-    final_tick = 0
     status_terminal: dict = {}
 
-    for ev in events:
-        final_tick = max(final_tick, ev.tick)
-        kind = ev.kind
+    ticks, kinds, _, subjects, details = log.columns()
+    final_tick = max(0, max(ticks, default=0))
+    for tick, kind, subject, detail in zip(ticks, kinds, subjects, details):
         if kind == "txn_created":
             submitted += 1
-            created_tick[ev.subject] = ev.tick
-            flag = bool(ev.detail.get("tampered"))
-            tampered_flag[ev.subject] = flag
+            created_tick[subject] = tick
+            flag = bool(detail.get("tampered"))
+            tampered_flag[subject] = flag
             if flag:
                 tampered_submitted += 1
         elif kind == "txn_committed":
             committed += 1
-            commit_latencies.append(ev.detail["latency"])
-            if tampered_flag.get(ev.subject):
+            commit_latencies.append(detail["latency"])
+            if tampered_flag.get(subject):
                 false_commits += 1
-                tampered_committed.add(ev.subject)
+                tampered_committed.add(subject)
         elif kind == "txn_status":
-            status_terminal[ev.subject] = ev.detail["status"]
+            status_terminal[subject] = detail["status"]
         elif kind == "alert":
-            alerts[ev.detail["alert_kind"]] = alerts.get(ev.detail["alert_kind"], 0) + 1
+            alerts[detail["alert_kind"]] = alerts.get(detail["alert_kind"], 0) + 1
         elif kind == "inspection":
             inspections_total += 1
-            tk = ev.detail["target_kind"]
+            tk = detail["target_kind"]
             inspections_by_kind[tk] = inspections_by_kind.get(tk, 0) + 1
-            if not ev.detail["passed"]:
+            if not detail["passed"]:
                 inspections_failed += 1
-                if tk == "Transaction" and tampered_flag.get(ev.subject):
-                    detected_tampered.add(ev.subject)
+                if tk == "Transaction" and tampered_flag.get(subject):
+                    detected_tampered.add(subject)
                     detection_latencies.append(
-                        ev.tick - created_tick.get(ev.subject, ev.tick))
+                        tick - created_tick.get(subject, tick))
         elif kind == "dispute_opened":
             disputes_opened += 1
         elif kind == "verdict":
             verdicts += 1
-            body = ev.detail["body"]
+            body = detail["body"]
             verdicts_by_body[body] = verdicts_by_body.get(body, 0) + 1
-            if ev.detail["at_fault"]:
+            if detail["at_fault"]:
                 at_fault_count += 1
         elif kind == "appeal":
             appeals += 1
         elif kind == "quarantine":
             quarantines += 1
         elif kind == "incentive":
-            ikind = ev.detail["incentive_kind"]
-            delta = ev.detail["delta"]
+            ikind = detail["incentive_kind"]
+            delta = detail["delta"]
             incentive_deltas[ikind] = incentive_deltas.get(ikind, 0.0) + delta
             if ikind == "StakeDeposit":
                 deposited += delta
@@ -133,8 +132,8 @@ def derive_metrics(events, cfg) -> dict:
         elif kind == "device_finalized":
             finalized += 1
         elif kind == "rep_sample":
-            rep_samples.setdefault(ev.subject, []).append(
-                [ev.tick, ev.detail["mean"]])
+            rep_samples.setdefault(subject, []).append(
+                [tick, detail["mean"]])
 
     for subject, status in status_terminal.items():
         if status == "Rejected":
@@ -276,7 +275,7 @@ class ReplayState:
         self.tick = 0
 
 
-def replay_events(events, cfg) -> ReplayState:
+def replay_events(log: EventLog, cfg) -> ReplayState:
     """Fold the event log into a ReplayState.
 
     Covers lifecycle status, token flows, the canonical chain and each
@@ -286,22 +285,20 @@ def replay_events(events, cfg) -> ReplayState:
     st = ReplayState()
     inc = cfg.incentives
 
-    for ev in events:
-        st.tick = max(st.tick, ev.tick)
-        kind = ev.kind
-        d = ev.detail
+    ticks, kinds, actors, subjects, details = log.columns()
+    st.tick = max(st.tick, max(ticks, default=0))
+    for kind, actor, subject, d in zip(kinds, actors, subjects, details):
         if kind == "device_finalized":
-            st.device_status[ev.subject] = "Active"
-            st.heights[ev.subject] = 0
+            st.device_status[subject] = "Active"
+            st.heights[subject] = 0
         elif kind == "quarantine":
-            st.device_status[ev.subject] = "Quarantined"
+            st.device_status[subject] = "Quarantined"
         elif kind == "quarantine_release":
-            if st.device_status.get(ev.subject) == "Quarantined":
-                st.device_status[ev.subject] = "Active"
+            if st.device_status.get(subject) == "Quarantined":
+                st.device_status[subject] = "Active"
         elif kind == "ban_release":
-            st.device_status[ev.subject] = "Active"
+            st.device_status[subject] = "Active"
         elif kind == "incentive":
-            subject = ev.subject
             ikind = d["incentive_kind"]
             delta = d["delta"]
             if ikind == "StakeDeposit":
@@ -342,21 +339,21 @@ def replay_events(events, cfg) -> ReplayState:
                 st.liquid[subject] = st.liquid.get(subject, 0.0) + delta
                 st.bond_escrow -= delta
         elif kind == "block_committed":
-            st.canonical.append(ev.subject)
+            st.canonical.append(subject)
             for node in d["recipients"]:
                 if st.heights.get(node) == d["height"] - 1:
                     st.heights[node] = d["height"]
         elif kind == "sync":
-            st.heights[ev.subject] = min(d["to_height"],
-                                         st.heights.get(ev.actor, 0))
+            st.heights[subject] = min(d["to_height"],
+                                      st.heights.get(actor, 0))
         elif kind == "txn_created":
-            st.txn_status[ev.subject] = "Pending"
+            st.txn_status[subject] = "Pending"
         elif kind == "txn_status":
-            st.txn_status[ev.subject] = d["status"]
+            st.txn_status[subject] = d["status"]
         elif kind == "txn_escalated":
-            st.txn_status[ev.subject] = "Pending"
+            st.txn_status[subject] = "Pending"
         elif kind == "txn_committed":
-            st.txn_status[ev.subject] = "Committed"
+            st.txn_status[subject] = "Committed"
     return st
 
 

@@ -162,6 +162,26 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
+# ``SeededRng.bytes`` runs SplitMix64 on up to ``_LANES`` words at once. Word
+# j of a draw lives in bits [128 j, 128 j + 64) of one int, and the bits above
+# it in that 128-bit lane take the carries and shifted-in bits of each step,
+# which a mask clears before any of them could reach word j or a lane above.
+# ``_LANE_CONSTANTS[w]`` holds, for a w-word draw, R with a 1 in each lane
+# (state * R puts the state in every lane), G * I with I holding j + 1 in
+# lane j (the j + 1 gamma steps word j is ahead), and the mask of every
+# lane's low 64 bits. The table is fixed: its size never depends on a draw.
+_LANES = 32
+
+
+def _lane_constants(words: int) -> tuple[int, int, int]:
+    ones = sum(1 << 128 * j for j in range(words))
+    steps = sum(j + 1 << 128 * j for j in range(words))
+    return ones, steps * _GAMMA, ones * _MASK64
+
+
+_LANE_CONSTANTS = [_lane_constants(words) for words in range(_LANES + 1)]
+
+
 class SeededRng:
     """SplitMix64 counter generator.
 
@@ -225,18 +245,27 @@ class SeededRng:
     def bytes(self, n: int) -> bytes:
         """The next ceil(n / 8) ``next_u64`` words, big-endian, cut to n.
 
-        The loop repeats ``next_u64``'s step on a local state, and the
-        words collect in one int that is converted once."""
+        Up to ``_LANES`` words are drawn at once, in lanes of one int: see
+        ``_LANE_CONSTANTS``. Longer draws take ``_LANES`` words at a time."""
         words = -(-n // 8)
+        if words > _LANES:
+            chunks = [self.bytes(8 * _LANES)
+                      for _ in range((words - 1) // _LANES)]
+            chunks.append(self.bytes(n - 8 * _LANES * len(chunks)))
+            return b"".join(chunks)
         state = self._state
-        acc = 0
-        for _ in range(words):
-            state = (state + _GAMMA) & _MASK64
-            z = ((state ^ (state >> 30)) * _MIX1) & _MASK64
-            z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-            acc = acc << 64 | z ^ z >> 31
-        self._state = state
-        return acc.to_bytes(words * 8, "big")[:n]
+        ones, steps, low = _LANE_CONSTANTS[words]
+        z = (state * ones + steps) & low
+        z = ((z ^ z >> 30) & low) * _MIX1 & low
+        z = ((z ^ z >> 27) & low) * _MIX2 & low
+        z ^= z >> 31
+        self._state = (state + words * _GAMMA) & _MASK64
+        # Big-endian, lane j's low 64 bits are 8-byte chunk 2 * (words - j)
+        # - 1, counted from 0: every second chunk read from the end is the
+        # words in order. The chunks are copied as bytes, never read as
+        # numbers, so the host's byte order plays no part.
+        return memoryview(z.to_bytes(16 * words, "big")).cast("Q")[::-2] \
+            .tobytes()[:n]
 
     def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
         """One normal draw per call (Box-Muller, cosine branch)."""

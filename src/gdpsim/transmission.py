@@ -279,8 +279,9 @@ def _txn_to_arbitration(world, txn: DataTransaction) -> None:
                          accused=txn.sender.hex(),
                          reason="sender is neither active nor quarantined")
         return
+    _, _, _, subjects, _ = world.log.columns()
     refs = [ref for ref in world.log.refs_of(subject)
-            if world.log[ref].subject == subject]
+            if subjects[ref] == subject]
     claim = {"category": "attestation_conflict",
              "accused": txn.sender.hex(), "event_refs": refs[-8:]}
     dispute = open_dispute(world, [txn.sender], claim)

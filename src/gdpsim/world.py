@@ -217,6 +217,8 @@ class World:
         self.mempool: list = []            # witnessed txn ids
         self.unpaneled: list = []          # txns waiting for witnesses
         self.unseatable: dict = {}         # txn id -> refusing (view, k, diversity)
+        # the stamp every unpaneled txn is unseatable under, or None
+        self.waiting_stamp: Optional[tuple] = None
         self.aggregation_due: dict = {}    # tick -> [txn ids]
         self.heights: dict = {}            # pub -> height into canonical
         self.canonical = consensus.Ledger()
@@ -557,10 +559,11 @@ def _run_commit_phase(world: World, txn) -> None:
             # marked and penalized inside the op; equivocation is a protocol
             # violation with cryptographic evidence, so a dispute opens too
             if arbitration.can_be_party(world, witness):
+                _, kinds, actors, _, _ = world.log.columns()
+                hexed = witness.hex()
                 mismatch_ref = next(
-                    ref for ref in reversed(world.log.refs_of(witness.hex()))
-                    if world.log[ref].kind == "commit_mismatch"
-                    and world.log[ref].actor == witness.hex())
+                    ref for ref in reversed(world.log.refs_of(hexed))
+                    if kinds[ref] == "commit_mismatch" and actors[ref] == hexed)
                 arbitration.open_dispute(
                     world, [witness],
                     {"category": "attestation_conflict",
@@ -568,15 +571,21 @@ def _run_commit_phase(world: World, txn) -> None:
     world.aggregation_due.setdefault(txn.reveal_deadline_tick, []).append(txn.id)
 
 
+def _panel_stamp(world: World) -> tuple:
+    """What a refusal before any score read depends on, besides the txn's
+    two parties: the active view, ``k`` and the diversity cap."""
+    panel_cfg = world.cfg.panel
+    return (world.active_view(), panel_cfg.k, panel_cfg.diversity)
+
+
 def _try_open_panel(world: World, txn) -> bool:
     """Seat and run a panel for ``txn``; False if none can be seated.
 
-    A txn refused before any score was read waits without a draw until the
-    active view, ``k`` or the diversity cap changes: that refusal reads only
-    those and the txn's two parties, so the retry would raise again before
-    drawing or logging anything (and ``derive`` leaves its parent as is)."""
-    panel_cfg = world.cfg.panel
-    stamp = (world.active_view(), panel_cfg.k, panel_cfg.diversity)
+    A txn refused before any score was read waits without a draw until its
+    ``_panel_stamp`` changes: that refusal reads only the stamp and the
+    txn's two parties, so the retry would raise again before drawing or
+    logging anything (and ``derive`` leaves its parent as is)."""
+    stamp = _panel_stamp(world)
     if world.unseatable.get(txn.id) == stamp:
         return False
     try:
@@ -595,13 +604,22 @@ def _try_open_panel(world: World, txn) -> bool:
 def _arrivals(world: World) -> None:
     cfg = world.cfg
 
-    # transactions that could not get a panel earlier retry every tick
-    still_waiting = []
-    for tid in world.unpaneled:
-        txn = world.transactions[tid]
-        if txn.status is TxnStatus.PENDING and not _try_open_panel(world, txn):
-            still_waiting.append(tid)
-    world.unpaneled = still_waiting
+    # Transactions that could not get a panel earlier retry, in the order
+    # they arrived. While every one of them is unseatable under the current
+    # stamp (``world.waiting_stamp``), each retry would return False at once,
+    # so the pass is skipped.
+    if world.unpaneled and world.waiting_stamp != _panel_stamp(world):
+        still_waiting = []
+        for tid in world.unpaneled:
+            txn = world.transactions[tid]
+            if (txn.status is TxnStatus.PENDING
+                    and not _try_open_panel(world, txn)):
+                still_waiting.append(tid)
+        world.unpaneled = still_waiting
+        stamp = _panel_stamp(world)
+        world.waiting_stamp = stamp if all(
+            world.unseatable.get(tid) == stamp for tid in still_waiting) \
+            else None
 
     if world.tick > cfg.duration_ticks - cfg.drain_ticks:
         return
@@ -635,6 +653,8 @@ def _arrivals(world: World) -> None:
                          nonce=txn.nonce, size=size, tampered=flag)
         _feed_stream(world, world.baseline("paysize"), "", float(size))
         if not _try_open_panel(world, txn):
+            if world.unseatable.get(txn.id) != world.waiting_stamp:
+                world.waiting_stamp = None
             world.unpaneled.append(txn.id)
 
 
@@ -856,10 +876,11 @@ def _revalidations(world: World) -> None:
         if world.tick - profile.last_revalidation_tick >= period:
             ok = onboarding.revalidate_device(world, profile, world.tick)
             if not ok:
+                _, kinds, _, subjects, _ = world.log.columns()
+                hexed = pub.hex()
                 ref = next(
-                    (i for i in reversed(world.log.refs_of(pub.hex()))
-                     if world.log[i].subject == pub.hex()
-                     and world.log[i].kind == "revalidation"),
+                    (i for i in reversed(world.log.refs_of(hexed))
+                     if subjects[i] == hexed and kinds[i] == "revalidation"),
                     len(world.log) - 1)
                 arbitration.open_dispute(
                     world, [pub], {"category": "anomaly", "accused": pub.hex(),

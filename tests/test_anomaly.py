@@ -279,9 +279,9 @@ def test_investigate_subjectless_alert_reads_the_empty_key(monkeypatch):
     for ref, events in expected.items():
         assert any(ev.subject != "" for ev in events)  # actor-side matches
         report = investigate(world, ref)
-        assert [ev for _, ev in read.pop()] == events
-        assert report.violations == [ev for ev in events
-                                     if anomaly.is_violation(ev)]
+        assert [world.log[ref] for ref in read.pop()] == events
+        assert report.violations == [
+            ev for ev in events if anomaly.is_violation(ev.kind, ev.detail)]
         logged = world.log[len(world.log) - 1]
         assert (logged.kind, logged.subject, logged.detail["alert_ref"]) == (
             "investigation", "", ref)

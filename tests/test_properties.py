@@ -18,7 +18,7 @@ from gdpsim.anomaly import (
     calibrated_cut,
 )
 from gdpsim.errors import AlreadyQuarantined, GdpError, WrongStage
-from gdpsim.events import EventLog, encode_event
+from gdpsim.events import Event, EventLog, encode_event
 from gdpsim.incentives import Severity, conservation_gap, deterrence_margin
 from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import (
@@ -87,10 +87,14 @@ def test_rng_streams_reproducible(seed):
 @example(1234567, 7)
 @example(2 ** 64 - 1, 8)
 @example(0, 9)
+@example(2 ** 64 - 1, 256)
+@example(0x9E3779B97F4A7C15, 4096)
+@example(1234567, 8193)
 @settings(max_examples=200, deadline=None)
 def test_rng_bytes_match_per_word_draws(seed, n):
-    """``bytes`` repeats ``next_u64``'s step in its own loop: its bytes are
-    the big-endian words cut to n, and it leaves the same state."""
+    """``bytes`` draws its words in lanes of one int, up to 256 bytes at a
+    time: its bytes are the big-endian ``next_u64`` words cut to n, and it
+    leaves the same state."""
     fast, slow = SeededRng(seed), SeededRng(seed)
     words = b"".join(slow.next_u64().to_bytes(8, "big")
                      for _ in range(-(-n // 8)))
@@ -124,20 +128,36 @@ keys = st.sampled_from(["", "a", "b", "c"])
        st.one_of(st.none(), keys))
 @settings(max_examples=300, deadline=None)
 def test_slice_around_matches_brute_force(rows, center, radius, subject):
+    """Every read of the column log equals the same read of a list of
+    ``Event``s: ``slice_around``, ``refs_of``, ``log[ref]`` (negative refs
+    too), iteration and the columns."""
     log = EventLog()
+    reference = []
     tick = 0
     for step, actor, key, self_subject in rows:
         tick += step
-        log.append(tick, "k", actor=actor, subject=actor if self_subject else key)
+        event = Event(tick, f"k{step}", actor, actor if self_subject else key,
+                      {"n": len(reference)} if step else {})
+        assert log.append(event.tick, event.kind, actor=event.actor,
+                          subject=event.subject, **event.detail) == \
+            len(reference)
+        reference.append(event)
     lo, hi = max(0, center - radius), center + radius
-    expected = [(ref, ev) for ref, ev in enumerate(log)
+    expected = [ref for ref, ev in enumerate(reference)
                 if lo <= ev.tick <= hi
                 and (subject is None or ev.subject == subject or ev.actor == subject)]
     assert log.slice_around(center, radius, subject=subject) == expected
-    if subject is not None:
-        assert log.refs_of(subject) == [
-            ref for ref, ev in enumerate(log)
-            if ev.subject == subject or ev.actor == subject]
+    for key in ("", "a", "b", "c"):
+        assert log.refs_of(key) == [
+            ref for ref, ev in enumerate(reference)
+            if ev.subject == key or ev.actor == key]
+    assert len(log) == len(reference)
+    assert list(log) == reference
+    for ref in range(-len(reference), len(reference)):
+        assert log[ref] == reference[ref]
+    assert log.columns() == tuple(
+        [getattr(ev, field) for ev in reference]
+        for field in ("tick", "kind", "actor", "subject", "detail"))
 
 
 @given(st.lists(st.sampled_from(["valid", "invalid", "missing"]),

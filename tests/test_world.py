@@ -352,6 +352,31 @@ def test_unseatable_retries_wait_for_a_status_change(monkeypatch):
         [encode_event(e) for e in reference.log]
 
 
+def test_unpaneled_txns_wait_for_their_stamp_to_move(monkeypatch):
+    """On ``collusion_at_quorum`` most arrivals find no seatable panel. A run
+    whose retry pass runs only when the panel stamp moved logs the same
+    events as one that retries every unpaneled txn on every tick, and
+    makes a small fraction of the ``_try_open_panel`` calls."""
+    calls = []
+    try_open = world_mod._try_open_panel
+
+    def counted(world, txn):
+        calls.append(world.tick)
+        return try_open(world, txn)
+
+    monkeypatch.setattr(world_mod, "_try_open_panel", counted)
+    world = run_world(get_scenario("collusion_at_quorum"))
+    waiting = len(calls)
+    reference = build_world(get_scenario("collusion_at_quorum"))
+    for _ in range(reference.cfg.duration_ticks):
+        reference.waiting_stamp = None  # so the retry pass runs every tick
+        step(reference)
+    retried = len(calls) - waiting
+    assert waiting < 1000 < 10 * waiting < retried
+    assert [encode_event(e) for e in world.log] == \
+        [encode_event(e) for e in reference.log]
+
+
 def _status_writes(tree):
     """(line, enclosing function) of each ``.status`` store that does not
     assign a ``TxnStatus`` member, and of each ``setattr(..., "status", ...)``."""
