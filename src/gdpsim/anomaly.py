@@ -236,7 +236,7 @@ def quarantine(world, subject: bytes, reason_ref) -> None:
         raise WrongStage(f"device status is {status.value}")
     world.set_status(subject, DeviceStatus.QUARANTINED)
     world.quarantines[subject] = world.tick + world.cfg.anomaly.review_period
-    world.log.append(world.tick, "quarantine", subject=subject.hex(),
+    world.log.append(world.tick, "quarantine", subject=world.hexes[subject],
                      reason=str(reason_ref))
 
 
@@ -247,7 +247,7 @@ def release_quarantine(world, subject: bytes) -> None:
         return
     if world.devices[subject].status is DeviceStatus.QUARANTINED:
         world.set_status(subject, DeviceStatus.ACTIVE)
-    world.log.append(world.tick, "quarantine_release", subject=subject.hex())
+    world.log.append(world.tick, "quarantine_release", subject=world.hexes[subject])
 
 
 def release_due_quarantines(world) -> list[bytes]:

@@ -157,9 +157,10 @@ def open_dispute(world, parties: list, claim: dict) -> Dispute:
     dispute.mediator = _draw_mediator(world, dispute, world.rng_arbitration)
     world.disputes[dispute_id] = dispute
     world.log.append(world.tick, "dispute_opened", subject=dispute_id,
-                     parties=[p.hex() for p in parties],
+                     parties=[world.hexes[p] for p in parties],
                      category=claim.get("category", ""),
-                     mediator=dispute.mediator.hex() if dispute.mediator else "")
+                     mediator=(world.hexes[dispute.mediator]
+                               if dispute.mediator else ""))
     return dispute
 
 
@@ -173,8 +174,8 @@ def _record_verdict(world, dispute: Dispute, verdict: Verdict, kind: str,
     world.verdict_registry[vid] = verdict
     world.pending_verdicts.append(vid)
     world.log.append(world.tick, kind, subject=dispute.id,
-                     at_fault=[p.hex() for p in verdict.at_fault],
-                     verdict_id=vid.hex(), **detail)
+                     at_fault=[world.hexes[p] for p in verdict.at_fault],
+                     verdict_id=world.hexes[vid], **detail)
 
 
 def _close(world, dispute: Dispute, verdict: Verdict) -> Verdict:
@@ -215,7 +216,7 @@ def build_verdict(world, dispute: Dispute, at_fault: list,
                              "amount": 0.1})
     rationale = digest(json.dumps(
         {"dispute": dispute.id, "claim_category": dispute.claim.get("category"),
-         "at_fault": [p.hex() for p in at_fault], "body": body.value},
+         "at_fault": [world.hexes[p] for p in at_fault], "body": body.value},
         sort_keys=True).encode())
     return Verdict(at_fault=tuple(at_fault), remedies=remedies,
                    rationale_digest=rationale, deciding_body=body)
@@ -308,7 +309,7 @@ def select_panel(world, dispute: Dispute, rng) -> list:
         raise WrongStage(dispute.stage.value)
     dispute.panel = _draw_panel(world, dispute, rng)
     _enter(world, dispute, DisputeStage.FINAL_ARBITRATION,
-           panel=[p.hex() for p in dispute.panel])
+           panel=[world.hexes[p] for p in dispute.panel])
     return dispute.panel
 
 
@@ -350,7 +351,7 @@ def appeal(world, dispute: Dispute, rng) -> Verdict:
     incentives.settle_bond(world, appellant, bond, refunded=flipped, cause=cause)
     dispute.remedies_dispatched = False  # the appeal verdict dispatches anew
     _record_verdict(world, dispute, verdict, "appeal", flipped=flipped,
-                    panel=[p.hex() for p in appeal_panel])
+                    panel=[world.hexes[p] for p in appeal_panel])
     if flipped and not verdict.at_fault:
         for party in original.at_fault:
             incentives.restore_reputation(world, party, 0.1, cause=cause)

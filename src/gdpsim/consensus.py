@@ -227,9 +227,10 @@ def propose_block(world, node: bytes) -> Proposal:
     proposal = Proposal(proposer=node, txn_ids=ids, parent_block=head,
                         tick=world.tick, signature=sign(secret, dig))
     vars(proposal)["digest"] = dig  # the signed digest fills the cache
-    world.log.append(world.tick, "proposal", actor=node.hex(),
-                     subject=proposal.digest.hex(), txn_count=len(ids),
-                     parent=head.hex())
+    hexes = world.hexes
+    world.log.append(world.tick, "proposal", actor=hexes[node],
+                     subject=hexes[dig], txn_count=len(ids),
+                     parent=hexes[head])
     return proposal
 
 
@@ -297,8 +298,9 @@ def cast_vote(world, node: bytes, proposal: Proposal, accept: bool,
     sig = sign(secret, vote_message(proposal.digest, accept, weight))
     vote = Vote(validator=node, proposal_digest=proposal.digest, accept=accept,
                 weight=weight, signature=sig)
-    world.log.append(world.tick, "vote", actor=node.hex(),
-                     subject=proposal.digest.hex(), accept=accept, weight=weight)
+    world.log.append(world.tick, "vote", actor=world.hexes[node],
+                     subject=world.hexes[proposal.digest], accept=accept,
+                     weight=weight)
     return vote
 
 
@@ -333,16 +335,17 @@ def commit_block(world, proposal: Proposal, votes: list,
     transactions."""
     from .transmission import evaluate_witnesses
 
+    hexes = world.hexes
     if world.canonical.head != proposal.parent_block:
         world.log.append(world.tick, "proposal_rejected",
-                         subject=proposal.digest.hex(), reason="stale_parent")
+                         subject=hexes[proposal.digest], reason="stale_parent")
         return None
     votes = [v for v in votes if v.proposal_digest == proposal.digest]
     threshold = world.cfg.consensus.commit_threshold
     accept_weight, ok = tally(votes, total_weight, threshold)
     if not ok:
         world.log.append(world.tick, "proposal_rejected",
-                         subject=proposal.digest.hex(),
+                         subject=hexes[proposal.digest],
                          accept_weight=accept_weight, total_weight=total_weight)
         return None
 
@@ -361,11 +364,12 @@ def commit_block(world, proposal: Proposal, votes: list,
     for node in recipients:
         if world.heights[node] == height - 1:
             world.heights[node] = height
-    world.log.append(world.tick, "block_committed", subject=block.block_digest.hex(),
-                     height=height, proposer=proposal.proposer.hex(),
-                     txn_ids=[t.hex() for t in proposal.txn_ids],
+    world.log.append(world.tick, "block_committed",
+                     subject=hexes[block.block_digest], height=height,
+                     proposer=hexes[proposal.proposer],
+                     txn_ids=[hexes[t] for t in proposal.txn_ids],
                      accept_weight=accept_weight, total_weight=total_weight,
-                     recipients=[r.hex() for r in recipients])
+                     recipients=[hexes[r] for r in recipients])
 
     for tid in proposal.txn_ids:
         if tid in world.verdict_registry:
@@ -377,7 +381,7 @@ def commit_block(world, proposal: Proposal, votes: list,
         txn.status = TxnStatus.COMMITTED
         if tid in world.mempool:
             world.mempool.remove(tid)
-        world.log.append(world.tick, "txn_committed", subject=tid.hex(),
+        world.log.append(world.tick, "txn_committed", subject=hexes[tid],
                          latency=world.tick - txn.created_tick)
         evaluate_witnesses(world, txn)
     return block
@@ -468,7 +472,8 @@ def synchronize(world, node_a: bytes, node_b: bytes) -> int:
     verify_batch(world, node_head(world, target), from_height, batch)
     to_height = from_height + len(batch)
     world.heights[target] = to_height
-    world.log.append(world.tick, "sync", actor=source.hex(), subject=target.hex(),
+    world.log.append(world.tick, "sync", actor=world.hexes[source],
+                     subject=world.hexes[target],
                      blocks=len(batch), from_height=from_height,
                      to_height=to_height)
     return len(batch)

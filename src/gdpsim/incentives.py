@@ -59,7 +59,7 @@ class ReputationAccount:
 
 def _emit(world, subject: bytes, kind: IncentiveKind, delta: float,
           cause: str) -> None:
-    world.log.append(world.tick, "incentive", subject=subject.hex(),
+    world.log.append(world.tick, "incentive", subject=world.hexes[subject],
                      incentive_kind=kind.value, delta=delta, cause=cause)
 
 
@@ -200,7 +200,7 @@ def release_due_bans(world) -> list[bytes]:
             profile = world.devices.get(owner)
             if profile is not None and profile.status is DeviceStatus.BANNED:
                 world.set_status(owner, DeviceStatus.ACTIVE)
-            world.log.append(world.tick, "ban_release", subject=owner.hex())
+            world.log.append(world.tick, "ban_release", subject=world.hexes[owner])
             released.append(owner)
     return released
 

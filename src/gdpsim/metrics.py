@@ -213,25 +213,25 @@ def snapshot_state(world) -> dict:
         acct = world.stake_accounts.get(pub)
         rep = world.reputation_accounts.get(pub)
         height = world.heights.get(pub)
-        devices[pub.hex()] = {
+        devices[world.hexes[pub]] = {
             "status": profile.status.value,
             "staked": round(acct.staked, 9) if acct else None,
             "liquid": round(acct.liquid, 9) if acct else None,
             "offenses": acct.offense_count if acct else None,
             "score": round(rep.score, 9) if rep else None,
             "ledger_height": height,
-            "ledger_head": world.canonical.blocks[height].block_digest.hex()
+            "ledger_head": world.hexes[world.canonical.blocks[height].block_digest]
                            if height is not None else None,
         }
     txn_status: dict = {}
     for tid in sorted(world.transactions):
-        txn_status[tid.hex()] = world.transactions[tid].status.value
+        txn_status[world.hexes[tid]] = world.transactions[tid].status.value
     return {
         "tick": world.tick,
         "devices": devices,
         "transactions": txn_status,
         "canonical_height": world.canonical.height,
-        "canonical_head": world.canonical.head.hex(),
+        "canonical_head": world.hexes[world.canonical.head],
         "treasury": round(world.treasury, 9),
         "bond_escrow": round(world.bond_escrow, 9),
         "total_deposited": round(world.total_deposited, 9),

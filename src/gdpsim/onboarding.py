@@ -108,7 +108,7 @@ def submit_registration(world, request: RegistrationRequest) -> OnboardingSessio
         raise MalformedRequest("public_key and auth_secret must be 32 bytes")
     if request.public_key in world.devices or request.public_key in world.sessions:
         raise DuplicateDevice(request.public_key.hex())
-    if request.public_key.hex() in set(world.cfg.blacklist):
+    if world.hexes[request.public_key] in set(world.cfg.blacklist):
         raise BlacklistedDevice(request.public_key.hex())
 
     cfg = world.cfg.onboarding
@@ -124,8 +124,8 @@ def submit_registration(world, request: RegistrationRequest) -> OnboardingSessio
         temp_credential=TempCredential(token, world.tick + cfg.temp_credential_ttl),
     )
     world.sessions[request.public_key] = session
-    world.log.append(world.tick, "registered", actor=request.public_key.hex(),
-                     subject=request.public_key.hex(),
+    hexed = world.hexes[request.public_key]
+    world.log.append(world.tick, "registered", actor=hexed, subject=hexed,
                      device_type=request.device_type, model=request.model,
                      sealed=request.encrypted)
     return session
@@ -146,7 +146,8 @@ def issue_challenge(world, session: OnboardingSession) -> Challenge:
     statements = [world.rng_onboarding.below(1 << 31)
                   for _ in range(cfg.statements_per_challenge)]
     session.challenge = Challenge(nonce, statements, world.tick, cfg.challenge_ttl)
-    world.log.append(world.tick, "challenge_issued", subject=session.device.hex())
+    world.log.append(world.tick, "challenge_issued",
+                     subject=world.hexes[session.device])
     return session.challenge
 
 
@@ -176,9 +177,9 @@ def verify_challenge_response(world, session: OnboardingSession,
     elif not ok:
         session.stage = Stage.REJECTED
         world.log.append(world.tick, "session_rejected",
-                         subject=session.device.hex(), reason="challenge")
+                         subject=world.hexes[session.device], reason="challenge")
     world.log.append(world.tick, "challenge_result",
-                     subject=session.device.hex(), passed=ok)
+                     subject=world.hexes[session.device], passed=ok)
     return ok
 
 
@@ -202,7 +203,8 @@ def verify_mfa(world, session: OnboardingSession, totp: int, tick: int) -> bool:
         session.stage = Stage.MFA_PASSED
     else:
         session.mfa_retries += 1
-    world.log.append(tick, "mfa_result", subject=session.device.hex(), passed=ok)
+    world.log.append(tick, "mfa_result", subject=world.hexes[session.device],
+                     passed=ok)
     return ok
 
 
@@ -242,9 +244,9 @@ def score_behavior(world, session: OnboardingSession, trace) -> float:
     else:
         session.stage = Stage.REJECTED
         world.log.append(world.tick, "session_rejected",
-                         subject=session.device.hex(), reason="behavior")
-    world.log.append(world.tick, "behavior_scored", subject=session.device.hex(),
-                     score=score)
+                         subject=world.hexes[session.device], reason="behavior")
+    world.log.append(world.tick, "behavior_scored",
+                     subject=world.hexes[session.device], score=score)
     return score
 
 
@@ -269,7 +271,7 @@ def finalize_device(world, session: OnboardingSession, stake_deposit: float,
         credential=world.rng_onboarding.bytes(16).hex(),
         status=DeviceStatus.ACTIVE,
         last_revalidation_tick=world.tick,
-        operator_group=operator_group or session.device.hex(),
+        operator_group=operator_group or world.hexes[session.device],
         arbitrator=arbitrator,
         expertise=expertise,
         enrolled_secret=session.enrolled_secret,
@@ -285,7 +287,8 @@ def finalize_device(world, session: OnboardingSession, stake_deposit: float,
     incentives.open_account(world, session.device, stake_deposit, world.tick,
                             world.cfg.onboarding.initial_reputation)
     world.lower_due_floors(session.device)
-    world.log.append(world.tick, "device_finalized", subject=session.device.hex(),
+    world.log.append(world.tick, "device_finalized",
+                     subject=world.hexes[session.device],
                      stake=stake_deposit, operator_group=profile.operator_group,
                      arbitrator=arbitrator)
     return profile
@@ -323,7 +326,8 @@ def revalidate_device(world, profile: DeviceProfile, tick: int,
           and actor.totp(window) == totp_code(profile.enrolled_secret, window))
     if ok:
         profile.last_revalidation_tick = tick
-    ref = world.log.append(tick, "revalidation", subject=profile.public_key.hex(),
+    ref = world.log.append(tick, "revalidation",
+                           subject=world.hexes[profile.public_key],
                            passed=ok, forced=force)
     if not ok:
         from .anomaly import quarantine
@@ -333,7 +337,8 @@ def revalidate_device(world, profile: DeviceProfile, tick: int,
 
 def record_feedback(world, subject: bytes, feedback: dict) -> int:
     """Step 9: opaque feedback, appended with the current tick."""
-    entry = {"tick": world.tick, "subject": subject.hex(), "feedback": feedback}
+    hexed = world.hexes[subject]
+    entry = {"tick": world.tick, "subject": hexed, "feedback": feedback}
     world.feedback_log.append(entry)
-    world.log.append(world.tick, "feedback", subject=subject.hex())
+    world.log.append(world.tick, "feedback", subject=hexed)
     return len(world.feedback_log) - 1

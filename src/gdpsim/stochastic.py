@@ -76,29 +76,33 @@ def deep_inspect_transaction(world, txn) -> bool:
     Whether the transaction passed."""
     assert txn.status in (TxnStatus.WITNESSED, TxnStatus.COMMITTED,
                           TxnStatus.REJECTED, TxnStatus.DISPUTED)
+    hexes = world.hexes
+    subject = hexes[txn.id]
     evidence = []
     truth = world.ground_truth.get(txn.id)
     if truth is not None and truth.true_digest != txn.payload_digest:
-        evidence.append(f"payload digest mismatch on {txn.id.hex()[:16]}")
+        evidence.append(f"payload digest mismatch on {subject[:16]}")
     for witness, att in txn.attestations.items():
         if att.revealed_verdict is not None and not att.equivocated:
             if make_commit(att.revealed_verdict, att.salt) != att.commit:
-                evidence.append(f"commit binding broken by {witness.hex()[:16]}")
+                evidence.append(
+                    f"commit binding broken by {hexes[witness][:16]}")
         if not verify(witness, txn.id + att.commit, att.signature):
-            evidence.append(f"attestation signature invalid for {witness.hex()[:16]}")
+            evidence.append(
+                f"attestation signature invalid for {hexes[witness][:16]}")
 
     passed = not evidence
-    _record(world, TargetKind.TRANSACTION, txn.id.hex(), passed, evidence)
+    _record(world, TargetKind.TRANSACTION, subject, passed, evidence)
     if not passed:
         sender = txn.sender
         from .arbitration import can_be_party, open_dispute
         # open the dispute while the sender is still an eligible party
         if can_be_party(world, sender):
             open_dispute(world, [sender],
-                         {"category": "tampering", "accused": sender.hex(),
+                         {"category": "tampering", "accused": hexes[sender],
                           "event_refs": [len(world.log) - 1]})
         incentives.apply_penalty(world, sender, incentives.Severity.CRITICAL,
-                                 cause=f"deep_inspect:{txn.id.hex()[:16]}")
+                                 cause=f"deep_inspect:{subject[:16]}")
     return passed
 
 
@@ -113,8 +117,8 @@ def challenge_proposer(world, proposer: bytes, proposal_dig: Digest,
                                                  policy.puzzle_max_attempts)
     passed = (answer is not None
               and verify_puzzle(proposal_dig, answer, policy.puzzle_difficulty))
-    _record(world, TargetKind.PROPOSER, proposer.hex(), passed,
-            [proposal_dig.hex()])
+    _record(world, TargetKind.PROPOSER, world.hexes[proposer], passed,
+            [world.hexes[proposal_dig]])
     if not passed:
         incentives.apply_penalty(world, proposer, incentives.Severity.MINOR,
                                  cause="proposer_puzzle")
@@ -152,7 +156,8 @@ def verify_sync_integrity(world, source: bytes, target: bytes,
         evidence = [str(exc)]
     passed = not evidence
     _record(world, TargetKind.SYNC_BATCH,
-            f"{source.hex()[:16]}->{target.hex()[:16]}", passed, evidence)
+            f"{world.hexes[source][:16]}->{world.hexes[target][:16]}", passed,
+            evidence)
     if not passed:
         incentives.apply_penalty(world, source, incentives.Severity.CRITICAL,
                                  cause="forged_sync")
@@ -166,5 +171,5 @@ def inspect_device(world, device: bytes) -> bool:
 
     passed = revalidate_device(world, world.devices[device], world.tick,
                                force=True)
-    _record(world, TargetKind.DEVICE, device.hex(), passed, [])
+    _record(world, TargetKind.DEVICE, world.hexes[device], passed, [])
     return passed

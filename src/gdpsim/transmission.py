@@ -166,8 +166,9 @@ def open_panel(world, txn: DataTransaction, rng, exclude=frozenset()) -> list:
     txn.panel_history.extend(panel)
     txn.attestations = {}
     txn.reveal_deadline_tick = world.tick + world.cfg.panel.reveal_deadline
-    world.log.append(world.tick, "panel_selected", subject=txn.id.hex(),
-                     witnesses=[p.hex() for p in panel])
+    hexes = world.hexes
+    world.log.append(world.tick, "panel_selected", subject=hexes[txn.id],
+                     witnesses=[hexes[p] for p in panel])
     return panel
 
 
@@ -187,8 +188,8 @@ def witness_commit(world, witness: bytes, txn: DataTransaction,
     att = Attestation(witness=witness, txn_id=txn.id, commit=commit,
                       signature=signature)
     txn.attestations[witness] = att
-    world.log.append(world.tick, "attestation_commit", actor=witness.hex(),
-                     subject=txn.id.hex())
+    world.log.append(world.tick, "attestation_commit",
+                     actor=world.hexes[witness], subject=world.hexes[txn.id])
     return att
 
 
@@ -203,17 +204,18 @@ def witness_reveal(world, witness: bytes, txn: DataTransaction,
         raise RevealTooEarly(
             f"{len(txn.attestations)}/{len(txn.panel)} commits, "
             f"deadline {txn.reveal_deadline_tick}")
+    hexes = world.hexes
     if make_commit(verdict, salt) != att.commit:
         att.equivocated = True
-        world.log.append(world.tick, "commit_mismatch", actor=witness.hex(),
-                         subject=txn.id.hex())
+        world.log.append(world.tick, "commit_mismatch", actor=hexes[witness],
+                         subject=hexes[txn.id])
         incentives.apply_penalty(world, witness, incentives.Severity.MAJOR,
-                                 cause=f"equivocation:{txn.id.hex()[:16]}")
+                                 cause=f"equivocation:{hexes[txn.id][:16]}")
         raise CommitMismatch(witness.hex())
     att.revealed_verdict = verdict
     att.salt = salt
-    world.log.append(world.tick, "attestation_reveal", actor=witness.hex(),
-                     subject=txn.id.hex(), verdict=verdict.value)
+    world.log.append(world.tick, "attestation_reveal", actor=hexes[witness],
+                     subject=hexes[txn.id], verdict=verdict.value)
     return att
 
 
@@ -226,16 +228,20 @@ def aggregate_attestations(world, txn: DataTransaction) -> TxnStatus:
     """
     cfg = world.cfg.panel
     quorum = cfg.effective_quorum()
+    hexes = world.hexes
+    subject = hexes[txn.id]
+    lazy = None  # the lazy-witness cause, built for the first non-revealer
     valid = 0
     invalid = 0
     for witness in txn.panel:
         att = txn.attestations.get(witness)
         if att is None or (att.revealed_verdict is None and not att.equivocated):
             invalid += 1
-            world.log.append(world.tick, "reveal_missing", actor=witness.hex(),
-                             subject=txn.id.hex())
+            world.log.append(world.tick, "reveal_missing", actor=hexes[witness],
+                             subject=subject)
+            lazy = lazy or f"lazy_witness:{subject[:16]}"
             incentives.apply_penalty(world, witness, incentives.Severity.MINOR,
-                                     cause=f"lazy_witness:{txn.id.hex()[:16]}")
+                                     cause=lazy)
         elif att.equivocated:
             invalid += 1
         elif att.revealed_verdict is Verdict.VALID:
@@ -249,7 +255,7 @@ def aggregate_attestations(world, txn: DataTransaction) -> TxnStatus:
         txn.status = TxnStatus.REJECTED
     else:
         txn.status = TxnStatus.DISPUTED
-    world.log.append(world.tick, "txn_status", subject=txn.id.hex(),
+    world.log.append(world.tick, "txn_status", subject=subject,
                      status=txn.status.value, valid=valid, invalid=invalid)
     return txn.status
 
@@ -273,20 +279,21 @@ def _txn_to_arbitration(world, txn: DataTransaction) -> None:
     dispute party (banned, say) leaves the txn Disputed with the reason
     logged."""
     from .arbitration import can_be_party, open_dispute
-    subject = txn.id.hex()
+    subject = world.hexes[txn.id]
+    accused = world.hexes[txn.sender]
     if not can_be_party(world, txn.sender):
         world.log.append(world.tick, "dispute_skipped", subject=subject,
-                         accused=txn.sender.hex(),
+                         accused=accused,
                          reason="sender is neither active nor quarantined")
         return
     _, _, _, subjects, _ = world.log.columns()
     refs = [ref for ref in world.log.refs_of(subject)
             if subjects[ref] == subject]
     claim = {"category": "attestation_conflict",
-             "accused": txn.sender.hex(), "event_refs": refs[-8:]}
+             "accused": accused, "event_refs": refs[-8:]}
     dispute = open_dispute(world, [txn.sender], claim)
     world.log.append(world.tick, "dispute_opened_from_txn",
-                     subject=txn.id.hex(), dispute=dispute.id)
+                     subject=subject, dispute=dispute.id)
 
 
 def reescalate_disputed(world, txn: DataTransaction, rng) -> bool:
@@ -308,7 +315,7 @@ def reescalate_disputed(world, txn: DataTransaction, rng) -> bool:
         txn.escalations -= 1
         _txn_to_arbitration(world, txn)
         return False
-    world.log.append(world.tick, "txn_escalated", subject=txn.id.hex(),
+    world.log.append(world.tick, "txn_escalated", subject=world.hexes[txn.id],
                      escalation=txn.escalations)
     return True
 
@@ -321,18 +328,23 @@ def evaluate_witnesses(world, txn: DataTransaction) -> None:
     the revealed verdicts earn rewards or penalties.
     """
     truth = Verdict.VALID if txn.status is TxnStatus.COMMITTED else Verdict.INVALID
+    hexes = world.hexes
+    subject = hexes[txn.id]
+    rewarded = penalized = None  # each cause, built for its first witness
     for witness in txn.panel:
         att = txn.attestations.get(witness)
         if att is None or att.equivocated or att.revealed_verdict is None:
             continue
         correct = att.revealed_verdict is truth
-        world.log.append(world.tick, "witness_eval", actor=witness.hex(),
-                         subject=txn.id.hex(), correct=correct)
+        world.log.append(world.tick, "witness_eval", actor=hexes[witness],
+                         subject=subject, correct=correct)
         if correct:
             profile = world.devices.get(witness)
             if profile is not None and profile.status is DeviceStatus.ACTIVE:
-                incentives.apply_performance_reward(
-                    world, witness, cause=f"attestation:{txn.id.hex()[:16]}")
+                rewarded = rewarded or f"attestation:{subject[:16]}"
+                incentives.apply_performance_reward(world, witness,
+                                                    cause=rewarded)
         else:
+            penalized = penalized or f"wrong_verdict:{subject[:16]}"
             incentives.apply_penalty(world, witness, incentives.Severity.MINOR,
-                                     cause=f"wrong_verdict:{txn.id.hex()[:16]}")
+                                     cause=penalized)

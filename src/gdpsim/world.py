@@ -174,13 +174,24 @@ class TxrateStream:
     stream.
     """
 
-    __slots__ = ("hexed", "baseline", "settled", "wake")
+    __slots__ = ("baseline", "settled", "wake")
 
-    def __init__(self, hexed: str, baseline: anomaly.StreamBaseline):
-        self.hexed = hexed
+    def __init__(self, baseline: anomaly.StreamBaseline):
         self.baseline = baseline
         self.settled = 0
         self.wake = math.inf
+
+
+class _Hexes(dict):
+    """Each id's lowercase hex, computed on first use. Every event field,
+    detail and cause that names a device, txn, proposal or block reads its
+    string here, so the log holds one ``str`` per id, hashed once, however
+    many events name it. A world keeps its own: a process that runs many
+    worlds frees each one's ids with it."""
+
+    def __missing__(self, key: bytes) -> str:
+        hexed = self[key] = key.hex()
+        return hexed
 
 
 class World:
@@ -202,6 +213,7 @@ class World:
         self.rng_arbitration = master.derive("arbitration")
 
         self.log = EventLog()
+        self.hexes = _Hexes()              # id bytes -> its one hex str
         self.devices: dict = {}            # pub -> DeviceProfile
         # Onboarding fixes these, so ``finalize_device`` fills them, in
         # device order and for every status; a draw re-reads status and the
@@ -305,9 +317,8 @@ class World:
         phase to start on."""
         stream = self.txrate_streams.get(pub)
         if stream is None:
-            hexed = pub.hex()
             stream = self.txrate_streams[pub] = TxrateStream(
-                hexed, self.baseline(f"txrate:{hexed[:16]}"))
+                self.baseline(f"txrate:{self.hexes[pub][:16]}"))
         stream.settled = self.stream_phases
         self._schedule_txrate(pub, stream)
 
@@ -409,7 +420,7 @@ def onboard_actor(world: World, actor: DeviceActor, stake: float,
     except InsufficientStake:
         session.stage = onboarding.Stage.REJECTED
         world.log.append(world.tick, "session_rejected",
-                         subject=actor.pub.hex(), reason="stake")
+                         subject=world.hexes[actor.pub], reason="stake")
         return None
     world.actors[actor.pub] = actor
     world.heights[actor.pub] = 0
@@ -493,7 +504,7 @@ def _environment(world: World) -> None:
                 world.actors[victim].auth_secret = world.rng_actors.derive(
                     "compromise", world.tick).bytes(32)
                 world.log.append(world.tick, "key_compromised",
-                                 subject=victim.hex())
+                                 subject=world.hexes[victim])
     devices = []  # sorted only in a tick where an outage starts or ends
     for outage in world.cfg.outages:
         if world.tick not in (outage.start, outage.start + outage.duration):
@@ -506,7 +517,7 @@ def _environment(world: World) -> None:
             profile = world.devices[target]
             if profile.status is DeviceStatus.ACTIVE:
                 ref = world.log.append(world.tick, "outage_start",
-                                       subject=target.hex())
+                                       subject=world.hexes[target])
                 anomaly.quarantine(world, target, reason_ref=ref)
         elif world.tick == outage.start + outage.duration:
             anomaly.release_quarantine(world, target)
@@ -529,8 +540,8 @@ def _sync_lagging(world: World) -> None:
         try:
             consensus.synchronize(world, source, target)
         except ChainIntegrityViolation as exc:
-            world.log.append(world.tick, "sync_rejected", actor=source.hex(),
-                             subject=target.hex(), reason=str(exc))
+            world.log.append(world.tick, "sync_rejected", actor=world.hexes[source],
+                             subject=world.hexes[target], reason=str(exc))
         if stochastic.should_inspect(world.rng_inspection,
                                      world.cfg.inspection.rate_sync_verify,
                                      "sync", world.tick, source, target):
@@ -560,14 +571,14 @@ def _run_commit_phase(world: World, txn) -> None:
             # violation with cryptographic evidence, so a dispute opens too
             if arbitration.can_be_party(world, witness):
                 _, kinds, actors, _, _ = world.log.columns()
-                hexed = witness.hex()
+                hexed = world.hexes[witness]
                 mismatch_ref = next(
                     ref for ref in reversed(world.log.refs_of(hexed))
                     if kinds[ref] == "commit_mismatch" and actors[ref] == hexed)
                 arbitration.open_dispute(
                     world, [witness],
                     {"category": "attestation_conflict",
-                     "accused": witness.hex(), "event_refs": [mismatch_ref]})
+                     "accused": hexed, "event_refs": [mismatch_ref]})
     world.aggregation_due.setdefault(txn.reveal_deadline_tick, []).append(txn.id)
 
 
@@ -648,8 +659,9 @@ def _arrivals(world: World) -> None:
         flag = tampered
         if world.gt_scrambler is not None:
             flag = world.gt_scrambler(txn.id, tampered)
-        world.log.append(world.tick, "txn_created", actor=sender.hex(),
-                         subject=txn.id.hex(), receiver=receiver.hex(),
+        hexes = world.hexes
+        world.log.append(world.tick, "txn_created", actor=hexes[sender],
+                         subject=hexes[txn.id], receiver=hexes[receiver],
                          nonce=txn.nonce, size=size, tampered=flag)
         _feed_stream(world, world.baseline("paysize"), "", float(size))
         if not _try_open_panel(world, txn):
@@ -669,8 +681,9 @@ def _aggregate_due(world: World) -> None:
             att = txn.attestations.get(witness)
             rejected = (att is not None and not att.equivocated
                         and att.revealed_verdict is Verdict.INVALID)
-            _feed_stream(world, world.baseline(f"wreject:{witness.hex()[:16]}"),
-                         witness.hex(), 1.0 if rejected else 0.0)
+            hexed = world.hexes[witness]
+            _feed_stream(world, world.baseline(f"wreject:{hexed[:16]}"),
+                         hexed, 1.0 if rejected else 0.0)
         if status is TxnStatus.WITNESSED:
             world.mempool.append(tid)
             _witness_deep_flags(world, txn)
@@ -704,8 +717,8 @@ def _witness_deep_flags(world: World, txn) -> None:
             continue
         if world.actors[witness].witness_verdict(world, txn) is Verdict.INVALID:
             txn.objected = True
-            world.log.append(world.tick, "objection", actor=witness.hex(),
-                             subject=txn.id.hex())
+            world.log.append(world.tick, "objection", actor=world.hexes[witness],
+                             subject=world.hexes[txn.id])
 
 
 def _consensus_round(world: World) -> None:
@@ -731,7 +744,7 @@ def _consensus_round(world: World) -> None:
         if not stochastic.challenge_proposer(world, proposer, proposal.digest,
                                              world.rng_consensus):
             world.log.append(world.tick, "round_skipped",
-                             subject=proposer.hex(), round_no=world.round_no)
+                             subject=world.hexes[proposer], round_no=world.round_no)
             return
 
     m = world.cfg.consensus.random_validators
@@ -767,8 +780,9 @@ def _consensus_round(world: World) -> None:
         else:
             vote = consensus.cast_vote(world, node, proposal, policy_vote,
                                        weight)
-        _feed_stream(world, world.baseline(f"voteagainst:{node.hex()[:16]}"),
-                     node.hex(), 0.0 if vote.accept else 1.0)
+        hexed = world.hexes[node]
+        _feed_stream(world, world.baseline(f"voteagainst:{hexed[:16]}"),
+                     hexed, 0.0 if vote.accept else 1.0)
         votes.append(vote)
 
     delay = stochastic.random_commit_delay(
@@ -858,7 +872,7 @@ def _per_tick_streams(world: World) -> None:
     world.stream_phases = phase  # a device turning active now waits a phase
     for pub in due:
         stream = streams[pub]
-        _feed_stream(world, stream.baseline, stream.hexed,
+        _feed_stream(world, stream.baseline, world.hexes[pub],
                      float(counts.get(pub, 0)))
         if world.devices[pub].status is DeviceStatus.ACTIVE:
             world._schedule_txrate(pub, stream)
@@ -877,13 +891,13 @@ def _revalidations(world: World) -> None:
             ok = onboarding.revalidate_device(world, profile, world.tick)
             if not ok:
                 _, kinds, _, subjects, _ = world.log.columns()
-                hexed = pub.hex()
+                hexed = world.hexes[pub]
                 ref = next(
                     (i for i in reversed(world.log.refs_of(hexed))
                      if subjects[i] == hexed and kinds[i] == "revalidation"),
                     len(world.log) - 1)
                 arbitration.open_dispute(
-                    world, [pub], {"category": "anomaly", "accused": pub.hex(),
+                    world, [pub], {"category": "anomaly", "accused": hexed,
                                    "event_refs": [ref]})
         if profile.status is DeviceStatus.ACTIVE:
             floor = min(floor, onboarding.revalidation_due(world, profile))

@@ -1022,3 +1022,108 @@ def test_devices_turn_active_only_where_the_due_floors_are_lowered():
               "    world.lower_due_floors(p)\n")
     assert _device_entries(ast.parse(sample)) == (
         [(2, "f"), (3, "f"), (4, "f")], {"f"})
+
+
+def test_world_hexes_memo_is_each_ids_hex_and_per_world():
+    """``World.hexes`` maps each id to ``id.hex()``, and every world keeps
+    its own memo: two worlds of one config name the same ids with equal
+    strings that are not the same objects."""
+    first, second = mini_world(), mini_world()
+    assert first.hexes is not second.hexes
+    assert len(first.hexes) > 0
+    for key, hexed in first.hexes.items():
+        assert type(hexed) is str and hexed == key.hex()
+    shared = first.hexes.keys() & second.hexes.keys()
+    assert shared == first.hexes.keys()
+    assert all(first.hexes[key] is not second.hexes[key] for key in shared)
+    fresh = bytes(range(32))
+    assert fresh not in first.hexes
+    assert first.hexes[fresh] == fresh.hex()
+    assert first.hexes[fresh] is first.hexes[fresh]
+    assert fresh not in second.hexes
+
+
+@pytest.mark.parametrize("name", ["collusion_at_quorum", "lazy_witnesses"])
+def test_each_id_is_one_string_across_the_log(name):
+    """After a whole run, the actor and subject columns, the panels'
+    ``witnesses`` and the blocks' ``recipients`` hold one ``str`` object per
+    distinct 64-hex id; and the panel-outcome cause that several witnesses
+    of one txn share is one object per call."""
+    world = run_world(get_scenario(name))
+    ticks, kinds, actors, subjects, details = world.log.columns()
+    names = [s for s in actors + subjects if len(s) == 64]
+    for kind, detail in zip(kinds, details):
+        if kind == "panel_selected":
+            names += detail["witnesses"]
+        elif kind == "block_committed":
+            names += detail["recipients"]
+    assert len(set(names)) > 100
+    assert len({id(s) for s in names}) == len(set(names))
+    causes: dict = {}  # (tick, cause) -> ids of its strings
+    for tick, kind, detail in zip(ticks, kinds, details):
+        cause = detail.get("cause", "") if kind == "incentive" else ""
+        if cause.split(":")[0] in ("attestation", "wrong_verdict",
+                                   "lazy_witness"):
+            causes.setdefault((tick, cause), set()).add(id(cause))
+    assert len(causes) > 20
+    assert all(len(ids) == 1 for ids in causes.values())
+
+
+# The ``.hex()`` calls that name no id in an event: the one-shot random
+# token and credential, the state and ledger exports, and the replay's
+# genesis head, which no world names. (file, function, receiver)
+_ONE_SHOT_HEX = {
+    ("onboarding.py", "submit_registration", "world.rng_onboarding.bytes(16)"),
+    ("onboarding.py", "finalize_device", "world.rng_onboarding.bytes(16)"),
+    ("metrics.py", "_state_digest", "digest(body.encode())"),
+    ("metrics.py", "ReplayState.__init__", "genesis_block().block_digest"),
+    ("events.py", "write_ledger_csv", "b.parent"),
+    ("events.py", "write_ledger_csv", "b.block_digest"),
+    ("events.py", "write_ledger_csv", "b.proposer"),
+}
+
+
+def _hex_reads(tree):
+    """(line, enclosing qualified name, receiver) of each ``.hex`` read,
+    called or not, outside a ``raise`` statement's exception."""
+    found = []
+
+    def visit(node, scope, raised):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Raise):
+            raised = True
+        if (isinstance(node, ast.Attribute) and node.attr == "hex"
+                and not raised):
+            found.append((node.lineno, scope, ast.unparse(node.value)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope, raised)
+
+    visit(tree, None, False)
+    return found
+
+
+def test_ids_are_hexed_only_through_the_world_memo():
+    """Every event field, detail and cause that names an id reads
+    ``world.hexes``, so the log keeps one string per id. A ``.hex()`` may
+    appear only in ``_Hexes.__missing__``, in a raised exception's
+    message, or at a named one-shot site that is no id."""
+    package = Path(gdpsim.__file__).parent
+    bypasses = []
+    for path in sorted(package.glob("*.py")):
+        for line, scope, receiver in _hex_reads(ast.parse(path.read_text())):
+            if (path.name, scope) == ("world.py", "_Hexes.__missing__"):
+                continue
+            if (path.name, scope, receiver) not in _ONE_SHOT_HEX:
+                bypasses.append(f"{path.name}:{line} {receiver}.hex in {scope}")
+    assert bypasses == []
+    sample = ("class A:\n"
+              "    def f(self, world, p):\n"
+              "        world.log.append(0, 'x', subject=p.hex())\n"
+              "        names = list(map(bytes.hex, [p]))\n"
+              "        raise KeyError(p.hex())\n"
+              "def g(p):\n"
+              "    return f'{p.hex()[:16]}', world.hexes[p]\n")
+    assert _hex_reads(ast.parse(sample)) == [
+        (3, "A.f", "p"), (4, "A.f", "bytes"), (7, "g", "p")]
