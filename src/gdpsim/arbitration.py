@@ -12,9 +12,9 @@ No draw visits every active device. The mediator is an expert in the
 claim's category (``world.experts``) while a conflict-free one has a
 positive score. Otherwise it is one descent of the world's witness-weight
 tree with the parties' operator groups taken out: O((excluded + 1) log N),
-without the active view. Panels are drawn from the devices onboarded as
-arbitrators (``world.arbitrators``). Only community review reads every
-active device, because each one votes.
+without reading the active set. Panels are drawn from the devices
+onboarded as arbitrators (``world.arbitrators``). Only community review
+reads every active device, because each one votes.
 """
 
 from __future__ import annotations
@@ -94,16 +94,13 @@ def _conflict_free(world, dispute: Dispute, extra_excluded=frozenset(),
     and are not otherwise excluded: all of them in device order, or those of
     ``among`` in its order."""
     excluded = {*dispute.parties, *extra_excluded}
-    party_groups = _party_groups(world, dispute)
+    for group in _party_groups(world, dispute):
+        excluded.update(world.group_members[group])
     if among is None:
-        view = world.active_view()
-        pairs = zip(view.active, view.groups)
-    else:
-        devices = world.devices
-        pairs = ((pub, profile.operator_group) for pub in among
-                 if (profile := devices[pub]).status is DeviceStatus.ACTIVE)
-    return [pub for pub, group in pairs
-            if group not in party_groups and pub not in excluded]
+        return [pub for pub in world.active if pub not in excluded]
+    devices = world.devices
+    return [pub for pub in among if pub not in excluded
+            and devices[pub].status is DeviceStatus.ACTIVE]
 
 
 def _weighted_draw(world, rng, pool: list, k: int) -> list:
@@ -119,7 +116,7 @@ def _draw_mediator(world, dispute: Dispute, rng) -> Optional[bytes]:
     The experts come from ``world.experts``. The general draw is one descent
     of the world's witness-weight tree with the parties' operator groups
     (``world.group_members``) taken out, which picks what a draw over
-    ``_conflict_free`` would; it reads neither the active view nor any
+    ``_conflict_free`` would; it reads neither the active set nor any
     device outside those groups.
     """
     experts = _conflict_free(world, dispute, among=world.experts.get(

@@ -140,17 +140,16 @@ def node_head(world, node: bytes) -> Digest:
 
 
 def active_stake_total(world) -> float:
-    """The active devices' stakes summed by ``float_sum``. The active view
-    keeps the total with the ``world.stake_version`` it was summed at: a
-    status flip builds a new view and every stake write bumps the version,
-    so a kept total is the float a fresh sum gives."""
-    view = world.active_view()
-    kept = view.stake_total
-    if kept is not None and kept[0] == world.stake_version:
-        return kept[1]
-    accounts = world.stake_accounts
-    total = float_sum(accounts[p].staked for p in view.active)
-    view.stake_total = (world.stake_version, total)
+    """The active devices' stakes summed by ``float_sum``, kept with the
+    ``world.status_version`` and ``world.stake_version`` it was summed at:
+    an active-set change bumps the one and every stake write the other, so
+    a kept total is the float a fresh sum gives."""
+    versions = (world.status_version, world.stake_version)
+    kept_at, total = world.kept_stake_total
+    if kept_at != versions:
+        accounts = world.stake_accounts
+        total = float_sum(accounts[p].staked for p in world.active)
+        world.kept_stake_total = (versions, total)
     return total
 
 

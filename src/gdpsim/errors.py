@@ -68,7 +68,7 @@ class InsufficientWitnesses(GdpError):
     """Not enough eligible witnesses to fill a panel.
 
     ``scores_read`` is False when the active devices' seat count refused
-    the panel before any score was read: the same active view, ``k`` and
+    the panel before any score was read: the same active set, ``k`` and
     diversity cap refuse it again, whatever the scores."""
 
     def __init__(self, message: str, scores_read: bool = True):

@@ -229,13 +229,27 @@ def _encoded_batches(details: list):
 
 
 def read_events_jsonl(path: Path) -> EventLog:
-    """The log an ``events.jsonl`` file holds, appended line by line."""
+    """The log an ``events.jsonl`` file holds, appended line by line. Each
+    distinct string read as a kind, actor, subject or detail value, list
+    items included, is one ``str`` across the log, as in a live log whose
+    ids come from ``World.hexes``."""
     log = EventLog()
+    strings: dict = {}
+
+    def shared(value):
+        if isinstance(value, str):
+            return strings.setdefault(value, value)
+        if isinstance(value, list):
+            return [shared(item) for item in value]
+        return value
+
     with open(path) as fh:
         for line in fh:
             d = json.loads(line)
-            log.append(d["tick"], d["kind"], d["actor"], d["subject"],
-                       **d["detail"])
+            log.append(d["tick"], shared(d["kind"]), shared(d["actor"]),
+                       shared(d["subject"]),
+                       **{key: shared(value)
+                          for key, value in d["detail"].items()})
     return log
 
 

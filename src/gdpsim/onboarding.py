@@ -283,7 +283,7 @@ def finalize_device(world, session: OnboardingSession, stake_deposit: float,
         world.experts.setdefault(category, []).append(session.device)
     if arbitrator:
         world.arbitrators.append(session.device)
-    world.set_status(session.device, DeviceStatus.ACTIVE)  # enters the active view
+    world.set_status(session.device, DeviceStatus.ACTIVE)  # joins the active set
     incentives.open_account(world, session.device, stake_deposit, world.tick,
                             world.cfg.onboarding.initial_reputation)
     world.lower_due_floors(session.device)

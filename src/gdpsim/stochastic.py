@@ -125,12 +125,9 @@ def challenge_proposer(world, proposer: bytes, proposal_dig: Digest,
     return passed
 
 
-def pick_random_validators(world, rng, m: int) -> list:
-    """Uniform validator subset for this round, proposer excluded."""
-    from .consensus import current_proposer
-
-    proposer = current_proposer(world)
-    eligible = [n for n in world.active_devices() if n != proposer]
+def pick_random_validators(rng, eligible: list, m: int) -> list:
+    """Uniform validator subset of ``eligible``, the round's active devices
+    less its proposer."""
     if m > len(eligible):
         raise InsufficientNodes(f"need {m}, have {len(eligible)}")
     return rng.sample(eligible, m)

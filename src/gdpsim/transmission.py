@@ -9,6 +9,7 @@ panel, and witness accuracy is settled against the consensus outcome.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -96,16 +97,13 @@ def submit_transaction(world, sender: bytes, receiver: bytes,
     return txn
 
 
-def _seats_without(view, drop: set, diversity: int) -> int:
-    """Seats the active view offers under the diversity cap once the
-    positions in ``drop`` leave it."""
-    removed: dict = {}
-    for i in drop:
-        group = view.groups[i]
-        removed[group] = removed.get(group, 0) + 1
-    seats = view.capacity(diversity)
+def _seats_without(world, drop: set, diversity: int) -> int:
+    """Seats the active devices offer under the diversity cap once the
+    active devices in ``drop`` leave them."""
+    removed = Counter(world.devices[pub].operator_group for pub in drop)
+    seats = world.capacity(diversity)
     for group, lost in removed.items():
-        n = view.group_counts[group]
+        n = world.active_per_group[group]
         seats -= min(n, diversity) - min(n - lost, diversity)
     return seats
 
@@ -115,9 +113,9 @@ def select_witnesses(world, txn: DataTransaction, rng,
     """Reputation-weighted panel with an operator-group diversity cap.
 
     Sender and receiver are never eligible; at most ``diversity`` witnesses
-    may share an operator group. The active view's seat capacity, less the
-    ineligible positions, refuses an unseatable panel before any score is
-    read (``scores_read`` False); less the zero-score positions too, it
+    may share an operator group. The world's seat count, less the
+    ineligible devices, refuses an unfillable panel before any score is
+    read (``scores_read`` False); less the zero-score devices too, it
     refuses one after reading them. Each seat is then one descent of the
     world's witness-weight tree (``WitnessWeights.draw``), with the
     ineligible devices, each pick but the last and the rest of any group at
@@ -125,19 +123,21 @@ def select_witnesses(world, txn: DataTransaction, rng,
     """
     cfg = world.cfg.panel
     k, diversity = cfg.k, cfg.diversity
-    view = world.active_view()
-    position = view.position
-    drop = {position[p] for p in (txn.sender, txn.receiver, *exclude)
-            if p in position}
-    seats = _seats_without(view, drop, diversity)
+    devices = world.devices
+
+    def active(pubs):
+        return {p for p in pubs if devices[p].status is DeviceStatus.ACTIVE}
+
+    drop = active((txn.sender, txn.receiver, *exclude))
+    seats = _seats_without(world, drop, diversity)
     if seats < k:
         raise InsufficientWitnesses(
             f"capacity {seats} under diversity cap, need k={k}",
             scores_read=False)
     weights = world.witness_weights()
-    unweighted = {position[p] for p in weights.unscored if p in position} - drop
+    unweighted = active(weights.unscored) - drop
     if unweighted:
-        seats = _seats_without(view, drop | unweighted, diversity)
+        seats = _seats_without(world, drop | unweighted, diversity)
         if seats < k:
             raise InsufficientWitnesses(
                 f"capacity {seats} under diversity cap, need k={k}")
@@ -147,13 +147,13 @@ def select_witnesses(world, txn: DataTransaction, rng,
     def capped(pub):
         """``pub``'s group once its picks reach the cap; its members that
         are not active, or are out of the tree already, weigh 0."""
-        group = view.groups[position[pub]]
+        group = devices[pub].operator_group
         used = group_use[group] = group_use.get(group, 0) + 1
-        if used >= diversity and view.group_counts[group] > used:
+        if used >= diversity and world.active_per_group[group] > used:
             return world.group_members[group]
         return ()
 
-    panel = weights.draw(rng, [view.active[i] for i in drop], k, capped)
+    panel = weights.draw(rng, drop, k, capped)
     if len(panel) < k:
         raise InsufficientWitnesses("pool exhausted under diversity cap")
     return panel

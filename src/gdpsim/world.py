@@ -11,7 +11,7 @@ so a (config, seed) pair fully determines every emitted byte.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -54,51 +54,19 @@ class PendingBlock:
     land_tick: int
 
 
-class ActiveView:
-    """The active devices, derived from ``world.devices`` in one pass.
-
-    Built lazily after any ``World.set_status`` call and never changed in
-    place, so a caller iterating ``active`` keeps its snapshot while
-    statuses change under it. A re-activated device is back at its original
-    slot, in ``world.devices`` order.
-    """
-
-    def __init__(self, devices: dict):
-        active, groups = [], []
-        for pub, profile in devices.items():
-            if profile.status is DeviceStatus.ACTIVE:
-                active.append(pub)
-                groups.append(profile.operator_group)
-        self.active = active
-        self.position = dict(zip(active, range(len(active))))
-        self.groups = groups
-        self.group_counts = Counter(groups)  # group -> active members
-        self.senders: Optional[list] = None  # filled by World.sender_pool
-        self._capacity = (None, 0)         # (diversity, capacity) memo
-        # (world.stake_version, total): consensus.active_stake_total
-        self.stake_total: Optional[tuple] = None
-
-    def capacity(self, diversity: int) -> int:
-        """Panel seats the active devices offer under the diversity cap."""
-        if self._capacity[0] != diversity:
-            self._capacity = (diversity, sum(
-                min(n, diversity) for n in self.group_counts.values()))
-        return self._capacity[1]
-
-
 class WitnessWeights:
     """Witness-draw weights in ``world.devices`` order: a device's
     reputation score while it is active, else 0, in an exact Fenwick tree.
 
     Built on the first draw. ``World.set_status`` and ``World.set_score``
-    keep it current, one O(log N) update each; a device added after the
-    build drops it, to be rebuilt on the next draw. ``unscored`` holds the
-    devices, of any status, whose score is not positive.
+    keep it current, one O(log N) update each; a device that joins after
+    the build drops it, to be rebuilt on the next draw. ``unscored`` holds
+    the devices, of any status, whose score is not positive.
     """
 
     def __init__(self, world: "World"):
-        self.pubs = list(world.devices)
-        self.index = {p: i for i, p in enumerate(self.pubs)}
+        self.pubs = list(world.order)
+        self._order = world.order  # the world's, kept by set_status
         self.unscored: set = set()
         self.tree = FenwickWeights([self._weight(world, p) for p in self.pubs])
 
@@ -112,8 +80,8 @@ class WitnessWeights:
 
     def update(self, world: "World", pub: bytes) -> bool:
         """Re-read one device's weight; False if the tree does not hold it."""
-        i = self.index.get(pub)
-        if i is None:
+        i = self._order[pub]
+        if i >= len(self.pubs):
             return False
         self.tree.set(i, self._weight(world, pub))
         return True
@@ -131,7 +99,7 @@ class WitnessWeights:
         total and prefix sums, which the zero positions and the tree's
         finer ``shift`` leave as they are.
         """
-        tree, index, pubs = self.tree, self.index, self.pubs
+        tree, order, pubs = self.tree, self._order, self.pubs
         held = []  # (tree position, units) taken out for this draw
 
         def take(i):
@@ -143,7 +111,7 @@ class WitnessWeights:
         picks = []
         try:
             for pub in masked:
-                take(index[pub])
+                take(order[pub])
             while tree.total:
                 i = tree.draw(rng)
                 pick = pubs[i]
@@ -155,7 +123,7 @@ class WitnessWeights:
                 held.append((i, units))
                 if after is not None:
                     for pub in after(pick):
-                        take(index[pub])
+                        take(order[pub])
             return picks
         finally:
             for i, units in held:
@@ -215,6 +183,15 @@ class World:
         self.log = EventLog()
         self.hexes = _Hexes()              # id bytes -> its one hex str
         self.devices: dict = {}            # pub -> DeviceProfile
+        # ``set_status`` alone keeps the active set
+        self.order: dict = {}              # pub -> place in ``devices``
+        self.active: list = []             # active pubs in device order
+        self.active_per_group: dict = {}   # group -> active members
+        self.status_version = 0            # bumped when ``active`` changes
+        self._senders = (-1, [])           # (status_version, sender pool)
+        self._seats = (-1, 0, 0)           # (status_version, diversity, seats)
+        # ((status_version, stake_version), total): active_stake_total
+        self.kept_stake_total = (None, 0.0)
         # Onboarding fixes these, so ``finalize_device`` fills them, in
         # device order and for every status; a draw re-reads status and the
         # ``arbitrator`` flag.
@@ -228,8 +205,8 @@ class World:
         self.next_nonce: dict = {}         # sender -> next nonce
         self.mempool: list = []            # witnessed txn ids
         self.unpaneled: list = []          # txns waiting for witnesses
-        self.unseatable: dict = {}         # txn id -> refusing (view, k, diversity)
-        # the stamp every unpaneled txn is unseatable under, or None
+        # the ``_panel_stamp`` the last retry pass ran under, or None once
+        # a refusal since then has read scores
         self.waiting_stamp: Optional[tuple] = None
         self.aggregation_due: dict = {}    # tick -> [txn ids]
         self.heights: dict = {}            # pub -> height into canonical
@@ -249,7 +226,7 @@ class World:
         self.pending_verdicts: list = []
         self.verdict_registry: dict = {}
         self.feedback_log: list = []
-        self.baselines: dict = {}          # stream id -> StreamBaseline
+        self.baselines: dict = {}          # (family, pub) -> StreamBaseline
         # One txrate stream per device that has been active, owed a sample
         # (its count of txns created that tick) by each ``_per_tick_streams``
         # phase that starts while it is active. A stream sleeps while zeros
@@ -265,7 +242,6 @@ class World:
         # device that turns active lowers both (``lower_due_floors``).
         self.longevity_floor = math.inf     # _incentive_upkeep
         self.revalidation_floor = math.inf  # _revalidations
-        self._view: Optional[ActiveView] = None
         self._weights: Optional[WitnessWeights] = None
         self.epoch_contrib: dict = {}      # pub -> correct attestations this epoch
         self.compromise_schedule: list = []
@@ -274,19 +250,25 @@ class World:
 
     # ------------------------------------------------------------------ #
 
-    def baseline(self, stream_id: str) -> anomaly.StreamBaseline:
-        b = self.baselines.get(stream_id)
+    def baseline(self, family: str,
+                 pub: Optional[bytes] = None) -> anomaly.StreamBaseline:
+        """Stream ``family``, or ``pub``'s of it, made on first use."""
+        b = self.baselines.get((family, pub))
         if b is None:
-            b = anomaly.StreamBaseline(stream_id, self.cfg.anomaly.window)
-            self.baselines[stream_id] = b
+            stream_id = family if pub is None else \
+                f"{family}:{self.hexes[pub][:16]}"
+            b = self.baselines[family, pub] = anomaly.StreamBaseline(
+                stream_id, self.cfg.anomaly.window)
         return b
 
     def set_status(self, pub: bytes, status: DeviceStatus) -> None:
-        """The one writer of device status; marks the active view stale and
-        re-weighs the device's witness draws. A device turning active again
-        lowers the due floors. A device leaving ACTIVE pays its txrate
-        stream's owed zeros; one turning active, or entering
-        ``world.devices`` active, puts its stream back on the schedule."""
+        """The one writer of device status and of the active set; re-weighs
+        the device's witness draws. A device's first call, from
+        ``onboarding.finalize_device``, places it last in device order. A
+        device turning active again lowers the due floors. A device leaving
+        ACTIVE pays its txrate stream's owed zeros; one turning active, or
+        entering ``world.devices`` active, puts its stream back on the
+        schedule."""
         profile = self.devices[pub]
         was_active = profile.status is DeviceStatus.ACTIVE
         if status is DeviceStatus.ACTIVE and not was_active:
@@ -294,7 +276,24 @@ class World:
         if was_active and status is not DeviceStatus.ACTIVE:
             self._settle_txrate(pub).wake = math.inf
         profile.status = status
-        self._view = None
+        order = self.order
+        joining = pub not in order
+        if joining:  # last in device order, so appended in place
+            order[pub] = len(order)
+        listed = was_active and not joining  # in ``self.active``
+        if listed is not (status is DeviceStatus.ACTIVE):
+            if joining:
+                self.active.append(pub)
+            else:  # a caller keeps the list it read
+                active = self.active = self.active.copy()
+                i = bisect_left(active, order[pub], key=order.__getitem__)
+                if listed:
+                    del active[i]
+                else:
+                    active.insert(i, pub)
+            counts, group = self.active_per_group, profile.operator_group
+            counts[group] = counts.get(group, 0) + (-1 if listed else 1)
+            self.status_version += 1
         self._reweigh(pub)
         if status is DeviceStatus.ACTIVE and (
                 not was_active or pub not in self.txrate_streams):
@@ -318,7 +317,7 @@ class World:
         stream = self.txrate_streams.get(pub)
         if stream is None:
             stream = self.txrate_streams[pub] = TxrateStream(
-                self.baseline(f"txrate:{self.hexes[pub][:16]}"))
+                self.baseline("txrate", pub))
         stream.settled = self.stream_phases
         self._schedule_txrate(pub, stream)
 
@@ -352,9 +351,6 @@ class World:
         rep = self.reputation_accounts[pub]
         held = rep.score
         if score == held and math.copysign(1.0, score) == math.copysign(1.0, held):
-            # The same float: nothing to re-weigh, unless the tree lacks pub.
-            if self._weights is not None and pub not in self._weights.index:
-                self._weights = None
             return
         lifted = held < self.cfg.incentives.longevity_min_score <= score
         rep.score = score
@@ -372,23 +368,28 @@ class World:
             self._weights = WitnessWeights(self)
         return self._weights
 
-    def active_view(self) -> ActiveView:
-        """The current view, rebuilt first if a status changed since."""
-        if self._view is None:
-            self._view = ActiveView(self.devices)
-        return self._view
-
     def active_devices(self) -> list:
-        """Active pubs in device order; read-only, shared with the view."""
-        return self.active_view().active
+        """Active pubs in device order; read-only, shared with the world."""
+        return self.active
+
+    def capacity(self, diversity: int) -> int:
+        """Panel seats the active devices offer under the diversity cap."""
+        version, held, seats = self._seats
+        if (version, held) != (self.status_version, diversity):
+            seats = sum(min(n, diversity)
+                        for n in self.active_per_group.values())
+            self._seats = (self.status_version, diversity, seats)
+        return seats
 
     def sender_pool(self) -> list:
-        view = self.active_view()
-        if view.senders is None:
-            view.senders = [p for p in view.active
-                            if self.actors[p].role in ("honest_client",
-                                                       "tampering_sender")]
-        return view.senders
+        """The active clients and tampering senders, in device order."""
+        version, senders = self._senders
+        if version != self.status_version:
+            senders = [p for p in self.active
+                       if self.actors[p].role in ("honest_client",
+                                                  "tampering_sender")]
+            self._senders = (self.status_version, senders)
+        return senders
 
 
 def onboard_actor(world: World, actor: DeviceActor, stake: float,
@@ -584,30 +585,23 @@ def _run_commit_phase(world: World, txn) -> None:
 
 def _panel_stamp(world: World) -> tuple:
     """What a refusal before any score read depends on, besides the txn's
-    two parties: the active view, ``k`` and the diversity cap."""
+    two parties: the active set, ``k`` and the diversity cap."""
     panel_cfg = world.cfg.panel
-    return (world.active_view(), panel_cfg.k, panel_cfg.diversity)
+    return (world.status_version, panel_cfg.k, panel_cfg.diversity)
 
 
 def _try_open_panel(world: World, txn) -> bool:
-    """Seat and run a panel for ``txn``; False if none can be seated.
-
-    A txn refused before any score was read waits without a draw until its
-    ``_panel_stamp`` changes: that refusal reads only the stamp and the
-    txn's two parties, so the retry would raise again before drawing or
-    logging anything (and ``derive`` leaves its parent as is)."""
-    stamp = _panel_stamp(world)
-    if world.unseatable.get(txn.id) == stamp:
-        return False
+    """Seat and run a panel for ``txn``; False if none can be seated. A
+    refusal that read scores clears ``world.waiting_stamp``: a score write
+    may seat the txn with no status change."""
     try:
         transmission.open_panel(world, txn,
                                 world.rng_selection.derive("panel", txn.id,
                                                            txn.escalations))
     except InsufficientWitnesses as refusal:
-        if not refusal.scores_read:
-            world.unseatable[txn.id] = stamp
+        if refusal.scores_read:
+            world.waiting_stamp = None
         return False
-    world.unseatable.pop(txn.id, None)
     _run_commit_phase(world, txn)
     return True
 
@@ -616,10 +610,12 @@ def _arrivals(world: World) -> None:
     cfg = world.cfg
 
     # Transactions that could not get a panel earlier retry, in the order
-    # they arrived. While every one of them is unseatable under the current
-    # stamp (``world.waiting_stamp``), each retry would return False at once,
-    # so the pass is skipped.
-    if world.unpaneled and world.waiting_stamp != _panel_stamp(world):
+    # they arrived. The pass is skipped while the stamp is the one the last
+    # pass ran under and no refusal since read scores: each retry would
+    # raise again before drawing or logging anything.
+    stamp = _panel_stamp(world)
+    if world.unpaneled and world.waiting_stamp != stamp:
+        world.waiting_stamp = stamp
         still_waiting = []
         for tid in world.unpaneled:
             txn = world.transactions[tid]
@@ -627,10 +623,6 @@ def _arrivals(world: World) -> None:
                     and not _try_open_panel(world, txn)):
                 still_waiting.append(tid)
         world.unpaneled = still_waiting
-        stamp = _panel_stamp(world)
-        world.waiting_stamp = stamp if all(
-            world.unseatable.get(tid) == stamp for tid in still_waiting) \
-            else None
 
     if world.tick > cfg.duration_ticks - cfg.drain_ticks:
         return
@@ -665,8 +657,6 @@ def _arrivals(world: World) -> None:
                          nonce=txn.nonce, size=size, tampered=flag)
         _feed_stream(world, world.baseline("paysize"), "", float(size))
         if not _try_open_panel(world, txn):
-            if world.unseatable.get(txn.id) != world.waiting_stamp:
-                world.waiting_stamp = None
             world.unpaneled.append(txn.id)
 
 
@@ -681,9 +671,8 @@ def _aggregate_due(world: World) -> None:
             att = txn.attestations.get(witness)
             rejected = (att is not None and not att.equivocated
                         and att.revealed_verdict is Verdict.INVALID)
-            hexed = world.hexes[witness]
-            _feed_stream(world, world.baseline(f"wreject:{hexed[:16]}"),
-                         hexed, 1.0 if rejected else 0.0)
+            _feed_stream(world, world.baseline("wreject", witness),
+                         world.hexes[witness], 1.0 if rejected else 0.0)
         if status is TxnStatus.WITNESSED:
             world.mempool.append(tid)
             _witness_deep_flags(world, txn)
@@ -751,7 +740,8 @@ def _consensus_round(world: World) -> None:
     eligible = [n for n in world.active_devices() if n != proposer]
     if m and m < len(eligible):
         validators = stochastic.pick_random_validators(
-            world, world.rng_consensus.derive("validators", world.round_no), m)
+            world.rng_consensus.derive("validators", world.round_no),
+            eligible, m)
     else:
         validators = eligible
     votes = []
@@ -780,9 +770,8 @@ def _consensus_round(world: World) -> None:
         else:
             vote = consensus.cast_vote(world, node, proposal, policy_vote,
                                        weight)
-        hexed = world.hexes[node]
-        _feed_stream(world, world.baseline(f"voteagainst:{hexed[:16]}"),
-                     hexed, 0.0 if vote.accept else 1.0)
+        _feed_stream(world, world.baseline("voteagainst", node),
+                     world.hexes[node], 0.0 if vote.accept else 1.0)
         votes.append(vote)
 
     delay = stochastic.random_commit_delay(
@@ -855,16 +844,16 @@ def _feed_stream(world: World, b: anomaly.StreamBaseline, subject: str,
 
 def _per_tick_streams(world: World) -> None:
     """Feed the txrate streams that are due: each device active now with a
-    txn this tick or a wake at this phase, in active-view order. Every other
+    txn this tick or a wake at this phase, in device order. Every other
     active device's stream sleeps, and owes this phase's zero."""
     counts = world._txn_counts_this_tick
     streams = world.txrate_streams
     phase = world.stream_phases + 1
-    position = world.active_view().position
-    due = {pub for pub in counts if pub in position}
+    due = {pub for pub in counts
+           if world.devices[pub].status is DeviceStatus.ACTIVE}
     due.update(pub for pub in world.txrate_wakes.pop(phase, ())
                if streams[pub].wake == phase)
-    due = sorted(due, key=position.__getitem__)
+    due = sorted(due, key=world.order.__getitem__)
     for pub in due:
         # this phase's sample is taken: a status flip before it is fed
         # owes nothing, and the feed sets the next wake

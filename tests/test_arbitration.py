@@ -1,7 +1,6 @@
 import pytest
 
 from gdpsim import arbitration, consensus
-from gdpsim import world as world_mod
 from gdpsim.arbitration import (
     DecidingBody,
     DisputeStage,
@@ -118,8 +117,8 @@ def test_zero_score_candidates_fall_back_instead_of_raising():
 def test_pool_mediator_draw_builds_no_tree(monkeypatch):
     """With the witness weights built, a mediator drawn from the whole
     pool of a large world is a descent of the world's tree: opening the
-    dispute builds no ``FenwickWeights``, and no active view either, though
-    a status change has made the view stale."""
+    dispute builds no ``FenwickWeights``, and reads no member of the active
+    set, though a status change has just replaced it."""
     world = build_world(population_cfg(duration_ticks=1, drain_ticks=0))
     assert len(world.devices) >= 500
     world.witness_weights()
@@ -129,11 +128,22 @@ def test_pool_mediator_draw_builds_no_tree(monkeypatch):
     assert not world.experts.get("tampering")
     world.set_status(world.active_devices()[0], DeviceStatus.QUARANTINED)
     built = []
-    for cls in (FenwickWeights, world_mod.ActiveView):
-        def counted(self, *args, _init=cls.__init__, _name=cls.__name__):
-            built.append(_name)
-            _init(self, *args)
-        monkeypatch.setattr(cls, "__init__", counted)
+
+    def counted(self, *args, _init=FenwickWeights.__init__):
+        built.append("FenwickWeights")
+        _init(self, *args)
+
+    class Watched(list):
+        def __iter__(self):
+            built.append("active scan")
+            return super().__iter__()
+
+        def __getitem__(self, i):
+            built.append("active read")
+            return super().__getitem__(i)
+
+    monkeypatch.setattr(FenwickWeights, "__init__", counted)
+    monkeypatch.setattr(world, "active", Watched(world.active))
     dispute = open_dispute(world, [accused], claim)
     assert dispute.mediator not in (None, accused)
     assert built == []

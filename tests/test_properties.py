@@ -306,42 +306,68 @@ def test_sample_without_replacement_is_successive_exact_draws(weights, seed,
                                       k) == expected
 
 
-@given(st.lists(st.tuples(st.integers(min_value=0, max_value=10),
-                          st.sampled_from(list(DeviceStatus))),
-                min_size=1, max_size=40))
+_active_set_step = st.one_of(
+    st.tuples(st.just("status"), st.integers(min_value=0, max_value=30),
+              st.sampled_from(list(DeviceStatus))),
+    st.tuples(st.just("join"), st.integers(min_value=0, max_value=3),
+              st.sampled_from(["honest_client", "honest_witness"])))
+
+
+@given(st.lists(_active_set_step, min_size=1, max_size=40))
+@example([("status", 0, DeviceStatus.QUARANTINED),
+          ("join", 0, "honest_client"), ("status", 0, DeviceStatus.ACTIVE),
+          ("status", 11, DeviceStatus.BANNED)])
 @settings(max_examples=60, deadline=None)
-def test_active_view_never_goes_stale(changes):
+def test_kept_active_set_matches_a_fresh_scan(steps):
+    """After every status write and every join, the active set that
+    ``World.set_status`` keeps, and each memo keyed on its version, equal
+    what one fresh pass over ``world.devices`` gives. A flip replaces the
+    active list, so a caller's list is never edited in place."""
     world = mini_world(operator_groups=3)
-    devices = list(world.devices)
-    for index, status in changes:
-        before = world.active_devices()
-        snapshot = list(before)
-        world.set_status(devices[index % len(devices)], status)
-        assert before == snapshot  # a caller's list is never edited in place
+    joined = 0
+    for kind, index, arg in steps:
+        devices = list(world.devices)
+        # memos that a flip must make stale
+        world.capacity(2)
+        world.sender_pool()
+        consensus.active_stake_total(world)
+        if kind == "status":
+            before = world.active_devices()
+            snapshot = list(before)
+            world.set_status(devices[index % len(devices)], arg)
+            assert before == snapshot  # a caller's list is never edited
+        else:
+            joined += 1
+            assert onboard(world, fresh_actor(9000 + joined, role=arg),
+                           group=f"g{index}") is not None
+            devices = list(world.devices)
 
         active = [p for p, prof in world.devices.items()
                   if prof.status is DeviceStatus.ACTIVE]
-        view = world.active_view()
-        assert world.active_devices() == active
-        assert view.position == {p: i for i, p in enumerate(active)}
+        assert world.active == active
+        assert world.active_devices() is world.active
+        assert world.order == {p: i for i, p in enumerate(devices)}
         groups = [world.devices[p].operator_group for p in active]
-        assert view.groups == groups
         counts = {g: groups.count(g) for g in set(groups)}
-        assert view.group_counts == counts
+        assert {g: n for g, n in world.active_per_group.items() if n} == counts
+        assert min(world.active_per_group.values()) >= 0
         for diversity in (1, 2, 3):
-            assert view.capacity(diversity) == sum(
+            assert world.capacity(diversity) == sum(
                 min(n, diversity) for n in counts.values())
         assert world.sender_pool() == [
             p for p in active
             if world.actors[p].role in ("honest_client", "tampering_sender")]
-        assert consensus.active_stake_total(world) == sum(
-            a.staked for p, a in world.stake_accounts.items()
-            if world.devices[p].status is DeviceStatus.ACTIVE)
-        party = devices[0]
+        assert consensus.active_stake_total(world) == float_sum(
+            world.stake_accounts[p].staked for p in active)
+        party = devices[index % len(devices)]
         party_group = world.devices[party].operator_group
-        assert arbitration._conflict_free(
-            world, SimpleNamespace(parties=[party])) == [
+        dispute = SimpleNamespace(parties=[party])
+        assert arbitration._conflict_free(world, dispute) == [
             p for p in active
+            if p != party and world.devices[p].operator_group != party_group]
+        assert arbitration._conflict_free(
+            world, dispute, among=devices[::-1]) == [
+            p for p in reversed(active)
             if p != party and world.devices[p].operator_group != party_group]
 
 
@@ -383,7 +409,7 @@ def _weights_state(weights):
     """A witness-weight tree as exact weights, whatever its unit."""
     tree = weights.tree
     unit = Fraction(1, 1 << tree.shift)
-    return (weights.pubs, weights.index, weights.unscored,
+    return (weights.pubs, weights.unscored,
             [v * unit for v in tree.values],
             [tree.prefix_sum(i) * unit for i in range(len(tree.values) + 1)],
             tree.total * unit)
@@ -440,22 +466,21 @@ def test_witness_weights_match_a_fresh_build(steps):
             assert math.copysign(1.0, held) == math.copysign(1.0, score)
 
 
-def test_held_score_write_drops_a_tree_without_the_device():
-    """A write of the score already held re-weighs nothing, but a tree that
-    does not hold the device is still dropped, to be rebuilt on the next
-    draw: no status write has dropped it for a device that entered
-    ``world.devices`` after the build."""
+def test_a_joining_device_drops_the_tree():
+    """A write of the score already held re-weighs nothing. A device that
+    joins through ``World.set_status`` after the build drops the tree, to be
+    rebuilt on the next draw with the device in it."""
     world = mini_world()
     held = world.witness_weights()
     first = next(iter(world.devices))
     world.set_score(first, world.reputation_accounts[first].score)
     assert world.witness_weights() is held
-    pub = fresh_actor(9000).pub
-    world.devices[pub] = copy.copy(next(iter(world.devices.values())))
-    world.reputation_accounts[pub] = incentives.ReputationAccount(owner=pub)
+    pub = onboard(world, fresh_actor(9000))
+    assert pub is not None and world._weights is None
     world.set_score(pub, world.reputation_accounts[pub].score)
-    assert world._weights is None
-    assert pub in world.witness_weights().index
+    rebuilt = world.witness_weights()
+    assert rebuilt.pubs == list(world.devices)
+    assert rebuilt.tree.values[world.order[pub]] > 0
 
 
 _device_change = st.tuples(st.integers(min_value=0, max_value=10),
@@ -919,7 +944,8 @@ def test_sleeping_streams_match_per_sample_feeds(steps, window, drift, limit,
             (devices[index], count) for index, count in counts.items()
             if world.devices[devices[index]].status is DeviceStatus.ACTIVE)
         mid = sorted((f for f in flips if 0 <= f[0] <= 10), key=lambda f: f[0])
-        pending[id(world)] = (world.active_view().position, mid)
+        pending[id(world)] = ({p: i for i, p in enumerate(world.active)},
+                              mid)
         phase(world)
         # the mid-phase flips no fed position reached, then those after it
         for _, index, status in mid + [f for f in flips if f[0] > 10]:

@@ -164,8 +164,9 @@ def test_pick_random_validators_excludes_proposer(world):
     from gdpsim.consensus import current_proposer
     world.round_no = 3
     proposer = current_proposer(world)
+    eligible = [n for n in world.active_devices() if n != proposer]
     for seed in range(500):
-        subset = pick_random_validators(world, SeededRng(seed), 4)
+        subset = pick_random_validators(SeededRng(seed), eligible, 4)
         assert proposer not in subset
         assert len(set(subset)) == 4
 
@@ -173,10 +174,10 @@ def test_pick_random_validators_excludes_proposer(world):
 def test_pick_random_validators_all_equals_full(world):
     from gdpsim.consensus import current_proposer
     eligible = [n for n in world.active_devices() if n != current_proposer(world)]
-    subset = pick_random_validators(world, SeededRng(7), len(eligible))
+    subset = pick_random_validators(SeededRng(7), eligible, len(eligible))
     assert sorted(subset) == sorted(eligible)
     with pytest.raises(InsufficientNodes):
-        pick_random_validators(world, SeededRng(8), len(eligible) + 1)
+        pick_random_validators(SeededRng(8), eligible, len(eligible) + 1)
 
 
 def test_pick_random_validators_inclusion_frequency(world):
@@ -187,7 +188,7 @@ def test_pick_random_validators_inclusion_frequency(world):
     rounds = 100_000
     rng = SeededRng(9)
     for _ in range(rounds):
-        for node in pick_random_validators(world, rng, m):
+        for node in pick_random_validators(rng, eligible, m):
             counts[node] += 1
     for node in eligible:
         assert abs(counts[node] / rounds - m / n) < 0.01

@@ -193,9 +193,10 @@ def test_select_witnesses_matches_k_pass_reference():
         for pub in devices:
             world.reputation_accounts[pub].score = (
                 0.0 if gen.bernoulli(0.25) else gen.random())
-            # groups never change in a run; the regrouping reaches the active
-            # view because every set_status call below marks it stale, and
-            # the group index that onboarding fills is refilled to match
+            # groups never change in a run; a device is regrouped while out
+            # of ACTIVE, so the world's kept group counts stay exact, and the
+            # group index that onboarding fills is refilled to match
+            world.set_status(pub, transmission.DeviceStatus.QUARANTINED)
             world.devices[pub].operator_group = f"g{gen.below(1 + case % 9)}"
             world.group_members.setdefault(
                 world.devices[pub].operator_group, []).append(pub)

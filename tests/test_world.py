@@ -151,6 +151,20 @@ def test_metrics_rederivable_from_written_log(tmp_path):
     reread = read_events_jsonl(tmp_path / "events.jsonl")
     assert derive_metrics(reread, cfg) == report
 
+    # the read-back log shares one string per value, as the live log does
+    def strings(value):
+        if isinstance(value, str):
+            yield value
+        elif isinstance(value, list):
+            for item in value:
+                yield from strings(item)
+
+    _, _, actors, subjects, details = reread.columns()
+    held = [*actors, *subjects,
+            *(s for detail in details for value in detail.values()
+              for s in strings(value))]
+    assert len({id(s) for s in held}) == len(set(held)) > 100
+
 
 def test_closed_world_ground_truth_audit():
     """Corrupting the metrics-side tampered annotation must not change any
@@ -275,7 +289,7 @@ def test_zero_score_refusal_is_retried_every_tick():
         world.set_score(pub, 0.0)
     step(world)
     stalled = list(world.unpaneled)
-    assert stalled and world.unseatable == {}
+    assert stalled and world.waiting_stamp is None
     world.cfg.txn_arrival_rate = 0.0
     world.set_score(witnesses[3], 0.5)
     step(world)
@@ -283,20 +297,12 @@ def test_zero_score_refusal_is_retried_every_tick():
     assert all(world.transactions[t].panel for t in stalled)
 
 
-class _Forgetful(dict):
-    """An ``unseatable`` record that keeps nothing: every retry draws."""
-
-    def __setitem__(self, key, value):
-        pass
-
-
 def _stalled_panels(monkeypatch, skip: bool):
     """Txns that no panel can seat (four eligible witnesses, k=5), retried
-    while arrivals are off. Returns the world, the stalled txn ids and the
-    ``select_witnesses`` calls of each retry tick."""
+    while arrivals are off; without ``skip``, ``waiting_stamp`` is cleared
+    before every tick, so every retry draws. Returns the world, the stalled
+    txn ids and the ``select_witnesses`` calls of each retry tick."""
     world = build_world(mini_cfg())
-    if not skip:
-        world.unseatable = _Forgetful()
     calls, per_tick = [], []
     select = transmission.select_witnesses
 
@@ -304,12 +310,17 @@ def _stalled_panels(monkeypatch, skip: bool):
         calls.append(world.tick)
         return select(*args, **kwargs)
 
+    def tick():
+        if not skip:
+            world.waiting_stamp = None
+        step(world)
+
     def retry(ticks):
         for _ in range(ticks):
             calls.clear()
-            view = world.active_view()
-            step(world)
-            assert world.active_view() is view  # no status changed
+            version = world.status_version
+            tick()
+            assert world.status_version == version  # no status changed
             per_tick.append(len(calls))
 
     witnesses = [p for p in world.active_devices()
@@ -319,7 +330,7 @@ def _stalled_panels(monkeypatch, skip: bool):
     with monkeypatch.context() as patch:
         patch.setattr(transmission, "select_witnesses", counted)
         for _ in range(3):
-            step(world)
+            tick()
         stalled = list(world.unpaneled)
         world.cfg.txn_arrival_rate = 0.0
         retry(3)
@@ -327,7 +338,7 @@ def _stalled_panels(monkeypatch, skip: bool):
         retry(2)
         world.set_status(witnesses[3], DeviceStatus.ACTIVE)
         calls.clear()
-        step(world)
+        tick()
         per_tick.append(len(calls))
     return world, stalled, per_tick
 
@@ -338,12 +349,13 @@ def test_unseatable_retries_wait_for_a_status_change(monkeypatch):
                                                           skip=False)
     n = len(stalled)
     assert n == 3 and stalled == ref_stalled
-    # retries under the view, k and diversity that refused them draw nothing
+    # retries under the active set, k and diversity that refused them draw
+    # nothing
     assert per_tick == [0, 0, 0, n, 0, n]
     assert ref_per_tick == [n] * 6
     # once a witness returns, every txn is seated on the next tick with the
     # panel the run without the skip gives, and no event differs
-    assert world.unpaneled == [] and world.unseatable == {}
+    assert world.unpaneled == [] and reference.unpaneled == []
     for tid in stalled:
         txn = world.transactions[tid]
         assert len(txn.panel) == world.cfg.panel.k
@@ -590,6 +602,104 @@ def test_onboarding_fixes_what_the_draw_indexes_key_on():
                                  if prof.arbitrator]
 
 
+_MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem",
+             "clear", "sort", "reverse", "update", "setdefault", "subtract"}
+
+
+def _owned_writes(tree, attrs):
+    """(line, enclosing ``Class.function`` or function) of each store to an
+    attribute named in ``attrs`` or to an item of one, augmented, unpacked
+    or through ``setattr``; of each ``del`` of one or of its items; of each
+    call of a mutating method on one; and, for ``operator_group``, of each
+    ``DeviceProfile`` built or ``replace``d with one."""
+    found = []
+
+    def named(node):
+        while isinstance(node, (ast.Subscript, ast.Starred)):
+            node = node.value
+        if isinstance(node, (ast.Tuple, ast.List)):
+            return any(named(n) for n in node.elts)
+        return isinstance(node, ast.Attribute) and node.attr in attrs
+
+    def visit(node, owner, func):
+        if isinstance(node, ast.ClassDef):
+            owner, func = node.name, None
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        where = f"{owner}.{func}" if owner and func else func
+        targets = []
+        if isinstance(node, (ast.Assign, ast.Delete)):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        if any(named(t) for t in targets):
+            found.append((node.lineno, where))
+        if isinstance(node, ast.Call):
+            callee = node.func
+            name = callee.attr if isinstance(callee, ast.Attribute) else \
+                getattr(callee, "id", None)
+            if (isinstance(callee, ast.Attribute) and name in _MUTATORS
+                    and named(callee.value)):
+                found.append((node.lineno, where))
+            elif (name == "setattr" and len(node.args) >= 2
+                  and isinstance(node.args[1], ast.Constant)
+                  and node.args[1].value in attrs):
+                found.append((node.lineno, where))
+            elif "operator_group" in attrs and (
+                    name == "DeviceProfile" or name == "replace" and any(
+                        k.arg == "operator_group" for k in node.keywords)):
+                found.append((node.lineno, where))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, func)
+
+    visit(tree, None, None)
+    return found
+
+
+_KEPT_SET = {"active", "order", "status_version", "active_per_group"}
+
+
+def test_the_active_set_and_operator_groups_have_one_writer_each():
+    """``World.set_status`` keeps the active set, its device order, its
+    per-group counts and its version, which the witness, mediator and
+    validator draws and every memo keyed on the version trust; only
+    ``World.__init__`` sets them up. The kept counts assume a device's
+    operator group never changes, so ``onboarding.finalize_device`` alone
+    fixes it, when it builds the profile."""
+    package = Path(gdpsim.__file__).parent
+    writers = {name: sorted({(path.name, where)
+                             for path in sorted(package.glob("*.py"))
+                             for _, where in _owned_writes(
+                                 ast.parse(path.read_text()), attrs)})
+               for name, attrs in (("kept", _KEPT_SET),
+                                   ("group", {"operator_group"}))}
+    assert writers == {
+        "kept": [("world.py", "World.__init__"),
+                 ("world.py", "World.set_status")],
+        "group": [("onboarding.py", "finalize_device")]}
+    sample = ("class W:\n"
+              "    def f(self, world, p, g):\n"
+              "        world.active = []\n"
+              "        world.active.append(p)\n"
+              "        del world.active[0]\n"
+              "        world.order[p] = 1\n"
+              "        world.active_per_group[g] += 1\n"
+              "        a, world.status_version = 1, 2\n"
+              "        setattr(world, 'order', {})\n"
+              "        world.order.setdefault(p, 0)\n"
+              "        print(world.active[0], len(world.order))\n"
+              "def g(prof, q):\n"
+              "    prof.operator_group = q\n"
+              "    DeviceProfile(operator_group=q)\n"
+              "    replace(prof, operator_group=q)\n"
+              "    replace(prof, status=q)\n")
+    tree = ast.parse(sample)
+    assert _owned_writes(tree, _KEPT_SET) == [
+        (n, "W.f") for n in range(3, 11)]
+    assert _owned_writes(tree, {"operator_group"}) == [
+        (13, "g"), (14, "g"), (15, "g")]
+
+
 _STREAM_STATE = {"fed", "ring", "s1", "s2", "n_fractional", "cusum_pos",
                  "cusum_neg"}
 
@@ -795,8 +905,8 @@ def test_txrate_feeds_follow_txns_not_devices(monkeypatch):
         return real_feed(self, *args)
 
     def counted_phase(world):
-        position = world.active_view().position
-        samples = sum(1 for p in world._txn_counts_this_tick if p in position)
+        samples = sum(1 for p in world._txn_counts_this_tick
+                      if world.devices[p].status is DeviceStatus.ACTIVE)
         wakes = sum(1 for s in world.txrate_streams.values()
                     if s.wake == world.stream_phases + 1)
         before = fed[0]
