@@ -37,13 +37,20 @@ class AnomalyAlert:
     subject: str
 
 
+# the ring of every stream that has not yet held a non-zero sample: read as
+# an empty window, and replaced by a ``deque`` on the stream's first one
+_NO_RING = ()
+
+
 class StreamBaseline:
     """Window of the last W samples with exact running sums.
 
     ``fed`` counts every sample pushed, and ``ring`` holds the window's
     non-zero samples, oldest first, as ``(feed index, sample)`` pairs: the
     window is the last ``min(fed, window)`` samples, and a zero in it costs
-    nothing but the count. A push adds the sample to ``s1`` and ``s2``,
+    nothing but the count. Until its first non-zero sample a stream's
+    ``ring`` is the shared empty ``_NO_RING``, so a stream that only ever
+    sees zeros holds no ``deque``. A push adds the sample to ``s1`` and ``s2``,
     exact integer sums of x and x*x over the window's integral samples
     (every in-world stream: counts, 0/1 flags, sizes), or counts it in
     ``n_fractional`` (fractions, inf, nan); the push that moves a sample out
@@ -53,11 +60,14 @@ class StreamBaseline:
     the window, within 1e-9 of a direct one.
     """
 
+    __slots__ = ("stream_id", "window", "fed", "ring", "s1", "s2",
+                 "n_fractional", "cusum_pos", "cusum_neg")
+
     def __init__(self, stream_id: str, window: int):
         self.stream_id = stream_id
         self.window = window
         self.fed = 0
-        self.ring = deque()
+        self.ring = _NO_RING
         self.s1 = 0
         self.s2 = 0
         self.n_fractional = 0
@@ -72,6 +82,8 @@ class StreamBaseline:
         if ring and ring[0][0] == i - self.window:
             self._evict(ring.popleft()[1])
         if sample != 0:
+            if ring is _NO_RING:
+                ring = self.ring = deque()
             ring.append((i, sample))
             if float(sample).is_integer():
                 k = int(sample)

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-import yaml
-
 from .errors import InvalidConfig
 
 SCHEMA_VERSION = 1
@@ -315,7 +313,11 @@ def _build(cls, data: dict, path: str):
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Load a YAML or JSON scenario file and validate it."""
+    """Load a YAML or JSON scenario file and validate it. ``yaml`` is
+    imported here, the one place that reads it, so a run that loads no
+    scenario file never loads it."""
+    import yaml
+
     p = Path(path)
     try:
         text = p.read_text()

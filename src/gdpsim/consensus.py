@@ -368,7 +368,7 @@ def commit_block(world, proposal: Proposal, votes: list,
                      proposer=hexes[proposal.proposer],
                      txn_ids=[hexes[t] for t in proposal.txn_ids],
                      accept_weight=accept_weight, total_weight=total_weight,
-                     recipients=[hexes[r] for r in recipients])
+                     recipients=world.active_hexes())
 
     for tid in proposal.txn_ids:
         if tid in world.verdict_registry:

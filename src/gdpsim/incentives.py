@@ -41,7 +41,7 @@ class Severity(Enum):
     CRITICAL = "Critical"
 
 
-@dataclass
+@dataclass(slots=True)
 class StakeAccount:
     owner: bytes
     staked: float = 0.0
@@ -49,7 +49,7 @@ class StakeAccount:
     offense_count: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ReputationAccount:
     owner: bytes
     score: float = 0.5

@@ -9,6 +9,7 @@ and must match the live world's snapshot digest.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 
 from .consensus import genesis_block
@@ -248,11 +249,22 @@ def _state_digest(state: dict) -> str:
     return digest(body.encode()).hex()
 
 
+# ``write_snapshot`` writes this encoder's chunks a batch at a time, the same
+# bytes as ``json.dumps(payload, indent=2, sort_keys=True)`` without ever
+# holding the whole indented text.
+_SNAPSHOT_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_SNAPSHOT_BATCH = 4096  # chunks per write
+
+
 def write_snapshot(world, path: Path) -> None:
     state = snapshot_state(world)
     payload = {"schema_version": REPORT_SCHEMA_VERSION, "state": state,
                "digest": _state_digest(state)}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    chunks = _SNAPSHOT_ENCODER.iterencode(payload)
+    with open(path, "w") as fh:
+        while batch := "".join(islice(chunks, _SNAPSHOT_BATCH)):
+            fh.write(batch)
+        fh.write("\n")
 
 
 class ReplayState:

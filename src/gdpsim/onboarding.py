@@ -70,7 +70,7 @@ class Challenge:
         return tick > self.issued_tick + self.ttl
 
 
-@dataclass
+@dataclass(slots=True)
 class OnboardingSession:
     device: bytes
     stage: Stage
@@ -86,7 +86,7 @@ class OnboardingSession:
     used_nonces: set = field(default_factory=set)
 
 
-@dataclass
+@dataclass(slots=True)
 class DeviceProfile:
     public_key: bytes
     device_type: str
@@ -108,7 +108,7 @@ def submit_registration(world, request: RegistrationRequest) -> OnboardingSessio
         raise MalformedRequest("public_key and auth_secret must be 32 bytes")
     if request.public_key in world.devices or request.public_key in world.sessions:
         raise DuplicateDevice(request.public_key.hex())
-    if world.hexes[request.public_key] in set(world.cfg.blacklist):
+    if world.hexes[request.public_key] in world.blacklist:
         raise BlacklistedDevice(request.public_key.hex())
 
     cfg = world.cfg.onboarding

@@ -40,10 +40,7 @@ class Verdict(Enum):
     INVALID = "Invalid"
 
 
-_VERDICT_BYTE = {Verdict.VALID: b"\x01", Verdict.INVALID: b"\x00"}
-
-
-@dataclass
+@dataclass(slots=True)
 class Attestation:
     witness: bytes
     txn_id: Digest
@@ -54,7 +51,7 @@ class Attestation:
     equivocated: bool = False
 
 
-@dataclass
+@dataclass(slots=True)
 class DataTransaction:
     id: Digest
     sender: bytes
@@ -78,7 +75,13 @@ def txn_id(sender: bytes, receiver: bytes, payload_digest: Digest, nonce: int,
 
 
 def make_commit(verdict: Verdict, salt: bytes) -> Digest:
-    return digest(_VERDICT_BYTE[verdict] + salt)
+    """The digest binding ``verdict`` under ``salt``. The verdict's byte is
+    picked by identity: hashing an ``Enum`` member runs Python code."""
+    if verdict is Verdict.VALID:
+        return digest(b"\x01" + salt)
+    if verdict is Verdict.INVALID:
+        return digest(b"\x00" + salt)
+    raise TypeError(f"not a Verdict: {verdict!r}")
 
 
 def submit_transaction(world, sender: bytes, receiver: bytes,

@@ -33,7 +33,7 @@ from .primitives import Digest, FenwickWeights, SeededRng, float_sum
 from .transmission import TxnStatus, Verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroundTruth:
     """Metrics-and-inspection-side knowledge about a transaction's payload.
 
@@ -189,6 +189,7 @@ class World:
         self.active_per_group: dict = {}   # group -> active members
         self.status_version = 0            # bumped when ``active`` changes
         self._senders = (-1, [])           # (status_version, sender pool)
+        self._active_hexes = (-1, [])      # (status_version, active hexes)
         self._seats = (-1, 0, 0)           # (status_version, diversity, seats)
         # ((status_version, stake_version), total): active_stake_total
         self.kept_stake_total = (None, 0.0)
@@ -199,6 +200,7 @@ class World:
         self.arbitrators: list = []        # pubs onboarded as arbitrators
         self.group_members: dict = {}      # operator group -> member pubs
         self.sessions: dict = {}           # pub -> OnboardingSession
+        self.blacklist = frozenset(cfg.blacklist)  # refused pub hexes
         self.actors: dict = {}             # pub -> DeviceActor
         self.transactions: dict = {}       # txn id -> DataTransaction
         self.ground_truth: dict = {}       # txn id -> GroundTruth
@@ -371,6 +373,15 @@ class World:
     def active_devices(self) -> list:
         """Active pubs in device order; read-only, shared with the world."""
         return self.active
+
+    def active_hexes(self) -> list:
+        """``hexes`` of the active pubs, in device order: one list, shared
+        by every caller until the active set changes; read-only."""
+        version, names = self._active_hexes
+        if version != self.status_version:
+            names = [self.hexes[p] for p in self.active]
+            self._active_hexes = (self.status_version, names)
+        return names
 
     def capacity(self, diversity: int) -> int:
         """Panel seats the active devices offer under the diversity cap."""

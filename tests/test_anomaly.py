@@ -24,6 +24,23 @@ from gdpsim.world import run_world
 W = 100
 
 
+def test_a_stream_of_zeros_holds_no_ring():
+    """Until its first non-zero sample a stream's ring is the one shared
+    empty sentinel, read as an empty window; a stream keeps no
+    ``__dict__``."""
+    b = StreamBaseline("s", 4)
+    for tick in range(10):
+        b.feed(0.0, tick)
+    b.push_zeros(5)
+    assert b.ring is anomaly._NO_RING
+    assert StreamBaseline("t", 4).ring is anomaly._NO_RING
+    assert not hasattr(b, "__dict__")
+    assert b.stats() == (0.0, 0.0)
+    assert b.quiet_span() == math.inf
+    b.push(2.0)
+    assert list(b.ring) == [(15, 2.0)]
+
+
 def feed(baseline, samples, z_threshold=3.0, drift=0.5, limit=5.0):
     """Stream samples through both detectors in the production order."""
     alerts = []

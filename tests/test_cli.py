@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import gdpsim
 from gdpsim.cli import main
 from gdpsim.config import dump_config
 from gdpsim.scenarios import get_scenario
@@ -164,6 +168,23 @@ def test_yaml_config_supported(tmp_path):
         "n_witness_pool: 8\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+
+def test_importing_the_package_leaves_yaml_unloaded():
+    """``load_config`` imports ``yaml`` itself, so importing the package
+    and its world, in a fresh interpreter, loads no ``yaml``."""
+    src = str(Path(gdpsim.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, gdpsim, gdpsim.world; "
+         "print(gdpsim.__file__, 'yaml' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60)
+    module, loaded = done.stdout.split()
+    assert Path(module) == Path(gdpsim.__file__)
+    assert loaded == "False"
 
 
 def test_output_file_column_contracts(tmp_path):

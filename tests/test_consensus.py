@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 
 import pytest
 
@@ -25,7 +26,7 @@ from gdpsim.errors import (
     EmptyMempool,
     NotProposer,
 )
-from gdpsim.events import encode_event
+from gdpsim.events import encode_event, write_log
 from gdpsim.primitives import (
     SeededRng,
     Signature,
@@ -425,6 +426,41 @@ def test_each_round_checks_txns_afresh(monkeypatch):
     world_mod._consensus_round(world)
     assert not any(accepts()[len(first):])
     assert checked == [0, 0]
+
+
+def test_blocks_share_one_recipients_list_until_the_active_set_changes(
+        monkeypatch, tmp_path):
+    """Consecutive blocks with no status flip between them log the same
+    ``recipients`` list object, the active devices' hexes; a flip makes a
+    new one. ``events.jsonl`` still holds one ``json.dumps`` per event."""
+    commits = []
+    real = consensus.commit_block
+
+    def recording(world, *args):
+        seen = (world.status_version, [world.hexes[p] for p in world.active])
+        block = real(world, *args)
+        if block is not None:
+            commits.append(seen)
+        return block
+
+    monkeypatch.setattr(consensus, "commit_block", recording)
+    world = world_mod.run_world(
+        scenarios.get_scenario("collusion_below_quorum"))
+    _, kinds, _, _, details = world.log.columns()
+    lists = [detail["recipients"] for kind, detail in zip(kinds, details)
+             if kind == "block_committed"]
+    assert len(lists) == len(commits)
+    assert [names for _, names in commits] == lists
+    versions = [version for version, _ in commits]
+    for i in range(1, len(lists)):
+        assert (lists[i] is lists[i - 1]) == (versions[i] == versions[i - 1])
+    assert 1 < len({id(names) for names in lists}) < len(lists)
+    write_log(world.log, tmp_path)
+    assert (tmp_path / "events.jsonl").read_text() == "".join(
+        json.dumps({"tick": ev.tick, "kind": ev.kind, "actor": ev.actor,
+                    "subject": ev.subject, "detail": ev.detail},
+                   sort_keys=True, separators=(",", ":")) + "\n"
+        for ev in world.log)
 
 
 def test_commit_majority_three_of_five(world):

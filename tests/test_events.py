@@ -342,6 +342,18 @@ def test_real_logs_match_the_reference_writers(tmp_path, name):
     _assert_same_files(tmp_path / "reference", tmp_path / "written")
 
 
+def test_events_without_a_detail_share_one_empty_dict():
+    """A whole run stores every empty detail as the log's one shared
+    ``EMPTY_DETAIL``, and nothing writes to it."""
+    world = run_world(get_scenario("collusion_at_quorum"))
+    details = world.log.columns()[4]
+    empty = [detail for detail in details if not detail]
+    assert len(empty) > 100
+    assert all(detail is events.EMPTY_DETAIL for detail in empty)
+    assert events.EMPTY_DETAIL == {}
+    assert events.EventLog().append(0, "k") == 0
+
+
 def test_no_kind_is_routed_to_two_tables():
     kinds = [kind for _, _, table_kinds, _ in CSV_TABLES for kind in table_kinds]
     assert len(kinds) == len(set(kinds))

@@ -69,6 +69,18 @@ def test_blacklist_rejected(actor):
         onboarding.submit_registration(world, make_request(actor))
 
 
+def test_blacklist_of_several_entries_given_as_a_tuple(actor):
+    listed = [fresh_actor(seed) for seed in (1, 2)]
+    world = mini_world(blacklist=(listed[0].pub.hex(), actor.pub.hex(),
+                                  listed[1].pub.hex()))
+    for device in (listed[0], actor, listed[1]):
+        with pytest.raises(onboarding.BlacklistedDevice):
+            onboarding.submit_registration(world, make_request(device))
+    session = onboarding.submit_registration(world,
+                                             make_request(fresh_actor(3)))
+    assert session.stage is Stage.TEMP_CREDENTIALED
+
+
 def test_issue_challenge(world, actor):
     session = onboarding.submit_registration(world, make_request(actor))
     challenge = onboarding.issue_challenge(world, session)

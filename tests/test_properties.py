@@ -148,7 +148,7 @@ def test_slice_around_matches_brute_force(rows, center, radius, subject):
                 and (subject is None or ev.subject == subject or ev.actor == subject)]
     assert log.slice_around(center, radius, subject=subject) == expected
     for key in ("", "a", "b", "c"):
-        assert log.refs_of(key) == [
+        assert list(log.refs_of(key)) == [
             ref for ref, ev in enumerate(reference)
             if ev.subject == key or ev.actor == key]
     assert len(log) == len(reference)
