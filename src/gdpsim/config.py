@@ -165,6 +165,11 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         v = _Validator()
+        _check_numbers(v, self, "")
+        for i, adv in enumerate(self.adversaries):
+            _check_numbers(v, adv, f"adversaries[{i}].")
+        for i, out in enumerate(self.outages):
+            _check_numbers(v, out, f"outages[{i}].")
         v.check(self.schema_version == SCHEMA_VERSION, "schema_version",
                 f"expected {SCHEMA_VERSION}, got {self.schema_version}")
         v.check(self.seed >= 0, "seed", "must be >= 0")
@@ -276,6 +281,25 @@ class _Validator:
             raise InvalidConfig(field_path, message)
 
 
+def _check_numbers(v: _Validator, section, prefix: str) -> None:
+    """Refuse a non-number in a numeric field of ``section`` or of a section
+    nested in it: an ``int`` field takes an int, a ``float`` field an int or
+    a float, and neither takes a bool. Annotations are strings here, as
+    ``from __future__ import annotations`` leaves them."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        where = prefix + f.name
+        if dataclasses.is_dataclass(value):
+            _check_numbers(v, value, where + ".")
+        elif f.type == "int":
+            v.check(isinstance(value, int) and not isinstance(value, bool),
+                    where, f"must be an integer, got {value!r}")
+        elif f.type == "float":
+            v.check(isinstance(value, (int, float))
+                    and not isinstance(value, bool),
+                    where, f"must be a number, got {value!r}")
+
+
 _NESTED = {
     "onboarding": OnboardingConfig,
     "panel": PanelConfig,
@@ -313,20 +337,26 @@ def _build(cls, data: dict, path: str):
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Load a YAML or JSON scenario file and validate it. ``yaml`` is
-    imported here, the one place that reads it, so a run that loads no
-    scenario file never loads it."""
-    import yaml
-
+    """Load a scenario file and validate it. A ``.json`` file is parsed as
+    JSON, so ``dump_config``'s output loads back equal; any other file as
+    YAML. ``yaml`` is imported here, the one place that reads it, so a run
+    that loads no YAML file never loads it."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as exc:
         raise InvalidConfig(str(path), f"unreadable: {exc}") from exc
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise InvalidConfig(str(path), f"parse error: {exc}") from exc
+    if p.suffix.lower() == ".json":
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise InvalidConfig(str(path), f"parse error: {exc}") from exc
+    else:
+        import yaml
+        try:
+            data = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise InvalidConfig(str(path), f"parse error: {exc}") from exc
     cfg = ScenarioConfig.from_dict(data or {})
     cfg.validate()
     return cfg

@@ -69,8 +69,13 @@ class EventLog:
     of the signed one); refs enter in append order, so every key's array is
     ascending and bisects by ref.
 
-    Details are never written after the append, so every event appended
-    with no detail shares the one empty dict ``EMPTY_DETAIL``.
+    Details are never written after the append. ``append_row`` keeps the
+    dict it is passed as the event's detail, so from then on the log owns
+    it: neither the caller nor any reader writes it again, and one dict may
+    be the detail of many events (a witness panel's equal reveals share
+    one). ``append`` gathers its keyword arguments into a dict of their own,
+    and every event appended with no detail shares the one empty dict
+    ``EMPTY_DETAIL``.
     """
 
     def __init__(self):
@@ -83,12 +88,20 @@ class EventLog:
 
     def append(self, tick: int, kind: str, actor: str = "", subject: str = "",
                **detail) -> int:
+        """Log an event whose detail is the keyword arguments; its ref."""
+        return self.append_row(tick, kind, actor, subject,
+                               detail if detail else EMPTY_DETAIL)
+
+    def append_row(self, tick: int, kind: str, actor: str, subject: str,
+                   detail: dict) -> int:
+        """Log an event with ``detail`` kept as given; its ref. The log owns
+        ``detail`` from here on: nothing writes it after this call."""
         ref = len(self._ticks)
         self._ticks.append(tick)
         self._kinds.append(kind)
         self._actors.append(actor)
         self._subjects.append(subject)
-        self._details.append(detail if detail else EMPTY_DETAIL)
+        self._details.append(detail)
         index = self._refs_by_key
         refs = index.get(subject)
         if refs is None:
@@ -257,10 +270,11 @@ def read_events_jsonl(path: Path) -> EventLog:
     with open(path) as fh:
         for line in fh:
             d = json.loads(line)
-            log.append(d["tick"], shared(d["kind"]), shared(d["actor"]),
-                       shared(d["subject"]),
-                       **{key: shared(value)
-                          for key, value in d["detail"].items()})
+            log.append_row(d["tick"], shared(d["kind"]), shared(d["actor"]),
+                           shared(d["subject"]),
+                           {key: shared(value)
+                            for key, value in d["detail"].items()}
+                           or EMPTY_DETAIL)
     return log
 
 

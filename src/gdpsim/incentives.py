@@ -87,7 +87,18 @@ def _adjust_reputation(world, owner: bytes, new_score: float) -> float:
     return world.reputation_accounts[owner].score
 
 
-def apply_performance_reward(world, owner: bytes, cause: str) -> None:
+def perf_reward_detail(world, cause: str) -> dict:
+    """The detail of a performance reward for ``cause``. Every reward of one
+    cause may log this one dict, which the log then owns."""
+    return {"incentive_kind": IncentiveKind.PERF_REWARD.value,
+            "delta": world.cfg.incentives.perf_reward, "cause": cause}
+
+
+def apply_performance_reward(world, owner: bytes, cause: str = None, *,
+                             detail: dict = None) -> None:
+    """Pay ``owner`` the performance reward and log ``detail``, a
+    ``perf_reward_detail`` shared with other rewards, or one built for
+    ``cause``."""
     if _is_banned(world, owner):
         raise SubjectBanned(owner.hex())
     cfg = world.cfg.incentives
@@ -96,7 +107,10 @@ def apply_performance_reward(world, owner: bytes, cause: str) -> None:
     acct.liquid += cfg.perf_reward
     world.total_minted += cfg.perf_reward
     _adjust_reputation(world, owner, rep.score + cfg.perf_rep_bonus)
-    _emit(world, owner, IncentiveKind.PERF_REWARD, cfg.perf_reward, cause)
+    if detail is None:
+        detail = perf_reward_detail(world, cause)
+    world.log.append_row(world.tick, "incentive", "", world.hexes[owner],
+                         detail)
 
 
 def apply_contribution_reward(world, owner: bytes, contributed_units: float,

@@ -164,6 +164,10 @@ def expected_answer(session: OnboardingSession) -> Digest:
     return challenge_answer(session.enrolled_secret, session.challenge)
 
 
+# The detail of each challenge and MFA result, shared by every event of it.
+_PASSED_DETAIL = {passed: {"passed": passed} for passed in (False, True)}
+
+
 def verify_challenge_response(world, session: OnboardingSession,
                               response: Digest) -> bool:
     """Step 3b: correct keyed digest advances; anything else rejects."""
@@ -178,8 +182,8 @@ def verify_challenge_response(world, session: OnboardingSession,
         session.stage = Stage.REJECTED
         world.log.append(world.tick, "session_rejected",
                          subject=world.hexes[session.device], reason="challenge")
-    world.log.append(world.tick, "challenge_result",
-                     subject=world.hexes[session.device], passed=ok)
+    world.log.append_row(world.tick, "challenge_result", "",
+                         world.hexes[session.device], _PASSED_DETAIL[ok])
     return ok
 
 
@@ -203,8 +207,8 @@ def verify_mfa(world, session: OnboardingSession, totp: int, tick: int) -> bool:
         session.stage = Stage.MFA_PASSED
     else:
         session.mfa_retries += 1
-    world.log.append(tick, "mfa_result", subject=world.hexes[session.device],
-                     passed=ok)
+    world.log.append_row(tick, "mfa_result", "", world.hexes[session.device],
+                         _PASSED_DETAIL[ok])
     return ok
 
 

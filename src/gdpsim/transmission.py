@@ -40,6 +40,28 @@ class Verdict(Enum):
     INVALID = "Invalid"
 
 
+# The detail of each reveal and witness evaluation, one dict per value that
+# every such event shares (the log never writes a detail after the append).
+_REVEAL_DETAIL = {verdict: {"verdict": verdict.value} for verdict in Verdict}
+_EVAL_DETAIL = {correct: {"correct": correct} for correct in (False, True)}
+
+
+class _StatusDetails(dict):
+    """Each panel outcome's ``txn_status`` detail, keyed by (status value,
+    valid, invalid), built on first use and shared by every event of that
+    outcome. Valid and invalid sum to the panel size, so a panel of k seats
+    adds at most 3 (k + 1) entries to the process."""
+
+    def __missing__(self, key: tuple) -> dict:
+        status, valid, invalid = key
+        detail = self[key] = {"status": status, "valid": valid,
+                              "invalid": invalid}
+        return detail
+
+
+_STATUS_DETAIL = _StatusDetails()
+
+
 @dataclass(slots=True)
 class Attestation:
     witness: bytes
@@ -217,8 +239,8 @@ def witness_reveal(world, witness: bytes, txn: DataTransaction,
         raise CommitMismatch(witness.hex())
     att.revealed_verdict = verdict
     att.salt = salt
-    world.log.append(world.tick, "attestation_reveal", actor=hexes[witness],
-                     subject=hexes[txn.id], verdict=verdict.value)
+    world.log.append_row(world.tick, "attestation_reveal", hexes[witness],
+                         hexes[txn.id], _REVEAL_DETAIL[verdict])
     return att
 
 
@@ -258,8 +280,8 @@ def aggregate_attestations(world, txn: DataTransaction) -> TxnStatus:
         txn.status = TxnStatus.REJECTED
     else:
         txn.status = TxnStatus.DISPUTED
-    world.log.append(world.tick, "txn_status", subject=subject,
-                     status=txn.status.value, valid=valid, invalid=invalid)
+    world.log.append_row(world.tick, "txn_status", "", subject,
+                         _STATUS_DETAIL[txn.status.value, valid, invalid])
     return txn.status
 
 
@@ -328,25 +350,28 @@ def evaluate_witnesses(world, txn: DataTransaction) -> None:
 
     Truth is Valid for Committed transactions and Invalid for Rejected ones.
     Equivocators and non-revealers were already penalized when caught; here
-    the revealed verdicts earn rewards or penalties.
+    the revealed verdicts earn rewards or penalties. Every reward of the
+    panel logs one shared detail.
     """
     truth = Verdict.VALID if txn.status is TxnStatus.COMMITTED else Verdict.INVALID
     hexes = world.hexes
     subject = hexes[txn.id]
-    rewarded = penalized = None  # each cause, built for its first witness
+    # the reward's detail and the penalty's cause, built for their first witness
+    rewarded = penalized = None
     for witness in txn.panel:
         att = txn.attestations.get(witness)
         if att is None or att.equivocated or att.revealed_verdict is None:
             continue
         correct = att.revealed_verdict is truth
-        world.log.append(world.tick, "witness_eval", actor=hexes[witness],
-                         subject=subject, correct=correct)
+        world.log.append_row(world.tick, "witness_eval", hexes[witness],
+                             subject, _EVAL_DETAIL[correct])
         if correct:
             profile = world.devices.get(witness)
             if profile is not None and profile.status is DeviceStatus.ACTIVE:
-                rewarded = rewarded or f"attestation:{subject[:16]}"
+                rewarded = rewarded or incentives.perf_reward_detail(
+                    world, f"attestation:{subject[:16]}")
                 incentives.apply_performance_reward(world, witness,
-                                                    cause=rewarded)
+                                                    detail=rewarded)
         else:
             penalized = penalized or f"wrong_verdict:{subject[:16]}"
             incentives.apply_penalty(world, witness, incentives.Severity.MINOR,

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gdpsim
 from gdpsim.cli import main
-from gdpsim.config import dump_config
-from gdpsim.scenarios import get_scenario
+from gdpsim.config import InvalidConfig, dump_config, load_config
+from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
 
 
 def write_cfg(tmp_path, name="baseline", **edits) -> Path:
@@ -168,6 +172,51 @@ def test_yaml_config_supported(tmp_path):
         "n_witness_pool: 8\n")
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+
+RATE_FIELDS = ("rate_txn", "rate_witness_deep", "rate_sync_verify",
+               "rate_device", "rate_proposer_challenge")
+# floats whose repr is in exponent form: below 1e-4, and from 1e16 up
+rates = st.one_of(st.floats(min_value=0.0, max_value=1e-5),
+                  st.floats(min_value=0.0, max_value=1.0))
+amounts = st.one_of(st.floats(min_value=1e16, max_value=1e300),
+                    st.floats(min_value=0.0, max_value=1e3))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_SCENARIOS))
+@given(st.tuples(*[rates] * len(RATE_FIELDS)), amounts,
+       st.integers(min_value=0, max_value=2**63))
+@example((1e-05, 0.1, 0.02, 0.05, 0.1), 1e16, 0)
+@settings(max_examples=25, deadline=None)
+def test_dumped_config_loads_back_equal(name, drawn_rates, bond, seed):
+    """``load_config`` of a written ``dump_config`` is the config it
+    dumped, exponent-form floats (``1e-05``, ``1e+16``) included."""
+    cfg = get_scenario(name)
+    for rate_field, rate in zip(RATE_FIELDS, drawn_rates):
+        setattr(cfg.inspection, rate_field, rate)
+    cfg.incentives.appeal_bond = bond
+    cfg.seed = seed
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(dump_config(cfg))
+        assert load_config(path) == cfg
+
+
+@pytest.mark.parametrize("suffix, text, field", [
+    (".yaml", "inspection:\n  rate_txn: 1e-05\n", "inspection.rate_txn"),
+    (".json", '{"panel": {"k": "5"}}', "panel.k"),
+    (".json", '{"txn_arrival_rate": null}', "txn_arrival_rate"),
+    (".json", '{"outages": [{"duration": true}]}', "outages[0].duration"),
+])
+def test_a_non_number_in_a_numeric_field_is_named(tmp_path, suffix, text,
+                                                  field):
+    """YAML 1.1 reads ``1e-05`` as a string; that, and any other non-number
+    in a numeric field, fails validation naming the field."""
+    path = tmp_path / ("scenario" + suffix)
+    path.write_text(text)
+    with pytest.raises(InvalidConfig) as caught:
+        load_config(path)
+    assert caught.value.field == field
 
 
 def test_importing_the_package_leaves_yaml_unloaded():

@@ -354,6 +354,50 @@ def test_events_without_a_detail_share_one_empty_dict():
     assert events.EventLog().append(0, "k") == 0
 
 
+def test_witness_events_share_their_details():
+    """After a whole run, the reveals and the witness evaluations each hold
+    at most two detail dicts, one per value, the panel outcomes one dict
+    per value, and the performance rewards one evaluation pays out all log
+    the same dict."""
+    world = run_world(get_scenario("collusion_at_quorum"))
+    ticks, kinds, _, _, details = world.log.columns()
+    for kind in ("attestation_reveal", "witness_eval", "txn_status"):
+        logged = [detail for k, detail in zip(kinds, details) if k == kind]
+        assert len(logged) > 50
+        distinct = {json.dumps(detail, sort_keys=True) for detail in logged}
+        assert len({id(detail) for detail in logged}) == len(distinct)
+        assert len(distinct) <= 2 or kind == "txn_status"
+    rewards: dict = {}  # (tick, cause) -> the reward details
+    for tick, kind, detail in zip(ticks, kinds, details):
+        if kind == "incentive" and detail["incentive_kind"] == "PerfReward":
+            rewards.setdefault((tick, detail["cause"]), []).append(detail)
+    assert sum(len(paid) > 1 for paid in rewards.values()) > 20
+    assert all(len({id(detail) for detail in paid}) == 1
+               for paid in rewards.values())
+
+
+def test_every_detail_is_written_as_it_was_appended(tmp_path, monkeypatch):
+    """A run that opens disputes writes each ``events.jsonl`` line as the
+    event encoded at its append: no detail, shared or not, is written
+    after it is logged."""
+    appended = []
+    append_row = EventLog.append_row
+
+    def recording(log, tick, kind, actor, subject, detail):
+        appended.append(encode_event(Event(tick, kind, actor, subject,
+                                           detail))[0])
+        return append_row(log, tick, kind, actor, subject, detail)
+
+    monkeypatch.setattr(EventLog, "append_row", recording)
+    world = run_world(get_scenario("equivocation"))
+    assert any(ev.kind == "dispute_opened" for ev in world.log)
+    write_log(world.log, tmp_path)
+    with open(tmp_path / "events.jsonl") as fh:
+        written = fh.readlines()
+    assert len(appended) == len(world.log)
+    assert written == appended
+
+
 def test_no_kind_is_routed_to_two_tables():
     kinds = [kind for _, _, table_kinds, _ in CSV_TABLES for kind in table_kinds]
     assert len(kinds) == len(set(kinds))
