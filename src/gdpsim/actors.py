@@ -83,7 +83,7 @@ class DeviceActor:
 
     def serve_sync(self, world, from_height: int):
         """Canonical blocks above from_height up to this node's height."""
-        return world.canonical.blocks[from_height + 1:world.heights[self.pub] + 1]
+        return world.canonical.blocks[from_height + 1:world.height(self.pub) + 1]
 
     # --- arbitration policies ---
 

@@ -2,7 +2,7 @@
 
 Rounds use a deterministic round-robin proposer, stake-plus-reputation
 weighted votes, and a strict-majority commit threshold. A node's chain is
-``world.canonical.blocks[:world.heights[node] + 1]``; synchronization
+``world.canonical.blocks[:world.height(node) + 1]``; synchronization
 re-verifies transferred blocks end to end before raising a node's height,
 so a forged batch can never land (it is rejected, and stochastic sync
 inspection pins the penalty on the propagator).
@@ -136,7 +136,7 @@ class Ledger:
 
 def node_head(world, node: bytes) -> Digest:
     """Head of a node's chain: the canonical block at its height."""
-    return world.canonical.blocks[world.heights[node]].block_digest
+    return world.canonical.blocks[world.height(node)].block_digest
 
 
 def active_stake_total(world) -> float:
@@ -214,7 +214,7 @@ def propose_block(world, node: bytes) -> Proposal:
             if world.transactions[tid].status is TxnStatus.WITNESSED]
     if not pool and not pending_verdicts:
         raise EmptyMempool(node.hex())
-    _, watermark = world.canonical.state_at(world.heights[node], world.transactions)
+    _, watermark = world.canonical.state_at(world.height(node), world.transactions)
     head = node_head(world, node)
     ordered = pending_verdicts + mempool_order(world, pool)
     chosen = _chainable(world, watermark, ordered, world.cfg.consensus.batch_cap)
@@ -245,7 +245,7 @@ def honest_accept(world, node: bytes, proposal: Proposal,
     round: the verdict is only good for the state it was made in."""
     if not verify(proposal.proposer, proposal.digest, proposal.signature):
         return False
-    height = world.heights[node]
+    height = world.height(node)
     if proposal.parent_block != node_head(world, node):
         known = any(b.block_digest == proposal.parent_block
                     for b in world.canonical.blocks[:height + 1])
@@ -329,9 +329,9 @@ def tally(votes, total_weight: float, threshold: float) -> tuple:
 
 def commit_block(world, proposal: Proposal, votes: list,
                  total_weight: float) -> Optional[LedgerBlock]:
-    """Commitment phase: strict weighted majority appends the block and
-    advances each active node at its parent; a rejected proposal returns its
-    transactions."""
+    """Commitment phase: strict weighted majority appends the block, and
+    every active node at its parent rides the head up with it; a rejected
+    proposal returns its transactions."""
     from .transmission import evaluate_witnesses
 
     hexes = world.hexes
@@ -358,11 +358,7 @@ def commit_block(world, proposal: Proposal, votes: list,
         accept_weight=accept_weight, total_weight=total_weight,
         proposal_tick=proposal.tick)
 
-    recipients = world.active_devices()
     world.canonical.append(block, world.transactions)
-    for node in recipients:
-        if world.heights[node] == height - 1:
-            world.heights[node] = height
     world.log.append(world.tick, "block_committed",
                      subject=hexes[block.block_digest], height=height,
                      proposer=hexes[proposal.proposer],
@@ -461,16 +457,16 @@ def verify_batch(world, start_head: Digest, start_height: int,
 def synchronize(world, node_a: bytes, node_b: bytes) -> int:
     """The lower node adopts the missing blocks the higher one serves, after
     full re-verification; returns the number of blocks adopted."""
-    ha, hb = world.heights[node_a], world.heights[node_b]
+    ha, hb = world.height(node_a), world.height(node_b)
     if ha == hb:
         return 0
     source, target = (node_a, node_b) if ha > hb else (node_b, node_a)
-    from_height = world.heights[target]
+    from_height = min(ha, hb)
 
     batch = world.actors[source].serve_sync(world, from_height)
     verify_batch(world, node_head(world, target), from_height, batch)
     to_height = from_height + len(batch)
-    world.heights[target] = to_height
+    world.set_height(target, to_height)
     world.log.append(world.tick, "sync", actor=world.hexes[source],
                      subject=world.hexes[target],
                      blocks=len(batch), from_height=from_height,

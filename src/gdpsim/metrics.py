@@ -213,7 +213,7 @@ def snapshot_state(world) -> dict:
         profile = world.devices[pub]
         acct = world.stake_accounts.get(pub)
         rep = world.reputation_accounts.get(pub)
-        height = world.heights.get(pub)
+        height = world.height(pub)
         devices[world.hexes[pub]] = {
             "status": profile.status.value,
             "staked": round(acct.staked, 9) if acct else None,
@@ -221,8 +221,7 @@ def snapshot_state(world) -> dict:
             "offenses": acct.offense_count if acct else None,
             "score": round(rep.score, 9) if rep else None,
             "ledger_height": height,
-            "ledger_head": world.hexes[world.canonical.blocks[height].block_digest]
-                           if height is not None else None,
+            "ledger_head": world.hexes[world.canonical.blocks[height].block_digest],
         }
     txn_status: dict = {}
     for tid in sorted(world.transactions):

@@ -211,7 +211,12 @@ class World:
         # a refusal since then has read scores
         self.waiting_stamp: Optional[tuple] = None
         self.aggregation_due: dict = {}    # tick -> [txn ids]
+        # ``set_height`` alone keeps these. A device absent from ``heights``
+        # is active and rides the canonical head; ``heights`` holds every
+        # inactive device and each active one below the head, which
+        # ``behind`` also lists.
         self.heights: dict = {}            # pub -> height into canonical
+        self.behind: set = set()           # active pubs in ``heights``
         self.canonical = consensus.Ledger()
         self.pending_block: Optional[PendingBlock] = None
         self.stake_accounts: dict = {}
@@ -293,6 +298,7 @@ class World:
                     del active[i]
                 else:
                     active.insert(i, pub)
+                self.set_height(pub, self.height(pub))
             counts, group = self.active_per_group, profile.operator_group
             counts[group] = counts.get(group, 0) + (-1 if listed else 1)
             self.status_version += 1
@@ -300,6 +306,26 @@ class World:
         if status is DeviceStatus.ACTIVE and (
                 not was_active or pub not in self.txrate_streams):
             self._resume_txrate(pub)
+
+    def height(self, pub: bytes) -> int:
+        """``pub``'s height into ``canonical``."""
+        return self.heights.get(pub, self.canonical.height)
+
+    def set_height(self, pub: bytes, height: int) -> None:
+        """The one writer of ``heights`` and ``behind``. An active device
+        at the head is dropped from both, so the next commit raises it with
+        the head; any other device is recorded, and an active one below the
+        head is listed as behind. ``set_status`` calls it when a device
+        leaves or re-enters ACTIVE."""
+        active = self.devices[pub].status is DeviceStatus.ACTIVE
+        if active and height == self.canonical.height:
+            self.heights.pop(pub, None)
+        else:
+            self.heights[pub] = height
+        if active and height < self.canonical.height:
+            self.behind.add(pub)
+        else:
+            self.behind.discard(pub)
 
     def _settle_txrate(self, pub: bytes) -> TxrateStream:
         """Pay the zeros that ``pub``'s txrate stream owes, one per phase
@@ -435,7 +461,7 @@ def onboard_actor(world: World, actor: DeviceActor, stake: float,
                          subject=world.hexes[actor.pub], reason="stake")
         return None
     world.actors[actor.pub] = actor
-    world.heights[actor.pub] = 0
+    world.set_height(actor.pub, 0)
     # stochastic onboarding integration: some fresh devices get re-validated
     if stochastic.should_inspect(world.rng_inspection,
                                  world.cfg.inspection.rate_device,
@@ -536,19 +562,19 @@ def _environment(world: World) -> None:
 
 
 def _sync_lagging(world: World) -> None:
-    canonical_height = world.canonical.height
-    behind = [p for p in world.active_devices()
-              if world.heights[p] < canonical_height]
-    for target in behind:
+    """Each active device below the head, in device order, syncs from an
+    active device above it."""
+    for target in sorted(world.behind, key=world.order.__getitem__):
+        height0 = world.height(target)
         sources = [p for p in world.active_devices()
-                   if world.heights[p] > world.heights[target]]
+                   if world.height(p) > height0]
         if not sources:
             continue
         # an adversarial propagator races to answer first
         eager = [p for p in sources if world.actors[p].role == "forged_sync_node"]
         pool = eager or sources
         source = world.rng_consensus.derive("sync", world.tick, target).choice(pool)
-        head0, height0 = consensus.node_head(world, target), world.heights[target]
+        head0 = consensus.node_head(world, target)
         try:
             consensus.synchronize(world, source, target)
         except ChainIntegrityViolation as exc:

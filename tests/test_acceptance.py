@@ -492,7 +492,8 @@ def _check_invariants(world, cfg):
     except Exception as exc:
         problems.append(f"canonical chain: {exc}")
     snapshot = snapshot_state(world)["devices"]
-    for pub, height in world.heights.items():
+    for pub in world.devices:
+        height = world.height(pub)
         if (height > world.canonical.height
                 or snapshot[pub.hex()]["ledger_head"]
                 != world.canonical.blocks[height].block_digest.hex()):

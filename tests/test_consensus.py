@@ -229,7 +229,7 @@ def _checked_run(monkeypatch, cfg, reference: bool):
         return real_check(world, proposal, height)
 
     def entering(world, node, proposal, checks=None):
-        entered.setdefault(world.round_no, set()).add(world.heights[node])
+        entered.setdefault(world.round_no, set()).add(world.height(node))
         return real_accept(world, node, proposal,
                            None if reference else checks)
 
@@ -557,9 +557,9 @@ def test_synchronize_adopts_missing_blocks(world):
     nodes = world.active_devices()
     a, b = nodes[0], nodes[1]
     # put b behind by lowering its height
-    world.heights[b] = 1
+    world.set_height(b, 1)
     assert synchronize(world, a, b) == 2
-    assert world.heights[b] == world.heights[a]
+    assert world.height(b) == world.height(a)
     assert consensus.node_head(world, b) == consensus.node_head(world, a)
 
 
@@ -573,7 +573,7 @@ def test_synchronize_rejects_tampered_block(world):
     _grow_chain(world, 2)
     nodes = world.active_devices()
     a, b = nodes[0], nodes[1]
-    world.heights[b] = 0
+    world.set_height(b, 0)
 
     real = world.canonical.blocks
     forged_ids = tuple(digest(t + b"spoof") for t in real[1].txn_ids)
@@ -589,10 +589,10 @@ def test_synchronize_rejects_tampered_block(world):
             return [forged] + real[2:]
 
     world.actors[a].serve_sync = ForgingServer().serve_sync
-    before = world.heights[b]
+    before = world.height(b)
     with pytest.raises(ChainIntegrityViolation):
         synchronize(world, a, b)
-    assert world.heights[b] == before  # unchanged
+    assert world.height(b) == before  # unchanged
 
 
 def test_resync_does_not_reverify_vote_signatures(world, monkeypatch):
@@ -601,7 +601,7 @@ def test_resync_does_not_reverify_vote_signatures(world, monkeypatch):
     verified = count_ed25519_verifies(monkeypatch)
     read = record_signature_reads(monkeypatch)
     for _ in range(2):  # the first sync and a second one of the same blocks
-        world.heights[b] = 0
+        world.set_height(b, 0)
         assert synchronize(world, a, b) == 3
         assert verified == [] and read == {}
     # a vote signature read before the sync, or built from explicit bytes,
@@ -614,7 +614,7 @@ def test_resync_does_not_reverify_vote_signatures(world, monkeypatch):
         votes=(first, dataclasses.replace(second, signature=explicit),
                *world.canonical.blocks[1].votes[2:]))
     read.clear()
-    world.heights[b] = 0
+    world.set_height(b, 0)
     assert synchronize(world, a, b) == 3
     assert verified == [vote_message(v.proposal_digest, v.accept, v.weight)
                         for v in (first, second)]
@@ -650,7 +650,7 @@ def test_verify_chain_rejects_altered_votes(world, forgery):
 def test_lagging_node_judges_from_its_own_height(world):
     _grow_chain(world, 2)  # sender nonces 0-1 at height 1, 2-3 at height 2
     proposer, node = world.active_devices()[:2]
-    world.heights[node] = 1
+    world.set_height(node, 1)
 
     def on_block(height, ids):
         return signed_proposal(world, proposer, ids,
@@ -664,7 +664,7 @@ def test_lagging_node_judges_from_its_own_height(world):
     [retry] = witness_and_pool(world, 1)
     assert retry != above and world.transactions[retry].nonce == 2
     assert honest_accept(world, node, on_block(1, [retry]))
-    world.heights[node] = 2
+    world.set_height(node, 2)
     assert not honest_accept(world, node, on_block(2, [retry]))
 
 

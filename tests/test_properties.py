@@ -1,12 +1,14 @@
 """Property-based invariants over the numeric and stateful cores."""
 
 import copy
+import dataclasses
 import math
 import statistics
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gdpsim import anomaly, arbitration, consensus, incentives, onboarding
@@ -17,13 +19,19 @@ from gdpsim.anomaly import (
     StreamBaseline,
     calibrated_cut,
 )
-from gdpsim.errors import AlreadyQuarantined, GdpError, WrongStage
+from gdpsim.errors import (
+    AlreadyQuarantined,
+    ChainIntegrityViolation,
+    GdpError,
+    WrongStage,
+)
 from gdpsim.events import Event, EventLog, encode_event
 from gdpsim.incentives import Severity, conservation_gap, deterrence_margin
 from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import (
     FenwickWeights,
     SeededRng,
+    digest,
     float_sum,
     sample_without_replacement,
 )
@@ -369,6 +377,96 @@ def test_kept_active_set_matches_a_fresh_scan(steps):
             world, dispute, among=devices[::-1]) == [
             p for p in reversed(active)
             if p != party and world.devices[p].operator_group != party_group]
+
+
+_height_step = st.one_of(
+    st.tuples(st.just("tick"), st.integers(min_value=1, max_value=4)),
+    st.tuples(st.just("status"), st.integers(min_value=0, max_value=30),
+              st.sampled_from(list(DeviceStatus))),
+    st.tuples(st.just("join"), st.integers(min_value=0, max_value=3)),
+    st.tuples(st.just("sync"), st.integers(min_value=0, max_value=30),
+              st.integers(min_value=0, max_value=30), st.booleans()))
+
+
+@given(st.lists(_height_step, min_size=1, max_size=30))
+@example([("status", 0, DeviceStatus.QUARANTINED), ("tick", 4),
+          ("status", 0, DeviceStatus.ACTIVE), ("sync", 0, 1, True),
+          ("join", 0), ("status", 11, DeviceStatus.BANNED), ("tick", 4),
+          ("sync", 11, 1, False), ("status", 11, DeviceStatus.ACTIVE),
+          ("tick", 4)])
+@settings(max_examples=60, deadline=None)
+def test_kept_heights_match_a_full_height_map(steps):
+    """A world keeps a height only for a device off the canonical head: an
+    inactive one, or an active one below the head, which ``world.behind``
+    lists. After every tick, status write, join and direct sync (a forged
+    batch included), ``World.height`` gives for every device what a full
+    map kept the old way holds: each commit raises every active device at
+    its parent, each sync sets its target, a join starts at 0."""
+    world = mini_world(duration_ticks=400)
+    full = {p: 0 for p in world.devices}
+    real_commit, real_sync = consensus.commit_block, consensus.synchronize
+
+    def committing(world, proposal, votes, total_weight):
+        block = real_commit(world, proposal, votes, total_weight)
+        if block is not None:
+            for p in world.active_devices():
+                if full[p] == block.height - 1:
+                    full[p] = block.height
+        return block
+
+    def syncing(world, node_a, node_b):
+        lower = node_a if full[node_a] < full[node_b] else node_b
+        adopted = real_sync(world, node_a, node_b)
+        full[lower] += adopted
+        return adopted
+
+    def forging(actor):
+        real = actor.serve_sync
+
+        def serve(world, from_height):
+            batch = list(real(world, from_height))
+            batch[0] = dataclasses.replace(batch[0],
+                                           block_digest=digest(b"forged"))
+            return batch
+        return serve
+
+    joined = 0
+    with mock.patch.object(consensus, "commit_block", committing), \
+            mock.patch.object(consensus, "synchronize", syncing):
+        while not world.canonical.height:  # up to the first block
+            world_mod.step(world)
+        for kind, *args in steps:
+            devices = list(world.devices)
+            if kind == "tick":
+                for _ in range(args[0]):
+                    world_mod.step(world)
+            elif kind == "status":
+                world.set_status(devices[args[0] % len(devices)], args[1])
+            elif kind == "join":
+                joined += 1
+                pub = onboard(world, fresh_actor(9100 + joined),
+                              group=f"g{args[0]}")
+                assert pub is not None
+                full[pub] = 0
+            else:
+                a, b = (devices[i % len(devices)] for i in args[:2])
+                if args[2] and full[a] != full[b]:
+                    source = world.actors[a if full[a] > full[b] else b]
+                    source.serve_sync = forging(source)
+                    try:
+                        with pytest.raises(ChainIntegrityViolation):
+                            consensus.synchronize(world, a, b)
+                    finally:
+                        del source.serve_sync
+                else:
+                    consensus.synchronize(world, a, b)
+
+            head = world.canonical.height
+            active = set(world.active_devices())
+            assert {p: world.height(p) for p in world.devices} == full
+            assert world.behind == {p for p in active if full[p] < head}
+            assert set(world.heights) == \
+                (set(world.devices) - active) | world.behind
 
 
 _stake_ops = st.one_of(

@@ -120,8 +120,8 @@ def test_replay_fold_catches_a_foreign_head():
     world.canonical.blocks[-1] = dataclasses.replace(
         tip, block_digest=digest(b"foreign"))
     mismatches = replay_matches_world(world)
-    at_tip = {f"head:{p.hex()}" for p, h in world.heights.items()
-              if h == tip.height}
+    at_tip = {f"head:{p.hex()}" for p in world.devices
+              if world.height(p) == tip.height}
     assert at_tip and set(mismatches) == at_tip | {"canonical_head"}
 
 
@@ -251,7 +251,7 @@ def test_forged_sync_scenario_catches_propagator():
               if a.role == "forged_sync_node"][0]
     assert world.devices[forger].status is DeviceStatus.BANNED
     # the victim still caught up from an honest source afterwards
-    heights = {world.heights[p] for p in world.active_devices()}
+    heights = {world.height(p) for p in world.active_devices()}
     assert len(heights) == 1
 
 
@@ -603,7 +603,9 @@ def test_onboarding_fixes_what_the_draw_indexes_key_on():
 
 
 _MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem",
-             "clear", "sort", "reverse", "update", "setdefault", "subtract"}
+             "clear", "sort", "reverse", "update", "setdefault", "subtract",
+             "add", "discard", "difference_update", "intersection_update",
+             "symmetric_difference_update"}
 
 
 def _owned_writes(tree, attrs):
@@ -657,6 +659,7 @@ def _owned_writes(tree, attrs):
 
 
 _KEPT_SET = {"active", "order", "status_version", "active_per_group"}
+_KEPT_HEIGHTS = {"heights", "behind"}
 
 
 def test_the_active_set_and_operator_groups_have_one_writer_each():
@@ -665,17 +668,25 @@ def test_the_active_set_and_operator_groups_have_one_writer_each():
     validator draws and every memo keyed on the version trust; only
     ``World.__init__`` sets them up. The kept counts assume a device's
     operator group never changes, so ``onboarding.finalize_device`` alone
-    fixes it, when it builds the profile."""
+    fixes it, when it builds the profile. ``World.set_height`` alone keeps
+    the heights of the devices off the head and the set of those behind it;
+    the replay's ``ReplayState.heights`` is a map of its own."""
     package = Path(gdpsim.__file__).parent
+    replay = {("metrics.py", "ReplayState.__init__"),
+              ("metrics.py", "replay_events")}
     writers = {name: sorted({(path.name, where)
                              for path in sorted(package.glob("*.py"))
                              for _, where in _owned_writes(
                                  ast.parse(path.read_text()), attrs)})
                for name, attrs in (("kept", _KEPT_SET),
+                                   ("heights", _KEPT_HEIGHTS),
                                    ("group", {"operator_group"}))}
+    writers["heights"] = sorted(set(writers["heights"]) - replay)
     assert writers == {
         "kept": [("world.py", "World.__init__"),
                  ("world.py", "World.set_status")],
+        "heights": [("world.py", "World.__init__"),
+                    ("world.py", "World.set_height")],
         "group": [("onboarding.py", "finalize_device")]}
     sample = ("class W:\n"
               "    def f(self, world, p, g):\n"
@@ -698,6 +709,17 @@ def test_the_active_set_and_operator_groups_have_one_writer_each():
         (n, "W.f") for n in range(3, 11)]
     assert _owned_writes(tree, {"operator_group"}) == [
         (13, "g"), (14, "g"), (15, "g")]
+    sample = ("def h(world, p):\n"
+              "    world.heights[p] = 0\n"
+              "    world.heights.pop(p, None)\n"
+              "    world.behind.add(p)\n"
+              "    world.behind.discard(p)\n"
+              "    world.behind |= {p}\n"
+              "    del world.heights[p]\n"
+              "    world.heights.get(p, 0)\n"
+              "    p in world.behind\n")
+    assert _owned_writes(ast.parse(sample), _KEPT_HEIGHTS) == [
+        (n, "h") for n in range(2, 8)]
 
 
 _STREAM_STATE = {"fed", "ring", "s1", "s2", "n_fractional", "cusum_pos",
