@@ -21,6 +21,7 @@ from .errors import (
     NotProposer,
     UnknownParent,
 )
+from .events import SharedDetails
 from .onboarding import DeviceStatus
 from .primitives import (
     ZERO_DIGEST,
@@ -32,6 +33,10 @@ from .primitives import (
     verify,
 )
 from .transmission import TxnStatus, Verdict as WitnessVerdict
+
+
+# each commit latency's ``txn_committed`` detail, shared by its events
+_COMMITTED_DETAIL = SharedDetails("latency")
 
 
 @dataclass(frozen=True)
@@ -376,8 +381,8 @@ def commit_block(world, proposal: Proposal, votes: list,
         txn.status = TxnStatus.COMMITTED
         if tid in world.mempool:
             world.mempool.remove(tid)
-        world.log.append(world.tick, "txn_committed", subject=hexes[tid],
-                         latency=world.tick - txn.created_tick)
+        world.log.append_row(world.tick, "txn_committed", "", hexes[tid],
+                             _COMMITTED_DETAIL.of(world.tick - txn.created_tick))
         evaluate_witnesses(world, txn)
     return block
 

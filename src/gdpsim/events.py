@@ -47,6 +47,32 @@ class Event:
 
 # the detail of every event appended with none
 EMPTY_DETAIL: dict = {}
+
+
+class SharedDetails(dict):
+    """One event kind's details, one dict per distinct tuple of values,
+    built on first use and shared by every event that logs those values
+    (the log never writes a detail after the append). ``of`` keys each
+    value by its exact type as well, so ``1``, ``1.0`` and ``True``, which
+    compare equal but are written apart, never share a dict. The one pair
+    the key cannot tell apart is ``0.0`` and ``-0.0``: no memo is fed a
+    float that can be a negative zero."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, *names: str):
+        super().__init__()
+        self.names = names
+
+    def __missing__(self, key: tuple) -> dict:
+        detail = self[key] = dict(zip(self.names, key[len(self.names):]))
+        return detail
+
+    def of(self, *values) -> dict:
+        """The shared detail naming ``values`` in field order."""
+        return self[(*map(type, values), *values)]
+
+
 # ``refs_of`` a key that no event names
 _NO_REFS = array("Q")
 

@@ -24,6 +24,7 @@ from .errors import (
     TooEarly,
     WrongStage,
 )
+from .events import SharedDetails
 from .primitives import Digest, digest
 
 
@@ -100,6 +101,10 @@ class DeviceProfile:
     enrolled_secret: bytes = b""
 
 
+# each device kind's ``registered`` detail, shared by its registrations
+_REGISTERED_DETAIL = SharedDetails("device_type", "model", "sealed")
+
+
 def submit_registration(world, request: RegistrationRequest) -> OnboardingSession:
     """Steps 1-2: register and hand out a bounded temporary credential."""
     if not request.model or not request.version or not request.device_type:
@@ -125,9 +130,10 @@ def submit_registration(world, request: RegistrationRequest) -> OnboardingSessio
     )
     world.sessions[request.public_key] = session
     hexed = world.hexes[request.public_key]
-    world.log.append(world.tick, "registered", actor=hexed, subject=hexed,
-                     device_type=request.device_type, model=request.model,
-                     sealed=request.encrypted)
+    world.log.append_row(world.tick, "registered", hexed, hexed,
+                         _REGISTERED_DETAIL.of(request.device_type,
+                                               request.model,
+                                               request.encrypted))
     return session
 
 
@@ -214,6 +220,9 @@ def verify_mfa(world, session: OnboardingSession, totp: int, tick: int) -> bool:
 
 # Behavior checklist: four equal-weight rules over the onboarding trace.
 _RULE_WEIGHT = 0.25
+# each score's ``behavior_scored`` detail: a score is 0.25 times a count of
+# passed rules, so it is never a negative zero
+_SCORED_DETAIL = SharedDetails("score")
 
 
 def _checklist(world, session: OnboardingSession, trace) -> float:
@@ -249,8 +258,8 @@ def score_behavior(world, session: OnboardingSession, trace) -> float:
         session.stage = Stage.REJECTED
         world.log.append(world.tick, "session_rejected",
                          subject=world.hexes[session.device], reason="behavior")
-    world.log.append(world.tick, "behavior_scored",
-                     subject=world.hexes[session.device], score=score)
+    world.log.append_row(world.tick, "behavior_scored", "",
+                         world.hexes[session.device], _SCORED_DETAIL.of(score))
     return score
 
 

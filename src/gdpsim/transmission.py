@@ -23,8 +23,9 @@ from .errors import (
     NotOnPanel,
     RevealTooEarly,
 )
+from .events import SharedDetails
 from .onboarding import DeviceStatus
-from .primitives import Digest, Signature, digest, sign
+from .primitives import Digest, KeyPair, Signature, digest, sign
 
 
 class TxnStatus(Enum):
@@ -46,31 +47,55 @@ _REVEAL_DETAIL = {verdict: {"verdict": verdict.value} for verdict in Verdict}
 _EVAL_DETAIL = {correct: {"correct": correct} for correct in (False, True)}
 
 
-class _StatusDetails(dict):
-    """Each panel outcome's ``txn_status`` detail, keyed by (status value,
-    valid, invalid), built on first use and shared by every event of that
-    outcome. Valid and invalid sum to the panel size, so a panel of k seats
-    adds at most 3 (k + 1) entries to the process."""
-
-    def __missing__(self, key: tuple) -> dict:
-        status, valid, invalid = key
-        detail = self[key] = {"status": status, "valid": valid,
-                              "invalid": invalid}
-        return detail
+# Each panel outcome's ``txn_status`` detail. Valid and invalid sum to the
+# panel size, so a panel of k seats adds at most 3 (k + 1) entries.
+_STATUS_DETAIL = SharedDetails("status", "valid", "invalid")
 
 
-_STATUS_DETAIL = _StatusDetails()
-
-
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Attestation:
+    """A witness's commit on a txn, signed over ``txn_id + commit``.
+
+    ``witness_commit`` signs by construction: it keeps a reference to the
+    witness's frozen ``KeyPair`` in ``keys`` and stores no signature, and
+    ``signature`` then reads as ``sign(keys.secret_key, txn_id + commit)``,
+    built afresh on each read. Ed25519 signing is deterministic (RFC 8032,
+    5.1.6), so that is the signature the commit would have stored, and
+    ``verify`` accepts it as signed by construction, with no Ed25519 work.
+    Assigning ``signature`` stores an explicit one, which audits check as
+    before. The claim stays exact because nothing writes ``txn_id`` or
+    ``commit`` after ``witness_commit`` builds the attestation. Attestations
+    compare by identity (``eq=False``): a value compare would sign both
+    sides. A ``replace``, ``copy`` or ``pickle`` of one would read
+    ``signature`` and hold it explicitly, so no module copies one.
+    """
+
     witness: bytes
     txn_id: Digest
     commit: Digest
-    signature: Signature
+    signature: Optional[Signature] = None
+    keys: Optional[KeyPair] = field(default=None, repr=False)
     revealed_verdict: Optional[Verdict] = None
     salt: Optional[bytes] = None
     equivocated: bool = False
+
+
+# The slot the dataclass made for ``signature``: it holds an explicit
+# signature, or None for one signed by construction. The field itself reads
+# and writes through the property below.
+_EXPLICIT = Attestation.signature
+
+
+def _read_signature(att: Attestation) -> Signature:
+    """The explicit signature, or the one ``keys`` make over ``txn_id +
+    commit``."""
+    explicit = _EXPLICIT.__get__(att)
+    if explicit is None:
+        return sign(att.keys.secret_key, att.txn_id + att.commit)
+    return explicit
+
+
+Attestation.signature = property(_read_signature, _EXPLICIT.__set__)
 
 
 @dataclass(slots=True)
@@ -207,11 +232,9 @@ def witness_commit(world, witness: bytes, txn: DataTransaction,
         raise NotOnPanel(witness.hex())
     if witness in txn.attestations:
         raise AlreadyCommitted(witness.hex())
-    commit = make_commit(verdict, salt)
-    secret = world.actors[witness].keypair.secret_key
-    signature = sign(secret, txn.id + commit)
-    att = Attestation(witness=witness, txn_id=txn.id, commit=commit,
-                      signature=signature)
+    att = Attestation(witness=witness, txn_id=txn.id,
+                      commit=make_commit(verdict, salt),
+                      keys=world.actors[witness].keypair)
     txn.attestations[witness] = att
     world.log.append(world.tick, "attestation_commit",
                      actor=world.hexes[witness], subject=world.hexes[txn.id])
@@ -281,7 +304,7 @@ def aggregate_attestations(world, txn: DataTransaction) -> TxnStatus:
     else:
         txn.status = TxnStatus.DISPUTED
     world.log.append_row(world.tick, "txn_status", "", subject,
-                         _STATUS_DETAIL[txn.status.value, valid, invalid])
+                         _STATUS_DETAIL.of(txn.status.value, valid, invalid))
     return txn.status
 
 

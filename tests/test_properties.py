@@ -2,6 +2,8 @@
 
 import copy
 import dataclasses
+import hashlib
+import json
 import math
 import statistics
 from fractions import Fraction
@@ -11,7 +13,14 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gdpsim import anomaly, arbitration, consensus, incentives, onboarding
+from gdpsim import (
+    anomaly,
+    arbitration,
+    consensus,
+    incentives,
+    metrics,
+    onboarding,
+)
 from gdpsim import world as world_mod
 from gdpsim.anomaly import (
     AlertKind,
@@ -1071,3 +1080,46 @@ def test_sleeping_streams_match_per_sample_feeds(steps, window, drift, limit,
                         f"txrate:{pub.hex()[:16]}", window)
                     assert _settled_state(sleeping, pub) == \
                         _baseline_state(want)
+
+
+_PIECE = metrics._DIGEST_PIECE
+_json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(min_value=-2 ** 70,
+                                          max_value=2 ** 70),
+    st.sampled_from([-0.0, 0.0, 1e-05, 2.5e-300, 1e300, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=6))
+_state_keys = st.text(alphabet="abéü中☃\U0001f600\"\\\n",
+                      max_size=4)
+
+
+@st.composite
+def _states(draw):
+    """A state shaped like ``snapshot_state``'s: scalars and dicts at the
+    top, each dict empty, within one piece, at a piece's edge or over
+    several; the dicts' values are scalars or small dicts of their own."""
+    state = draw(st.dictionaries(_state_keys, _json_scalars, max_size=4))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        size = draw(st.sampled_from(
+            [0, 1, _PIECE - 1, _PIECE, _PIECE + 1, 2 * _PIECE + 3])
+            | st.integers(min_value=0, max_value=3 * _PIECE))
+        prefix = draw(_state_keys)
+        values = draw(st.lists(
+            _json_scalars | st.dictionaries(_state_keys, _json_scalars,
+                                            max_size=3),
+            min_size=1, max_size=8))
+        state[draw(_state_keys)] = {
+            f"{prefix}{(i * 7919) % (size + 1)}{i}": values[i % len(values)]
+            for i in range(size)}
+    return state
+
+
+@given(_states())
+@example({})
+@example({"devices": {}, "tick": 0})
+@example({"é": {"中": -0.0, "a": None}, "b": 1e-05, "c": None})
+@settings(max_examples=150, deadline=None)
+def test_piecewise_state_digest_equals_the_one_shot_digest(state):
+    body = json.dumps(state, sort_keys=True, separators=(",", ":"))
+    assert metrics._state_digest(state) == \
+        hashlib.sha256(body.encode()).hexdigest()

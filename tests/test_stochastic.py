@@ -1,9 +1,21 @@
 import pytest
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives.asymmetric.ed25519 import (
+    Ed25519PrivateKey,
+    Ed25519PublicKey,
+)
+from hypothesis import example, given, settings, strategies as st
 
 from gdpsim import stochastic, transmission
 from gdpsim.errors import InsufficientNodes
 from gdpsim.onboarding import DeviceStatus
-from gdpsim.primitives import SeededRng, digest, sign
+from gdpsim.primitives import (
+    SeededRng,
+    Signature,
+    digest,
+    generate_keypair,
+    sign,
+)
 from gdpsim.stochastic import (
     TargetKind,
     challenge_proposer,
@@ -19,7 +31,7 @@ from gdpsim.stochastic import (
 )
 from gdpsim.transmission import Verdict
 
-
+from conftest import mini_world
 
 
 def test_should_inspect_extremes():
@@ -94,7 +106,7 @@ def test_challenge_proposer_nonresponder_penalized(world):
     assert world.reputation_accounts[proposer].score < before
 
 
-def _witnessed_txn(world, tamper=False):
+def _witnessed_txn(world, tamper=False, before_commits=None):
     from gdpsim.world import GroundTruth
     senders = world.sender_pool()
     payload = b"the real payload"
@@ -104,6 +116,8 @@ def _witnessed_txn(world, tamper=False):
                                           advertised)
     world.ground_truth[txn.id] = GroundTruth(true_digest, tamper, len(payload))
     transmission.open_panel(world, txn, SeededRng(6))
+    if before_commits is not None:
+        before_commits(txn)
     salts = {}
     for witness in txn.panel:
         salts[witness] = world.actors[witness].make_salt()
@@ -145,6 +159,96 @@ def test_deep_inspect_catches_forged_attestation_signatures(world):
     assert set(last_inspection(world).detail["evidence"]) == {
         f"attestation signature invalid for {att.witness.hex()[:16]}"
         for att in (first, second, third)}
+
+
+# What becomes of one panel seat's attestation around its commit and before
+# a deep inspection: kept as committed; given explicit bytes, right or made
+# with another witness's key; given another seat's signature as committed, or
+# its own signature read and stored back; signed over another message; kept
+# while the witness's key rotates, or signed again with the rotated key;
+# committed after the key rotated; or swapped for one the same keys made for
+# another txn.
+_SEAT_CASES = ("as_committed", "explicit", "explicit_wrong", "swapped",
+               "read_back", "other_message", "rotated", "rotated_resigned",
+               "rotated_before_commit", "foreign_txn")
+
+
+def _ed25519_accepts(public: bytes, signature: Signature,
+                     message: bytes) -> bool:
+    """Whether ``signature`` is ``public``'s and its bytes, computed here if
+    it is unread, verify over ``message`` with Ed25519 itself."""
+    try:
+        Ed25519PublicKey.from_public_bytes(public).verify(signature.sig,
+                                                          message)
+    except InvalidSignature:
+        return False
+    return signature.signer == public
+
+
+@given(st.lists(st.sampled_from(_SEAT_CASES), min_size=5, max_size=5),
+       st.lists(st.integers(min_value=0, max_value=4), min_size=5,
+                max_size=5))
+@example(["as_committed"] * 5, [0] * 5)
+@example(["swapped"] * 5, [1, 0, 3, 4, 2])
+@example(["rotated", "rotated_resigned", "other_message", "explicit",
+          "explicit_wrong"], [0] * 5)
+@example(["rotated_before_commit", "foreign_txn", "read_back",
+          "as_committed", "swapped"], [0] * 5)
+@settings(max_examples=80, deadline=None)
+def test_deep_inspection_decides_as_ed25519_on_eager_bytes(cases, others):
+    """An attestation that ``witness_commit`` built holds no signature, and
+    the one its ``signature`` reads is signed by construction. Whatever is done to the panel's attestations after the
+    commit, the inspection flags exactly the seats whose signature, as
+    ``att.signature`` reads it, fails Ed25519 on its eager bytes."""
+    world = mini_world()
+
+    def rotate_before_commits(txn):
+        for i, (witness, case) in enumerate(zip(txn.panel, cases)):
+            if case == "rotated_before_commit":
+                world.actors[witness].keypair = generate_keypair(
+                    SeededRng(2000 + i))
+
+    txn = _witnessed_txn(world, before_commits=rotate_before_commits)
+    atts = list(txn.attestations.values())
+    assert len(atts) == 5
+    assert all(transmission._EXPLICIT.__get__(att) is None for att in atts)
+    committed = [att.signature for att in atts]
+    for i, (att, case, other) in enumerate(zip(atts, cases, others)):
+        actor = world.actors[att.witness]
+        message = txn.id + att.commit
+        if case == "explicit":
+            att.signature = Signature(
+                sig=Ed25519PrivateKey.from_private_bytes(
+                    att.keys.secret_key).sign(message), signer=att.witness)
+        elif case == "explicit_wrong":
+            foreign = atts[(i + 1 + other % 4) % 5].keys.secret_key
+            att.signature = Signature(
+                sig=Ed25519PrivateKey.from_private_bytes(foreign).sign(message),
+                signer=att.witness)
+        elif case == "swapped":
+            att.signature = committed[other]
+        elif case == "read_back":
+            att.signature = att.signature
+            att.signature.sig
+        elif case == "other_message":
+            att.signature = sign(actor.keypair.secret_key,
+                                 digest(b"another txn") + att.commit)
+        elif case in ("rotated", "rotated_resigned"):
+            actor.keypair = generate_keypair(SeededRng(1000 + i))
+            if case == "rotated_resigned":
+                att.signature = sign(actor.keypair.secret_key, message)
+        elif case == "foreign_txn":
+            atts[i] = txn.attestations[att.witness] = transmission.Attestation(
+                witness=att.witness, txn_id=digest(b"another txn"),
+                commit=att.commit, keys=att.keys,
+                revealed_verdict=att.revealed_verdict, salt=att.salt)
+    passed = deep_inspect_transaction(world, txn)
+    flagged = {att.witness.hex()[:16] for att in atts
+               if not _ed25519_accepts(att.witness, att.signature,
+                                       txn.id + att.commit)}
+    assert passed == (not flagged)
+    assert set(last_inspection(world).detail["evidence"]) == {
+        f"attestation signature invalid for {witness}" for witness in flagged}
 
 
 def test_deep_inspect_failure_routes_downstream(world):

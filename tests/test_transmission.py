@@ -562,3 +562,32 @@ def test_deep_flags_draw_only_for_witnesses_that_can_object(monkeypatch):
     for att in drawn:
         assert att is not None and not att.equivocated
         assert att.revealed_verdict is Verdict.INVALID
+
+
+def test_witness_seats_hold_no_signature_objects():
+    """A witness's attestation is signed by construction and holds no
+    ``Signature``, so after a run the only ones left on the heap are those
+    of the votes and proposals the world still holds. The run is the
+    benchmark's criterion-1 sweep shape at seed 0: 2,720 txns and 13,600
+    attestations."""
+    import gc
+
+    from gdpsim.consensus import Proposal, Vote
+    from gdpsim.primitives import Signature
+    from gdpsim.world import run_world
+
+    cfg = get_scenario("collusion_below_quorum")
+    cfg.seed = 0
+    cfg.txn_arrival_rate = 8.0
+    cfg.duration_ticks, cfg.drain_ticks = 400, 60
+    gc.collect()
+    before = sum(1 for o in gc.get_objects() if type(o) is Signature)
+    world = run_world(cfg)
+    gc.collect()
+    heap = gc.get_objects()
+    signatures = sum(1 for o in heap if type(o) is Signature) - before
+    held = {id(o.signature) for o in heap if type(o) in (Vote, Proposal)}
+    attestations = sum(len(txn.attestations)
+                       for txn in world.transactions.values())
+    assert attestations > 10_000
+    assert 0 < signatures <= len(held)

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import gdpsim
-from gdpsim import actors, incentives, metrics, transmission
+from gdpsim import actors, consensus, incentives, metrics, transmission
 from gdpsim import world as world_mod
 from gdpsim.anomaly import StreamBaseline
 from gdpsim.config import AdversarySpec, ScenarioConfig
@@ -253,6 +253,36 @@ def test_forged_sync_scenario_catches_propagator():
     # the victim still caught up from an honest source afterwards
     heights = {world.height(p) for p in world.active_devices()}
     assert len(heights) == 1
+
+
+def test_staggered_outages_catch_up_through_the_laggard_sync(monkeypatch):
+    """Devices back from an outage sit below the head until ``_sync_lagging``
+    brings them up; the built-ins reach that path at most twice a run. Here
+    eight staggered outages send eight devices through it, and the run
+    still replays to the live state with every node's ledger a prefix of
+    the canonical chain."""
+    from gdpsim.config import OutageSpec
+    cfg = get_scenario("baseline")
+    cfg.outages = [OutageSpec(device_index=i, start=40 + 25 * i, duration=15)
+                   for i in range(8)]
+    synced = []
+    sync_lagging = world_mod._sync_lagging
+
+    def recording(world):
+        behind = {p: world.height(p) for p in world.behind}
+        sync_lagging(world)
+        synced.extend(p for p, height in behind.items()
+                      if world.height(p) > height)
+
+    monkeypatch.setattr(world_mod, "_sync_lagging", recording)
+    world = run_world(cfg)
+    assert len(set(synced)) >= 8
+    assert replay_matches_world(world) == {}
+    # a node's ledger is the canonical chain up to its height, so it is a
+    # prefix when the chain verifies and the height is within it
+    consensus.verify_chain(world, world.canonical.blocks)
+    assert all(0 <= world.height(p) <= world.canonical.height
+               for p in world.devices)
 
 
 def test_quarantine_exclusion_is_total():
@@ -608,12 +638,18 @@ _MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem",
              "symmetric_difference_update"}
 
 
+# the class whose every construction sets an owned attribute
+_BUILT_BY = {"operator_group": "DeviceProfile", "commit": "Attestation",
+             "txn_id": "Attestation"}
+
+
 def _owned_writes(tree, attrs):
     """(line, enclosing ``Class.function`` or function) of each store to an
     attribute named in ``attrs`` or to an item of one, augmented, unpacked
     or through ``setattr``; of each ``del`` of one or of its items; of each
-    call of a mutating method on one; and, for ``operator_group``, of each
-    ``DeviceProfile`` built or ``replace``d with one."""
+    call of a mutating method on one; of each ``replace`` naming one; and
+    of each construction of a class in ``_BUILT_BY`` for one."""
+    builders = {_BUILT_BY[attr] for attr in attrs if attr in _BUILT_BY}
     found = []
 
     def named(node):
@@ -647,9 +683,8 @@ def _owned_writes(tree, attrs):
                   and isinstance(node.args[1], ast.Constant)
                   and node.args[1].value in attrs):
                 found.append((node.lineno, where))
-            elif "operator_group" in attrs and (
-                    name == "DeviceProfile" or name == "replace" and any(
-                        k.arg == "operator_group" for k in node.keywords)):
+            elif name in builders or name == "replace" and any(
+                    k.arg in attrs for k in node.keywords):
                 found.append((node.lineno, where))
         for child in ast.iter_child_nodes(node):
             visit(child, owner, func)
@@ -660,6 +695,77 @@ def _owned_writes(tree, attrs):
 
 _KEPT_SET = {"active", "order", "status_version", "active_per_group"}
 _KEPT_HEIGHTS = {"heights", "behind"}
+
+
+_ATTESTATION_BINDING = {"commit", "txn_id"}
+
+
+def test_an_attestation_is_bound_once_at_its_commit():
+    """``witness_commit`` signs an attestation by construction: it keeps
+    the witness's keys, and ``signature`` is made with them over ``txn_id +
+    commit`` when it is read. That is the signature the commit would have
+    made only while neither field changes, so
+    ``witness_commit`` alone sets them, when it builds the attestation, and
+    no module writes them after."""
+    package = Path(gdpsim.__file__).parent
+    writers = sorted({(path.name, where)
+                      for path in sorted(package.glob("*.py"))
+                      for _, where in _owned_writes(
+                          ast.parse(path.read_text()), _ATTESTATION_BINDING)})
+    assert writers == [("transmission.py", "witness_commit")]
+    sample = ("def f(att, c):\n"
+              "    att.commit = c\n"
+              "    att.txn_id, x = c, 1\n"
+              "    setattr(att, 'commit', c)\n"
+              "    replace(att, txn_id=c)\n"
+              "    Attestation(b'', c, c)\n"
+              "    del att.commit\n"
+              "    replace(att, salt=c)\n"
+              "    print(att.commit + att.txn_id, c.commit_id)\n")
+    assert _owned_writes(ast.parse(sample), _ATTESTATION_BINDING) == [
+        (n, "f") for n in range(2, 8)]
+
+
+def _copies(tree):
+    """Lines that import ``copy`` or ``pickle``, or name
+    ``dataclasses.replace``: each copies an object field by field."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            copier = any(alias.name.split(".")[0] in ("copy", "pickle")
+                         for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            copier = node.module in ("copy", "pickle") or (
+                node.module == "dataclasses"
+                and any(alias.name == "replace" for alias in node.names))
+        else:
+            copier = (isinstance(node, ast.Attribute)
+                      and node.attr == "replace"
+                      and isinstance(node.value, ast.Name)
+                      and node.value.id == "dataclasses")
+        if copier:
+            found.append(node.lineno)
+    return sorted(found)
+
+
+def test_no_module_copies_an_attestation():
+    """A copy of an attestation signed by construction reads its
+    ``signature`` and holds that ``Signature`` explicitly, the per-seat
+    object the commit no longer builds. An attestation's type cannot be
+    told from the source, so no module may copy any object by
+    ``dataclasses.replace``, ``copy`` or ``pickle``."""
+    package = Path(gdpsim.__file__).parent
+    copies = [(path.name, line) for path in sorted(package.glob("*.py"))
+              for line in _copies(ast.parse(path.read_text()))]
+    assert copies == []
+    sample = ("import copy\n"
+              "from pickle import dumps\n"
+              "from dataclasses import field, replace\n"
+              "import dataclasses, json\n"
+              "dataclasses.replace(att)\n"
+              "name.replace('a', 'b')\n"
+              "from copy import deepcopy\n")
+    assert _copies(ast.parse(sample)) == [1, 2, 3, 5, 7]
 
 
 def test_the_active_set_and_operator_groups_have_one_writer_each():
