@@ -194,32 +194,40 @@ class EventLog:
 _encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
-class _Encoded(dict):
-    """Each string's JSON encoding, computed on first use. Actors, kinds and
-    subjects repeat across a log, so a write keeps one of these for its own
-    call and encodes each distinct string once."""
+class _Memo(dict):
+    """``make(key)`` for each key asked for, computed on first use."""
 
-    def __missing__(self, text: str) -> str:
-        encoded = self[text] = _encode(text)
-        return encoded
+    __slots__ = ("make",)
 
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
 
-def _logged_types(tick, kind, actor, subject) -> bool:
-    """Whether the tick is an ``int`` and the actor, kind and subject are
-    ``str`` (exact types). Only such an event goes through a write's memos
-    and ``_jsonl_line``: ``1 == True == 1.0`` would share a memo entry, and
-    a bool or float tick would break the template."""
-    return (type(tick) is int
-            and type(actor) is type(kind) is type(subject) is str)
+    def __missing__(self, key) -> str:
+        value = self[key] = self.make(key)
+        return value
 
 
-def _jsonl_line(tick, kind, actor, subject, detail_json: str,
-                strings: _Encoded) -> str:
-    """The line of an event of the logged types around its detail JSON,
-    with ``strings`` a write's memo of encoded actors, kinds and subjects."""
-    return (f'{{"actor":{strings[actor]},"detail":{detail_json},'
+def _logged_types(ticks, kinds, actors, subjects) -> bool:
+    """Whether every tick is an ``int`` and every kind, actor and subject a
+    ``str`` (exact types), one column each. Only a batch of such events goes
+    through a write's memos and ``_jsonl_lines``: ``1 == True == 1.0`` would
+    share a memo entry, and a bool or float tick would break the template."""
+    return (set(map(type, ticks)) == {int}
+            and set(map(type, kinds)).union(map(type, actors),
+                                            map(type, subjects)) == {str})
+
+
+def _jsonl_lines(ticks, kinds, actors, subjects, details_json,
+                 strings: _Memo) -> list[str]:
+    """The lines of events of the logged types, one column each, around
+    their details' JSON, with ``strings`` a write's memo of encoded actors,
+    kinds and subjects."""
+    return [f'{{"actor":{strings[actor]},"detail":{detail},'
             f'"kind":{strings[kind]},"subject":{strings[subject]},'
-            f'"tick":{tick}}}\n')
+            f'"tick":{tick}}}\n'
+            for tick, kind, actor, subject, detail
+            in zip(ticks, kinds, actors, subjects, details_json)]
 
 
 def _record_line(tick, kind, actor, subject, detail: dict) -> str:
@@ -232,11 +240,12 @@ def encode_event(ev: Event) -> tuple[str, str]:
     """The event's ``events.jsonl`` line, byte-equal to ``json.dumps`` of the
     record with sorted keys, and the detail JSON inside it: the one-event
     reference for ``write_log``."""
-    fields = ev.tick, ev.kind, ev.actor, ev.subject
+    columns = [ev.tick], [ev.kind], [ev.actor], [ev.subject]
     detail = _encode(ev.detail) if ev.detail else "{}"
-    if _logged_types(*fields):
-        return _jsonl_line(*fields, detail, _Encoded()), detail
-    return _record_line(*fields, ev.detail), detail
+    if _logged_types(*columns):
+        return _jsonl_lines(*columns, [detail], _Memo(_encode))[0], detail
+    return _record_line(ev.tick, ev.kind, ev.actor, ev.subject,
+                        ev.detail), detail
 
 
 # ``write_log`` encodes details a batch at a time: each ``_encode`` call builds
@@ -246,10 +255,11 @@ _BREAK = "\x1e"         # put between a batch's details (ASCII record separator)
 _SPLIT = "," + _encode(_BREAK) + ","
 
 
-def _encode_details(details: list) -> list[str]:
-    """The JSON of each detail, equal to ``encode_event``'s, from one
-    ``_encode`` of a list of the non-empty details with ``_BREAK`` between
-    them.
+def _encode_batch(distinct: dict) -> dict[int, str]:
+    """The JSON of each detail of ``distinct``, a batch's distinct detail
+    objects keyed by ``id``, under the same key: equal to ``encode_event``'s,
+    from one ``_encode`` of a list of the non-empty details with ``_BREAK``
+    between them.
 
     The list's JSON is split back on ``_SPLIT``. Every split the encoder put
     between two details is found, because ``_SPLIT`` holds no brace while a
@@ -258,24 +268,16 @@ def _encode_details(details: list) -> list[str]:
     adds pieces: then the count differs, and the batch takes one ``_encode``
     per detail.
     """
-    full = [detail for detail in details if detail]
-    if not full:
-        return ["{}"] * len(details)
-    items = [_BREAK] * (2 * len(full) - 1)
-    items[::2] = full
-    pieces = _encode(items)[1:-1].split(_SPLIT)
-    if len(pieces) != len(full):
-        pieces = [_encode(detail) for detail in full]
-    pieces = iter(pieces)
-    return [next(pieces) if detail else "{}" for detail in details]
-
-
-def _encoded_batches(details: list):
-    """The detail column in batches of up to ``_BATCH``, in ref order, each
-    with its details' JSON."""
-    for start in range(0, len(details), _BATCH):
-        batch = details[start:start + _BATCH]
-        yield batch, _encode_details(batch)
+    encoded = dict.fromkeys(distinct, "{}")
+    full = [detail for detail in distinct.values() if detail]
+    if full:
+        items = [_BREAK] * (2 * len(full) - 1)
+        items[::2] = full
+        pieces = _encode(items)[1:-1].split(_SPLIT)
+        if len(pieces) != len(full):
+            pieces = [_encode(detail) for detail in full]
+        encoded.update(zip(map(id, full), pieces))
+    return encoded
 
 
 def read_events_jsonl(path: Path) -> EventLog:
@@ -331,18 +333,8 @@ def _line(cells) -> str:
     return ",".join(map(_cell, cells)) + "\r\n"
 
 
-class _Cells(dict):
-    """Each str and int's ``_cell``, computed on first use. Ticks, subjects,
-    kinds and actors repeat across a log, so a write keeps one of these for
-    its events of the logged types."""
-
-    def __missing__(self, value) -> str:
-        cell = self[value] = _cell(value)
-        return cell
-
-
 class _FreshCells:
-    """``_Cells`` without the memo, for an event of other types."""
+    """``_Memo(_cell)`` without the memo, for a batch of other types."""
 
     def __getitem__(self, value) -> str:
         return _cell(value)
@@ -351,36 +343,59 @@ class _FreshCells:
 _FRESH = _FreshCells()
 
 
-# Each table's line is built from an event's tick, kind, actor, subject and
-# detail, its detail JSON and the write's ``_Cells`` (``_FRESH`` for an event
-# of other types).
+def _incentive_tail(detail: dict) -> str:
+    """The cells an ``incentives.csv`` line takes from its detail, ended."""
+    return _line((detail["incentive_kind"], detail["delta"], detail["cause"]))
 
-def _transaction_line(tick, kind, actor, subject, detail, detail_json,
+
+class _DetailTexts:
+    """The text a write builds from one batch's details, once per distinct
+    detail object and keyed by its ``id``: ``json``, each detail's JSON;
+    ``quoted``, that JSON as a CSV cell; ``tails``, what an
+    ``incentives.csv`` line takes from it, the last two built on first use.
+
+    Nothing is keyed by value or by JSON text: ``1``, ``True`` and ``1.0``
+    are equal values written apart, and an ``Enum`` member mixed with
+    ``int`` or ``str`` encodes as its value, though ``str()`` gives its name.
+    The log holds every detail for the whole write, so no id is reused while
+    a batch's texts live."""
+
+    __slots__ = ("json", "quoted", "tails")
+
+    def __init__(self, details: list):
+        distinct = dict(zip(map(id, details), details))
+        self.json = encoded = _encode_batch(distinct)
+        self.quoted = _Memo(lambda key: _detail_cell(encoded[key]))
+        self.tails = _Memo(lambda key: _incentive_tail(distinct[key]))
+
+
+# Each table's line is built from an event's tick, kind, actor, subject and
+# detail, its batch's ``_DetailTexts`` and the write's memo of ``_cell``
+# (``_FRESH`` for a batch of other types).
+
+def _transaction_line(tick, kind, actor, subject, detail, texts,
                       cells) -> str:
     return (f"{cells[tick]},{cells[subject]},{cells[kind]},{cells[actor]},"
-            f"{_detail_cell(detail_json)}\r\n")
+            f"{texts.quoted[id(detail)]}\r\n")
 
 
-def _alert_line(tick, kind, actor, subject, detail, detail_json,
-                cells) -> str:
+def _alert_line(tick, kind, actor, subject, detail, texts, cells) -> str:
     return _line((tick, detail["stream"], subject, detail["alert_kind"],
                   detail["z_score"], detail["value"]))
 
 
-def _incentive_line(tick, kind, actor, subject, detail, detail_json,
+def _incentive_line(tick, kind, actor, subject, detail, texts,
                     cells) -> str:
-    return _line((tick, subject, detail["incentive_kind"], detail["delta"],
-                  detail["cause"]))
+    return f"{cells[tick]},{cells[subject]},{texts.tails[id(detail)]}"
 
 
-def _dispute_line(tick, kind, actor, subject, detail, detail_json,
-                  cells) -> str:
+def _dispute_line(tick, kind, actor, subject, detail, texts, cells) -> str:
     stage = _cell(detail.get("stage", kind))
     return (f"{cells[tick]},{cells[subject]},{stage},"
-            f"{_detail_cell(detail_json)}\r\n")
+            f"{texts.quoted[id(detail)]}\r\n")
 
 
-def _inspection_line(tick, kind, actor, subject, detail, detail_json,
+def _inspection_line(tick, kind, actor, subject, detail, texts,
                      cells) -> str:
     return _line((tick, detail["target_kind"], subject, detail["passed"],
                   ";".join(str(r) for r in detail.get("evidence", []))))
@@ -409,10 +424,13 @@ CSV_TABLES = (
 
 def write_log(log: EventLog, out_dir: Path) -> None:
     """Write ``events.jsonl`` and every CSV table in one scan of the log's
-    columns, encoding each detail once, writing each batch's
-    ``events.jsonl`` lines at once and streaming each CSV line to its
-    file."""
-    strings, cells = _Encoded(), _Cells()
+    columns, a batch of ``_BATCH`` events at a time: each distinct detail
+    object of a batch is encoded, and its CSV text built, once; the batch's
+    ``events.jsonl`` lines are written at once, and each CSV line streams
+    to its file."""
+    # ticks, kinds, actors and subjects repeat across a log: a write encodes
+    # each distinct one, and builds each one's CSV cell, once
+    strings, cells = _Memo(_encode), _Memo(_cell)
     ticks, kinds, actors, subjects, details = log.columns()
     with ExitStack() as stack:
         jsonl = stack.enter_context(open(out_dir / "events.jsonl", "w"))
@@ -421,25 +439,26 @@ def write_log(log: EventLog, out_dir: Path) -> None:
             fh = stack.enter_context(open(out_dir / name, "w", newline=""))
             fh.write(_line(header))
             route.update((kind, (fh.write, row)) for kind in table_kinds)
-        start = 0
-        for batch, encoded in _encoded_batches(details):
-            stop = start + len(batch)
-            lines = []
-            for tick, kind, actor, subject, detail, detail_json in zip(
-                    ticks[start:stop], kinds[start:stop], actors[start:stop],
-                    subjects[start:stop], batch, encoded):
-                plain = _logged_types(tick, kind, actor, subject)
-                lines.append(
-                    _jsonl_line(tick, kind, actor, subject, detail_json,
-                                strings) if plain
-                    else _record_line(tick, kind, actor, subject, detail))
+        for start in range(0, len(details), _BATCH):
+            stop = start + _BATCH
+            fields = (ticks[start:stop], kinds[start:stop],
+                      actors[start:stop], subjects[start:stop])
+            batch = details[start:stop]
+            texts = _DetailTexts(batch)
+            if _logged_types(*fields):
+                memo = cells
+                jsonl.write("".join(_jsonl_lines(
+                    *fields, map(texts.json.__getitem__, map(id, batch)),
+                    strings)))
+            else:
+                memo = _FRESH
+                jsonl.write("".join(map(_record_line, *fields, batch)))
+            for tick, kind, actor, subject, detail in zip(*fields, batch):
                 routed = route.get(kind)
                 if routed is not None:
                     write, row = routed
-                    write(row(tick, kind, actor, subject, detail, detail_json,
-                              cells if plain else _FRESH))
-            jsonl.write("".join(lines))
-            start = stop
+                    write(row(tick, kind, actor, subject, detail, texts,
+                              memo))
 
 
 def write_ledger_csv(blocks, path: Path) -> None:

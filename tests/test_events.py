@@ -7,6 +7,7 @@ import io
 import json
 import math
 import tempfile
+from enum import Enum
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -173,15 +174,19 @@ batch_details = st.one_of(
 
 
 def _counting_encodes(calls: list):
-    """Patch the shared encoder to append the type of each value it is
-    given to ``calls``."""
+    """Patch the shared encoder to append each value it is given to
+    ``calls``."""
     encode = events._encode
 
     def counting(value):
-        calls.append(type(value))
+        calls.append(value)
         return encode(value)
 
     return mock.patch.object(events, "_encode", counting)
+
+
+def _types(calls: list) -> list:
+    return [type(value) for value in calls]
 
 
 @given(st.lists(batch_details, min_size=1, max_size=12),
@@ -191,25 +196,25 @@ def _counting_encodes(calls: list):
 @settings(max_examples=150, deadline=None)
 def test_batch_encoding_equals_one_encode_per_detail(pool, picks, length):
     """Each batch's detail JSON equals ``_encode`` of each detail on its own
-    (``"{}"`` for an empty one), and a batch whose details hold the split
-    string in their JSON takes one ``_encode`` per detail instead."""
+    (``"{}"`` for an empty one), keyed by the detail's ``id``. A batch makes
+    one list ``_encode`` over its distinct non-empty details, or, when their
+    JSON holds the split string, one ``_encode`` per distinct non-empty
+    detail instead."""
     details = [pool[picks[i % len(picks)] % len(pool)] for i in range(length)]
+    batches = [details[start:start + B] for start in range(0, length, B)]
     calls = []
     with _counting_encodes(calls):
-        batches = list(events._encoded_batches(details))
+        encoded = [events._DetailTexts(batch).json for batch in batches]
     encode = events._encode
-    assert [len(batch) for batch, _ in batches] == \
-        [min(B, length - start) for start in range(0, length, B)]
-    assert [d for batch, _ in batches for d in batch] == details
-    assert [d for _, batch_details in batches for d in batch_details] == \
-        [encode(d) if d else "{}" for d in details]
     lists = dicts = 0
-    for batch, _ in batches:
-        full = [encode(detail) for detail in batch if detail]
+    for batch, by_id in zip(batches, encoded):
+        assert by_id == {id(d): encode(d) if d else "{}" for d in batch}
+        full = [encode(d) for d in {id(d): d for d in batch}.values() if d]
         lists += bool(full)
         if any(events._SPLIT in detail for detail in full):
             dicts += len(full)
-    assert (calls.count(list), calls.count(dict)) == (lists, dicts)
+    assert (_types(calls).count(list), _types(calls).count(dict)) == \
+        (lists, dicts)
 
 
 def test_a_log_with_no_break_encodes_its_details_a_batch_at_a_time(tmp_path):
@@ -220,8 +225,22 @@ def test_a_log_with_no_break_encodes_its_details_a_batch_at_a_time(tmp_path):
     calls = []
     with _counting_encodes(calls):
         write_log(log, tmp_path)
-    assert calls.count(list) <= -(-2000 // B)
-    assert calls.count(dict) == 0
+    assert _types(calls).count(list) <= -(-2000 // B)
+    assert _types(calls).count(dict) == 0
+
+
+def test_a_detail_every_event_shares_is_encoded_once_per_batch(tmp_path):
+    shared = {"status": "Witnessed", "votes": [1, None]}
+    log = EventLog()
+    for tick in range(2000):
+        log.append_row(tick, "txn_status", "a", f"t{tick}", shared)
+    calls = []
+    with _counting_encodes(calls):
+        write_log(log, tmp_path)
+    lists = [value for value in calls if type(value) is list]
+    assert [[item is shared for item in value] for value in lists] == \
+        [[True]] * -(-2000 // B)
+    assert _types(calls).count(dict) == 0
 
 
 # --- the one-scan exporter equals the per-file writers ----------------------
@@ -314,6 +333,39 @@ def test_fields_of_other_types_are_written_as_json_and_csv_write_them(
             {"tick": ev.tick, "kind": ev.kind, "actor": ev.actor,
              "subject": ev.subject, "detail": ev.detail},
             sort_keys=True, separators=(",", ":")) + "\n"
+
+
+class _IntMixin(int, Enum):
+    ONE = 1
+
+
+class _StrMixin(str, Enum):
+    BONUS = "Bonus"
+
+
+def test_detail_texts_are_keyed_by_the_detail_object(tmp_path):
+    """Distinct dicts of equal value (``1 == True == 1.0``, ``0.0 == -0.0``)
+    encode apart, and a dict holding an ``int``- or ``str``-mixin ``Enum``
+    member encodes as one holding its plain value, though ``str`` may write
+    the member apart. Sharing batches, each must be written as itself in
+    ``events.jsonl`` and in every CSV line built from it. The first dict is
+    also logged under ticks of other types at the end, which send the last
+    batch to the reference paths."""
+    deltas = [1, True, 1.0, 0.0, -0.0, _IntMixin.ONE, _StrMixin.BONUS, "Bonus"]
+    details = [{"incentive_kind": "Bonus", "delta": delta, "cause": "c"}
+               for delta in deltas]
+    details += [{"incentive_kind": _StrMixin.BONUS, "delta": 1,
+                 "cause": _StrMixin.BONUS},
+                {"incentive_kind": "Bonus", "delta": 1, "cause": "Bonus"}]
+    log = _mixed_log(1)
+    for i in range(B + 100):
+        for kind in ("incentive", "txn_status", "dispute_stage"):
+            log.append_row(100 + i // 4, kind, "a", f"s{i % 7}",
+                           details[i % len(details)])
+    for tick in (True, 1.0, 300):
+        log.append_row(tick, "incentive", "a", "s", details[0])
+    assert len(log) > 2 * B
+    _assert_write_log_reproduces(log, tmp_path)
 
 
 # what each built-in brings that the mixed log lacks: sybil_flood logs over a
@@ -443,7 +495,7 @@ def test_every_table_row_matches_csv_writer(tick, kind, actor, subject,
         [table[0] for table in REFERENCE_TABLES]
     for ev in (Event(tick, kind, actor, subject, detail),
                Event(tick, kind, actor, subject, {})):
-        detail_json = _stable_detail(ev.detail)
+        texts = events._DetailTexts([ev.detail])
         for (name, header, _, row), (_, ref_header, _, reference) in zip(
                 CSV_TABLES, REFERENCE_TABLES):
             assert list(header) == ref_header, name
@@ -451,8 +503,8 @@ def test_every_table_row_matches_csv_writer(tick, kind, actor, subject,
                 expected = _csv_line(reference(ev))
             except KeyError:  # a table whose row reads a key {} lacks
                 continue
-            assert row(*_fields(ev), detail_json, events._Cells()) == \
-                expected, name
+            cells = events._Memo(events._cell)
+            assert row(*_fields(ev), texts, cells) == expected, name
 
 
 # values equal across types (1 == True == 1.0, 0.0 == -0.0) and strings
@@ -474,18 +526,18 @@ _full_detail = {key: 0 for key in ("stream", "alert_kind", "z_score", "value",
           (-0.0, "k", "a", "s", dict(_full_detail, stage=-0.0))])
 @settings(max_examples=300, deadline=None)
 def test_a_shared_cell_memo_builds_what_fresh_memos_build(rows):
-    """A write shares one ``_Cells`` across the rows of its events of the
-    logged types and builds any other event's cells afresh; each row must
-    still equal the row built with no memo."""
-    shared = events._Cells()
+    """A write shares one memo of ``_cell`` across the rows of its batches
+    of the logged types and builds any other batch's cells afresh; each row
+    must still equal the row built with no memo."""
+    shared = events._Memo(events._cell)
     for tick, kind, actor, subject, detail in rows:
-        detail_json = _stable_detail(detail)
-        memo = (shared if events._logged_types(tick, kind, actor, subject)
+        texts = events._DetailTexts([detail])
+        memo = (shared if events._logged_types([tick], [kind], [actor],
+                                               [subject])
                 else events._FRESH)
         for name, _, _, row in CSV_TABLES:
-            assert row(tick, kind, actor, subject, detail, detail_json,
-                       memo) == \
-                row(tick, kind, actor, subject, detail, detail_json,
+            assert row(tick, kind, actor, subject, detail, texts, memo) == \
+                row(tick, kind, actor, subject, detail, texts,
                     events._FRESH), name
 
 

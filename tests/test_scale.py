@@ -1,18 +1,23 @@
-"""Scale gate: a tick's phases do work that grows with the tick's work, not
-with the population.
+"""Scale gates: a tick's phases do work that grows with the tick's work, not
+with the population or with the run's history.
 
-The criterion-2 population runs at 200 and at 800 colluders, the same
-arrival rate, 60 ticks and seed 0. Every phase that ``world.step`` calls
-is wrapped, and ``sys.settrace`` counts the trace events inside it: each
-frame's ``call``, its ``line`` events and its ``return``. Counts differ
-across Python versions, so the gate compares the ratio of the two runs'
-counts, never a count. Timing would not do: on a shared host single runs
-spread by up to 2x. The ratios below were measured on Python 3.11 only.
+Every phase that ``world.step`` calls is wrapped, and ``sys.settrace`` counts
+the trace events inside it: each frame's ``call``, its ``line`` events and
+its ``return``. Counts differ across Python versions, so each gate compares
+the ratio of two counts, never a count. Timing would not do: on a shared host
+single runs spread by up to 2x. The ratios below were measured on Python 3.11
+only.
+
+- Population: the criterion-2 population runs at 200 and at 800 colluders,
+  the same arrival rate, 60 ticks and seed 0.
+- History: the criterion-2 population as criterion 2 runs it (700
+  colluders, its scenario's seed) is counted per tick over its first T and
+  its first 2T ticks after the 100-sample stream windows have filled.
 
 The tracer sees Python frames and lines, not work done inside a C builtin:
 ``list.copy()``, ``sorted``, ``sum`` over a list or a membership test on a
 list emit no event per element, so an O(N) step of that kind goes unseen.
-A scan written as a Python loop or a generator is what the gate catches.
+A scan written as a Python loop or a generator is what the gates catch.
 """
 
 import ast
@@ -61,13 +66,21 @@ def step_phases() -> list:
     return phases
 
 
-def phase_work(colluders: int) -> dict:
-    """Phase name -> trace events it saw in one run."""
-    cfg = population_cfg(TICKS, DRAIN)
+def population(colluders: int, ticks: int, drain: int):
+    cfg = population_cfg(ticks, drain)
     cfg.seed = 0
     cfg.adversaries[0].count = colluders
+    return cfg
+
+
+def phase_work(cfg, ticks: int, skip: int = 0) -> dict:
+    """Phase name -> the trace events it saw in each of ``ticks`` steps of a
+    world built from ``cfg``, after ``skip`` steps that are not counted."""
     world = world_mod.build_world(cfg)
+    for _ in range(skip):
+        world_mod.step(world)
     work = {}
+    at = 0
 
     def counting(name, real):
         def counted(world):
@@ -84,7 +97,7 @@ def phase_work(colluders: int) -> dict:
                 real(world)
             finally:
                 sys.settrace(previous)
-            work[name] = work.get(name, 0) + events
+            work.setdefault(name, [0] * ticks)[at] += events
         return counted
 
     wrapped = [(module, name, getattr(module, name))
@@ -92,7 +105,7 @@ def phase_work(colluders: int) -> dict:
     try:
         for module, name, real in wrapped:
             setattr(module, name, counting(name, real))
-        for _ in range(TICKS):
+        for at in range(ticks):
             world_mod.step(world)
     finally:
         for module, name, real in wrapped:
@@ -100,20 +113,67 @@ def phase_work(colluders: int) -> dict:
     return work
 
 
+def _table(columns: tuple, ratios: dict, ceilings: dict, counts) -> str:
+    return "\n".join(
+        [f"{'phase':<26}" + "".join(f"{c:>10}" for c in columns)
+         + f"{'ratio':>8}{'ceiling':>8}"]
+        + [f"{name:<26}" + "".join(f"{c:>10}" for c in counts(name))
+           + f"{ratios[name]:>8.2f}{ceilings[name]:>8.2f}"
+           for name in ratios])
+
+
 def test_phase_work_stays_flat_in_the_population():
     assert {name for _, name in step_phases()} >= {
         "_sync_lagging", "_arrivals", "_consensus_round", "_sample_metrics"}
-    small, large = phase_work(SMALL), phase_work(LARGE)
+    small, large = ({name: sum(counts) for name, counts in
+                     phase_work(population(colluders, TICKS, DRAIN),
+                                TICKS).items()}
+                    for colluders in (SMALL, LARGE))
     ratios = {name: large[name] / max(small[name], 1) for name in small}
     ceilings = {name: MARGIN * O_N_PHASES[name] if name in O_N_PHASES
                 else CEILING for name in ratios}
-    table = "\n".join(
-        f"{name:<26}{small[name]:>10}{large[name]:>10}"
-        f"{ratios[name]:>8.2f}{ceilings[name]:>8.2f}"
-        for name in ratios)
     over = [name for name in ratios if ratios[name] > ceilings[name]]
     assert not over, (
         f"work at {LARGE} / {SMALL} colluders over its ceiling in {over}:\n"
-        f"{'phase':<26}{SMALL:>10}{LARGE:>10}{'ratio':>8}{'ceiling':>8}\n"
-        + table)
+        + _table((SMALL, LARGE), ratios, ceilings,
+                 lambda name: (small[name], large[name])))
     assert set(O_N_PHASES) <= set(ratios)
+
+
+# The history gate counts from tick WARM, once every 100-sample stream window
+# has filled (they fill near tick 100, which would read as growth), over T
+# and 2T ticks. T is a whole number of every periodic phase's period
+# (metrics are sampled every 50 ticks, incentive epochs close every 100), so
+# such a phase weighs the same per tick in both spans.
+WARM, T = 110, 100
+
+# Phases whose work per tick grows with history today, each with the ratio it
+# shows here; as with O_N_PHASES, a phase joins only with a reason, and a
+# change that makes one flat takes it off.
+HISTORY_PHASES = {
+    # a device released from a ban re-verifies every block it missed within
+    # one tick: at tick 255 one catches up 72 blocks, against ~3 trace
+    # events per tick in every other tick
+    "_sync_lagging": 55.50,
+}
+
+
+def test_phase_work_per_tick_stays_flat_in_history():
+    """The run of T ticks is the first T counted ticks of the run of 2T: a
+    seeded run is the same up to any tick however long it then goes on, so
+    one run of 2T serves as both. A phase whose work per tick grows linearly
+    with the log reads (WARM + T) / (WARM + T / 2) = 1.31 here."""
+    work = phase_work(population_cfg(WARM + 2 * T + DRAIN, DRAIN), 2 * T,
+                      skip=WARM)
+    ratios = {name: sum(counts) / (2 * max(sum(counts[:T]), 1))
+              for name, counts in work.items()}
+    ceilings = {name: MARGIN * HISTORY_PHASES[name]
+                if name in HISTORY_PHASES else CEILING for name in ratios}
+    over = [name for name in ratios if ratios[name] > ceilings[name]]
+    assert not over, (
+        f"work per tick over {2 * T} / {T} ticks over its ceiling in "
+        f"{over}:\n"
+        + _table((T, 2 * T), ratios, ceilings,
+                 lambda name: (sum(work[name][:T]) // T,
+                               sum(work[name]) // (2 * T))))
+    assert set(HISTORY_PHASES) <= set(ratios)
