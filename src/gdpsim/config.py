@@ -182,6 +182,8 @@ class ScenarioConfig:
         v.check(self.operator_groups >= 0, "operator_groups", "must be >= 0")
         v.check(0 < self.payload_min <= self.payload_max, "payload_min",
                 "need 0 < payload_min <= payload_max")
+        v.check(self.metrics_sample_every >= 1, "metrics_sample_every",
+                "must be >= 1")
 
         p = self.panel
         v.check(p.k >= 1, "panel.k", "must be >= 1")
@@ -217,6 +219,7 @@ class ScenarioConfig:
                 "must be in [0, 1]")
         v.check(0 <= inc.ban_threshold <= 1, "incentives.ban_threshold",
                 "must be in [0, 1]")
+        v.check(inc.epoch_ticks >= 1, "incentives.epoch_ticks", "must be >= 1")
 
         arb = self.arbitration
         v.check(arb.panel_size >= 1, "arbitration.panel_size", "must be >= 1")
@@ -238,6 +241,7 @@ class ScenarioConfig:
                 "must be >= 1")
         v.check(ob.challenge_ttl >= 1, "onboarding.challenge_ttl", "must be >= 1")
         v.check(ob.totp_window >= 1, "onboarding.totp_window", "must be >= 1")
+        v.check(ob.totp_skew >= 0, "onboarding.totp_skew", "must be >= 0")
         v.check(ob.min_stake >= 0, "onboarding.min_stake", "must be >= 0")
         v.check(0 <= ob.behavior_threshold <= 1, "onboarding.behavior_threshold",
                 "must be in [0, 1]")

@@ -226,10 +226,10 @@ def propose_block(world, node: bytes) -> Proposal:
     if not chosen:
         raise EmptyMempool("no chainable transactions")
     ids = tuple(chosen)
-    secret = world.actors[node].keypair.secret_key
     dig = proposal_digest(node, ids, head, world.tick)
     proposal = Proposal(proposer=node, txn_ids=ids, parent_block=head,
-                        tick=world.tick, signature=sign(secret, dig))
+                        tick=world.tick,
+                        signature=sign(world.actors[node].keypair, dig))
     vars(proposal)["digest"] = dig  # the signed digest fills the cache
     hexes = world.hexes
     world.log.append(world.tick, "proposal", actor=hexes[node],
@@ -298,8 +298,8 @@ def cast_vote(world, node: bytes, proposal: Proposal, accept: bool,
     here when the caller has not weighed it already."""
     if weight is None:
         weight = vote_weight(world, node)
-    secret = world.actors[node].keypair.secret_key
-    sig = sign(secret, vote_message(proposal.digest, accept, weight))
+    sig = sign(world.actors[node].keypair,
+               vote_message(proposal.digest, accept, weight))
     vote = Vote(validator=node, proposal_digest=proposal.digest, accept=accept,
                 weight=weight, signature=sig)
     world.log.append(world.tick, "vote", actor=world.hexes[node],

@@ -77,6 +77,16 @@ class SharedDetails(dict):
 _NO_REFS = array("Q")
 
 
+def _misfit(tick, kind, actor, subject) -> str:
+    """What ``append_row`` says of the first field of another type."""
+    for name, value, want in (("tick", tick, int), ("kind", kind, str),
+                              ("actor", actor, str),
+                              ("subject", subject, str)):
+        if type(value) is not want:
+            return (f"event {name} must be {want.__name__}, "
+                    f"got {type(value).__name__} {value!r}")
+
+
 class EventLog:
     """Total-ordered append-only log; indices double as event references.
 
@@ -94,6 +104,12 @@ class EventLog:
     bytes and no ``int`` object (the unsigned type appends in half the time
     of the signed one); refs enter in append order, so every key's array is
     ascending and bisects by ref.
+
+    Every tick is an ``int`` and every kind, actor and subject a ``str``
+    (exact types): ``append_row`` refuses any other, naming the field, so a
+    write can key its memos by these values and put them in one line
+    template (``1 == True == 1.0`` would share a memo entry, and a bool or
+    float tick would break the template).
 
     Details are never written after the append. ``append_row`` keeps the
     dict it is passed as the event's detail, so from then on the log owns
@@ -121,7 +137,11 @@ class EventLog:
     def append_row(self, tick: int, kind: str, actor: str, subject: str,
                    detail: dict) -> int:
         """Log an event with ``detail`` kept as given; its ref. The log owns
-        ``detail`` from here on: nothing writes it after this call."""
+        ``detail`` from here on: nothing writes it after this call. Raises
+        ``TypeError`` naming the first field of another type."""
+        if (type(tick) is not int or type(kind) is not str
+                or type(actor) is not str or type(subject) is not str):
+            raise TypeError(_misfit(tick, kind, actor, subject))
         ref = len(self._ticks)
         self._ticks.append(tick)
         self._kinds.append(kind)
@@ -208,21 +228,10 @@ class _Memo(dict):
         return value
 
 
-def _logged_types(ticks, kinds, actors, subjects) -> bool:
-    """Whether every tick is an ``int`` and every kind, actor and subject a
-    ``str`` (exact types), one column each. Only a batch of such events goes
-    through a write's memos and ``_jsonl_lines``: ``1 == True == 1.0`` would
-    share a memo entry, and a bool or float tick would break the template."""
-    return (set(map(type, ticks)) == {int}
-            and set(map(type, kinds)).union(map(type, actors),
-                                            map(type, subjects)) == {str})
-
-
 def _jsonl_lines(ticks, kinds, actors, subjects, details_json,
                  strings: _Memo) -> list[str]:
-    """The lines of events of the logged types, one column each, around
-    their details' JSON, with ``strings`` a write's memo of encoded actors,
-    kinds and subjects."""
+    """The lines of events, one column each, around their details' JSON,
+    with ``strings`` a write's memo of encoded actors, kinds and subjects."""
     return [f'{{"actor":{strings[actor]},"detail":{detail},'
             f'"kind":{strings[kind]},"subject":{strings[subject]},'
             f'"tick":{tick}}}\n'
@@ -230,22 +239,14 @@ def _jsonl_lines(ticks, kinds, actors, subjects, details_json,
             in zip(ticks, kinds, actors, subjects, details_json)]
 
 
-def _record_line(tick, kind, actor, subject, detail: dict) -> str:
-    """The line of any event: one ``_encode`` of its whole record."""
-    return _encode({"actor": actor, "detail": detail, "kind": kind,
-                    "subject": subject, "tick": tick}) + "\n"
-
-
 def encode_event(ev: Event) -> tuple[str, str]:
     """The event's ``events.jsonl`` line, byte-equal to ``json.dumps`` of the
     record with sorted keys, and the detail JSON inside it: the one-event
-    reference for ``write_log``."""
-    columns = [ev.tick], [ev.kind], [ev.actor], [ev.subject]
+    reference for ``write_log``. Its fields are of the types the log takes
+    (see ``EventLog``)."""
     detail = _encode(ev.detail) if ev.detail else "{}"
-    if _logged_types(*columns):
-        return _jsonl_lines(*columns, [detail], _Memo(_encode))[0], detail
-    return _record_line(ev.tick, ev.kind, ev.actor, ev.subject,
-                        ev.detail), detail
+    return _jsonl_lines([ev.tick], [ev.kind], [ev.actor], [ev.subject],
+                        [detail], _Memo(_encode))[0], detail
 
 
 # ``write_log`` encodes details a batch at a time: each ``_encode`` call builds
@@ -284,7 +285,8 @@ def read_events_jsonl(path: Path) -> EventLog:
     """The log an ``events.jsonl`` file holds, appended line by line. Each
     distinct string read as a kind, actor, subject or detail value, list
     items included, is one ``str`` across the log, as in a live log whose
-    ids come from ``World.hexes``."""
+    ids come from ``World.hexes``. A line whose tick, kind, actor or subject
+    is of another type raises ``append_row``'s ``TypeError``."""
     log = EventLog()
     strings: dict = {}
 
@@ -333,16 +335,6 @@ def _line(cells) -> str:
     return ",".join(map(_cell, cells)) + "\r\n"
 
 
-class _FreshCells:
-    """``_Memo(_cell)`` without the memo, for a batch of other types."""
-
-    def __getitem__(self, value) -> str:
-        return _cell(value)
-
-
-_FRESH = _FreshCells()
-
-
 def _incentive_tail(detail: dict) -> str:
     """The cells an ``incentives.csv`` line takes from its detail, ended."""
     return _line((detail["incentive_kind"], detail["delta"], detail["cause"]))
@@ -370,8 +362,7 @@ class _DetailTexts:
 
 
 # Each table's line is built from an event's tick, kind, actor, subject and
-# detail, its batch's ``_DetailTexts`` and the write's memo of ``_cell``
-# (``_FRESH`` for a batch of other types).
+# detail, its batch's ``_DetailTexts`` and the write's memo of ``_cell``.
 
 def _transaction_line(tick, kind, actor, subject, detail, texts,
                       cells) -> str:
@@ -445,20 +436,15 @@ def write_log(log: EventLog, out_dir: Path) -> None:
                       actors[start:stop], subjects[start:stop])
             batch = details[start:stop]
             texts = _DetailTexts(batch)
-            if _logged_types(*fields):
-                memo = cells
-                jsonl.write("".join(_jsonl_lines(
-                    *fields, map(texts.json.__getitem__, map(id, batch)),
-                    strings)))
-            else:
-                memo = _FRESH
-                jsonl.write("".join(map(_record_line, *fields, batch)))
+            jsonl.write("".join(_jsonl_lines(
+                *fields, map(texts.json.__getitem__, map(id, batch)),
+                strings)))
             for tick, kind, actor, subject, detail in zip(*fields, batch):
                 routed = route.get(kind)
                 if routed is not None:
                     write, row = routed
                     write(row(tick, kind, actor, subject, detail, texts,
-                              memo))
+                              cells))
 
 
 def write_ledger_csv(blocks, path: Path) -> None:

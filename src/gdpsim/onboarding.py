@@ -266,7 +266,8 @@ def score_behavior(world, session: OnboardingSession, trace) -> float:
 def finalize_device(world, session: OnboardingSession, stake_deposit: float,
                     operator_group: str = "", arbitrator: bool = False,
                     expertise: frozenset = frozenset()) -> DeviceProfile:
-    """Steps 6-7: permanent credentials, profile creation, stake escrow."""
+    """Steps 6-7: permanent credentials, profile creation, stake escrow.
+    The session leaves ``world.sessions``: the profile takes its place."""
     from . import incentives
 
     if session.stage is not Stage.BEHAVIOR_SCORED:
@@ -304,6 +305,8 @@ def finalize_device(world, session: OnboardingSession, stake_deposit: float,
                      subject=world.hexes[session.device],
                      stake=stake_deposit, operator_group=profile.operator_group,
                      arbitrator=arbitrator)
+    # the profile now refuses a second registration of the key
+    del world.sessions[session.device]
     return profile
 
 

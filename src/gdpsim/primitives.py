@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -44,42 +44,46 @@ def digest(data: bytes) -> Digest:
 
 @dataclass(frozen=True)
 class KeyPair:
-    """Ed25519 identity: 32-byte public key, 32-byte secret seed."""
+    """Ed25519 identity: 32-byte public key, 32-byte secret seed, and the
+    parsed key that signs with it. Only ``generate_keypair`` builds one, so
+    ``public_key`` is always ``private``'s own public half. The parsed key
+    takes no part in equality, hashing or repr."""
 
     public_key: bytes
     secret_key: bytes
+    private: Ed25519PrivateKey = field(compare=False, repr=False)
 
 
 class Signature:
     """Ed25519 signature by ``signer`` (the producer's public key).
 
     ``sign`` returns one whose bytes are computed the first time ``sig`` is
-    read, from the private key and message it captured at sign time; the
-    key and message are dropped after that read. Ed25519 is deterministic
+    read, with the ``KeyPair`` and over the message it captured at sign
+    time; both are dropped after that read. Ed25519 is deterministic
     (RFC 8032, 5.1.6), so the bytes are those an eager signature would have
     had, and no signature byte reaches any output file. Until that read,
     ``signed_by_construction`` decides whether the signature verifies from
-    the public key and message captured at sign time, so an audit of an
-    unread signature costs no Ed25519 work at all.
+    the captured keys' public half and message, so an audit of an unread
+    signature costs no Ed25519 work at all.
     ``Signature(sig=..., signer=...)`` builds one from explicit bytes, which
     every audit checks with Ed25519.
     Equality and hashing are on ``(sig, signer)``, as for any value.
     """
 
-    __slots__ = ("_sig", "signer", "_key", "_public", "_message")
+    __slots__ = ("_sig", "signer", "_keys", "_message")
 
     def __init__(self, sig: bytes, signer: bytes):
         self._sig = sig
         self.signer = signer
-        # set by sign: the parsed key and message until sig is read, and the
-        # key's public half, which audits trust where ``signer`` may be reset
-        self._key = self._public = self._message = None
+        # set by sign: the keys and message until sig is read; audits trust
+        # the keys' public half where ``signer`` may be reset
+        self._keys = self._message = None
 
     @property
     def sig(self) -> bytes:
         if self._sig is None:
-            self._sig = self._key.sign(self._message)
-            self._key = self._message = None
+            self._sig = self._keys.private.sign(self._message)
+            self._keys = self._message = None
         return self._sig
 
     def __eq__(self, other):
@@ -94,41 +98,22 @@ class Signature:
         return f"Signature(sig={self.sig!r}, signer={self.signer!r})"
 
 
-# parsed key objects are cached; reparsing dominates signing time otherwise
-_private_keys: dict = {}   # secret -> (parsed private key, raw public key)
-_public_keys: dict = {}
-
-
-def _private(secret: bytes) -> tuple[Ed25519PrivateKey, bytes]:
-    entry = _private_keys.get(secret)
-    if entry is None:
-        key = Ed25519PrivateKey.from_private_bytes(secret)
-        entry = _private_keys[secret] = (key, key.public_key().public_bytes_raw())
-    return entry
-
-
-def _public(public: bytes) -> Ed25519PublicKey:
-    key = _public_keys.get(public)
-    if key is None:
-        key = _public_keys[public] = Ed25519PublicKey.from_public_bytes(public)
-    return key
-
-
 def generate_keypair(rng: "SeededRng") -> KeyPair:
-    """Derive a keypair from the seeded stream (keeps worlds reproducible)."""
+    """Derive a keypair from the seeded stream (keeps worlds reproducible);
+    its secret is parsed once, here."""
     secret = rng.bytes(32)
-    _, public = _private(secret)
-    return KeyPair(public_key=public, secret_key=secret)
+    private = Ed25519PrivateKey.from_private_bytes(secret)
+    return KeyPair(public_key=private.public_key().public_bytes_raw(),
+                   secret_key=secret, private=private)
 
 
-def sign(secret: bytes, message: bytes) -> Signature:
+def sign(keys: KeyPair, message: bytes) -> Signature:
     """Deterministic Ed25519 signature over the message, computed on first
-    read of its ``sig`` (see ``Signature``). The parsed key is captured now,
-    so a later change of the signer's keypair cannot alter the bytes."""
-    private, public = _private(secret)
-    signature = Signature(None, public)
-    signature._key, signature._public, signature._message = \
-        private, public, message
+    read of its ``sig`` (see ``Signature``). The frozen ``keys`` are
+    captured now, so a later change of the signer's keypair cannot alter
+    the bytes."""
+    signature = Signature(None, keys.public_key)
+    signature._keys, signature._message = keys, message
     return signature
 
 
@@ -139,7 +124,7 @@ def signed_by_construction(public: bytes, message: bytes,
     once computed, would then verify (RFC 8032 signing is deterministic), so
     no Ed25519 work is needed to know it. False for explicit bytes, for a
     read signature and for any other key or message: those need Ed25519."""
-    return (signature._sig is None and signature._public == public
+    return (signature._sig is None and signature._keys.public_key == public
             and signature._message == message)
 
 
@@ -150,7 +135,8 @@ def verify(public: bytes, message: bytes, signature: Signature) -> bool:
     if signed_by_construction(public, message, signature):
         return True
     try:
-        _public(public).verify(signature.sig, message)
+        Ed25519PublicKey.from_public_bytes(public).verify(signature.sig,
+                                                          message)
         return True
     except InvalidSignature:
         return False

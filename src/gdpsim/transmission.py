@@ -58,7 +58,7 @@ class Attestation:
 
     ``witness_commit`` signs by construction: it keeps a reference to the
     witness's frozen ``KeyPair`` in ``keys`` and stores no signature, and
-    ``signature`` then reads as ``sign(keys.secret_key, txn_id + commit)``,
+    ``signature`` then reads as ``sign(keys, txn_id + commit)``,
     built afresh on each read. Ed25519 signing is deterministic (RFC 8032,
     5.1.6), so that is the signature the commit would have stored, and
     ``verify`` accepts it as signed by construction, with no Ed25519 work.
@@ -91,7 +91,7 @@ def _read_signature(att: Attestation) -> Signature:
     commit``."""
     explicit = _EXPLICIT.__get__(att)
     if explicit is None:
-        return sign(att.keys.secret_key, att.txn_id + att.commit)
+        return sign(att.keys, att.txn_id + att.commit)
     return explicit
 
 

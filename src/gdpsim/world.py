@@ -199,7 +199,7 @@ class World:
         self.experts: dict = {}            # category -> expert pubs
         self.arbitrators: list = []        # pubs onboarded as arbitrators
         self.group_members: dict = {}      # operator group -> member pubs
-        self.sessions: dict = {}           # pub -> OnboardingSession
+        self.sessions: dict = {}           # pub -> session not finalized
         self.blacklist = frozenset(cfg.blacklist)  # refused pub hexes
         self.actors: dict = {}             # pub -> DeviceActor
         self.transactions: dict = {}       # txn id -> DataTransaction

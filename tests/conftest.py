@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 from gdpsim import primitives
@@ -98,7 +100,8 @@ class _CountingPublicKey:
 def count_ed25519_verifies(monkeypatch) -> list:
     """From now on, the message of every Ed25519 verification."""
     verified = []
-    parse = primitives._public
-    monkeypatch.setattr(primitives, "_public", lambda public: _CountingPublicKey(
-        parse(public), verified))
+    parse = primitives.Ed25519PublicKey.from_public_bytes
+    monkeypatch.setattr(primitives, "Ed25519PublicKey", SimpleNamespace(
+        from_public_bytes=lambda public: _CountingPublicKey(parse(public),
+                                                            verified)))
     return verified

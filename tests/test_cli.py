@@ -219,6 +219,23 @@ def test_a_non_number_in_a_numeric_field_is_named(tmp_path, suffix, text,
     assert caught.value.field == field
 
 
+@pytest.mark.parametrize("override, field", [
+    ("metrics_sample_every=0", "metrics_sample_every"),
+    ("incentives.epoch_ticks=0", "incentives.epoch_ticks"),
+    ("onboarding.totp_skew=-1", "onboarding.totp_skew"),
+])
+def test_a_value_that_would_break_the_run_is_refused(tmp_path, capsys,
+                                                     override, field):
+    """A sample period or epoch of 0 ticks would divide by zero in the
+    first tick, and a negative TOTP skew would reject every device: each
+    fails validation naming the field, before a run writes anything."""
+    out = tmp_path / "out"
+    assert main(["run", "--config", "builtin:baseline", "--out", str(out),
+                 "--set", override]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not out.exists()
+
+
 def test_importing_the_package_leaves_yaml_unloaded():
     """``load_config`` imports ``yaml`` itself, so importing the package
     and its world, in a fresh interpreter, loads no ``yaml``."""

@@ -72,11 +72,11 @@ def witness_and_pool(world, n=3, sender_idx=0, receiver_idx=1):
 def signed_proposal(world, proposer, ids, parent, tick, signer=None):
     """A proposal signed over its digest, by default under the proposer's
     own key."""
-    secret = world.actors[signer or proposer].keypair.secret_key
+    keys = world.actors[signer or proposer].keypair
     message = consensus.proposal_digest(proposer, tuple(ids), parent, tick)
     return consensus.Proposal(proposer=proposer, txn_ids=tuple(ids),
                               parent_block=parent, tick=tick,
-                              signature=sign(secret, message))
+                              signature=sign(keys, message))
 
 
 def test_propose_creation_order(world):
@@ -635,7 +635,7 @@ def test_verify_chain_rejects_altered_votes(world, forgery):
                  dataclasses.replace(second, signature=first.signature),
                  *victim.votes[2:])
     else:  # the right message under another key, claimed for the validator
-        forged = sign(generate_keypair(SeededRng(5)).secret_key,
+        forged = sign(generate_keypair(SeededRng(5)),
                       vote_message(first.proposal_digest, first.accept,
                                    first.weight))
         forged.signer = first.validator

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from gdpsim import events
 from gdpsim.events import (CSV_TABLES, Event, EventLog, encode_event,
-                           write_ledger_csv, write_log)
+                           read_events_jsonl, write_ledger_csv, write_log)
 from gdpsim.scenarios import get_scenario
 from gdpsim.world import run_world
 
@@ -313,26 +313,34 @@ def _assert_write_log_reproduces(log, tmp_path):
         (tmp_path / "reference" / "events.jsonl").read_bytes()
 
 
-def test_fields_of_other_types_are_written_as_json_and_csv_write_them(
-        tmp_path):
-    """Actors ``1``, ``True`` and ``1.0`` are equal keys of a write's memos,
-    and a bool or nan tick fits no line template: every such event's line
-    must still equal ``json.dumps`` of its record, and its rows what
-    ``csv.writer`` writes, in ``write_log`` and in ``encode_event``."""
+def test_fields_of_other_types_are_refused_where_rows_enter(tmp_path):
+    """Actors ``1``, ``True`` and ``1.0`` would be equal keys of a write's
+    memos, and a bool or nan tick fits no line template: a tick that is not
+    an ``int``, or a kind, actor or subject that is not a ``str`` (exact
+    types), is refused at the append, naming the field, and so is a file
+    line holding one. The log is left as it was."""
     log = _mixed_log(1)
-    for tick in (2, True, math.nan, 1.0):
-        for actor in (1, True, 1.0, "1"):
-            for subject in ("s", 0, False, -0.0):
-                for kind in ("txn_status", "dispute_stage", 1):
-                    log.append(tick, kind, actor=actor, subject=subject,
-                               stage=subject)
-    log.append(3, "objection", actor="1", subject="s", n=1)
-    _assert_write_log_reproduces(log, tmp_path)
-    for ev in log:
-        assert encode_event(ev)[0] == json.dumps(
-            {"tick": ev.tick, "kind": ev.kind, "actor": ev.actor,
-             "subject": ev.subject, "detail": ev.detail},
-            sort_keys=True, separators=(",", ":")) + "\n"
+    columns = [list(column) for column in log.columns()]
+    good = {"tick": 2, "kind": "txn_status", "actor": "1", "subject": "s"}
+    for name, values in (("tick", (True, math.nan, 1.0, _IntMixin.ONE, "2")),
+                         ("kind", (1, None, _StrMixin.BONUS)),
+                         ("actor", (1, True, 1.0, None)),
+                         ("subject", (0, False, -0.0, b"s"))):
+        for value in values:
+            tick, kind, actor, subject = dict(good, **{name: value}).values()
+            with pytest.raises(TypeError, match=f"^event {name} must be "):
+                log.append_row(tick, kind, actor, subject, {"stage": "s"})
+            with pytest.raises(TypeError, match=f"^event {name} must be "):
+                log.append(tick, kind, actor=actor, subject=subject)
+    assert [list(column) for column in log.columns()] == columns
+    for name, text in (("tick", "true"), ("tick", "1.0"), ("actor", "1")):
+        record = {"actor": '"a"', "detail": "{}", "kind": '"k"',
+                  "subject": '"s"', "tick": "3", name: text}
+        path = tmp_path / f"{name}-{text}.jsonl"
+        path.write_text("{" + ",".join(f'"{key}":{value}' for key, value
+                                       in record.items()) + "}\n")
+        with pytest.raises(TypeError, match=f"^event {name} must be "):
+            read_events_jsonl(path)
 
 
 class _IntMixin(int, Enum):
@@ -349,8 +357,7 @@ def test_detail_texts_are_keyed_by_the_detail_object(tmp_path):
     member encodes as one holding its plain value, though ``str`` may write
     the member apart. Sharing batches, each must be written as itself in
     ``events.jsonl`` and in every CSV line built from it. The first dict is
-    also logged under ticks of other types at the end, which send the last
-    batch to the reference paths."""
+    also logged once more at the end."""
     deltas = [1, True, 1.0, 0.0, -0.0, _IntMixin.ONE, _StrMixin.BONUS, "Bonus"]
     details = [{"incentive_kind": "Bonus", "delta": delta, "cause": "c"}
                for delta in deltas]
@@ -362,8 +369,7 @@ def test_detail_texts_are_keyed_by_the_detail_object(tmp_path):
         for kind in ("incentive", "txn_status", "dispute_stage"):
             log.append_row(100 + i // 4, kind, "a", f"s{i % 7}",
                            details[i % len(details)])
-    for tick in (True, 1.0, 300):
-        log.append_row(tick, "incentive", "a", "s", details[0])
+    log.append_row(300, "incentive", "a", "s", details[0])
     assert len(log) > 2 * B
     _assert_write_log_reproduces(log, tmp_path)
 
@@ -524,21 +530,26 @@ _full_detail = {key: 0 for key in ("stream", "alert_kind", "z_score", "value",
           (True, "k", "a", "s", _full_detail)])
 @example([(0.0, "k", "a", "s", _full_detail),
           (-0.0, "k", "a", "s", dict(_full_detail, stage=-0.0))])
+@example([(1, "1", "1", "1", _full_detail),
+          (2**70, "", "True", "a,b", dict(_full_detail, stage=1))])
 @settings(max_examples=300, deadline=None)
 def test_a_shared_cell_memo_builds_what_fresh_memos_build(rows):
-    """A write shares one memo of ``_cell`` across the rows of its batches
-    of the logged types and builds any other batch's cells afresh; each row
-    must still equal the row built with no memo."""
+    """A write shares one memo of ``_cell`` across the rows of all its
+    batches; each row the log accepts must still equal the row built with a
+    fresh memo. The log refuses the rest (``1 == True``, ``0.0 == -0.0``),
+    so they reach no memo."""
     shared = events._Memo(events._cell)
+    log = EventLog()
     for tick, kind, actor, subject, detail in rows:
+        try:
+            log.append_row(tick, kind, actor, subject, detail)
+        except TypeError:
+            continue
         texts = events._DetailTexts([detail])
-        memo = (shared if events._logged_types([tick], [kind], [actor],
-                                               [subject])
-                else events._FRESH)
         for name, _, _, row in CSV_TABLES:
-            assert row(tick, kind, actor, subject, detail, texts, memo) == \
+            assert row(tick, kind, actor, subject, detail, texts, shared) == \
                 row(tick, kind, actor, subject, detail, texts,
-                    events._FRESH), name
+                    events._Memo(events._cell)), name
 
 
 ledger_blocks = st.builds(

@@ -13,9 +13,11 @@ from gdpsim.errors import (
 )
 from gdpsim.onboarding import DeviceStatus, Stage
 from gdpsim.primitives import SeededRng, digest
+from gdpsim.scenarios import get_scenario
 from gdpsim.transmission import submit_transaction
+from gdpsim.world import build_world
 
-from conftest import fresh_actor, mini_world, onboard
+from conftest import fresh_actor, mini_world, onboard, population_cfg
 
 
 def make_request(actor, **kwargs):
@@ -56,6 +58,25 @@ def test_registration_of_onboarded_key_rejected(world):
         auth_secret=bytes(32))
     with pytest.raises(DuplicateDevice):
         onboarding.submit_registration(world, request)
+
+
+def test_only_sessions_not_finalized_are_kept():
+    """``finalize_device`` drops its session, whose profile refuses a second
+    registration from then on: after ``build_world`` the criterion-2
+    population keeps no session, and ``sybil_flood`` exactly its 1,000
+    rejected ones. A finalized or a rejected key still cannot register
+    again."""
+    assert build_world(population_cfg(60, 20)).sessions == {}
+    world = build_world(get_scenario("sybil_flood"))
+    assert len(world.sessions) == 1000
+    assert all(session.stage is Stage.REJECTED
+               for session in world.sessions.values())
+    for key in (next(iter(world.devices)), next(iter(world.sessions))):
+        request = onboarding.RegistrationRequest(
+            device_type="sensor", model="m", version="1", public_key=key,
+            auth_secret=bytes(32))
+        with pytest.raises(DuplicateDevice):
+            onboarding.submit_registration(world, request)
 
 
 def test_empty_model_rejected(world, actor):

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import pytest
 from cryptography.exceptions import InvalidSignature
@@ -11,6 +13,7 @@ from gdpsim import primitives
 from gdpsim.actors import DeviceActor
 from gdpsim.errors import InsufficientPopulation
 from gdpsim.primitives import (
+    KeyPair,
     SeededRng,
     Signature,
     digest,
@@ -22,9 +25,9 @@ from gdpsim.primitives import (
 )
 from gdpsim.scenarios import get_scenario
 from gdpsim.transmission import Attestation, Verdict
-from gdpsim.world import build_world, step
+from gdpsim.world import build_world, run_world, step
 
-from conftest import count_ed25519_verifies, record_signature_reads
+from conftest import count_ed25519_verifies, mini_cfg, record_signature_reads
 
 # SHA-256 of the empty string, as published in FIPS 180-4 test vectors.
 EMPTY_SHA256 = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -49,21 +52,21 @@ def test_sign_verify_round_trip():
     rng = SeededRng(1)
     kp = generate_keypair(rng)
     msg = b"attestation payload"
-    sig = sign(kp.secret_key, msg)
+    sig = sign(kp, msg)
     assert sig.signer == kp.public_key
     assert verify(kp.public_key, msg, sig)
 
 
 def test_sign_binds_message():
     kp = generate_keypair(SeededRng(2))
-    sig = sign(kp.secret_key, b"message one")
+    sig = sign(kp, b"message one")
     assert not verify(kp.public_key, b"message two", sig)
 
 
 def test_sign_binds_key():
     kp1 = generate_keypair(SeededRng(3))
     kp2 = generate_keypair(SeededRng(4))
-    sig = sign(kp1.secret_key, b"message")
+    sig = sign(kp1, b"message")
     assert not verify(kp2.public_key, b"message", sig)
 
 
@@ -72,7 +75,7 @@ def _eager(secret: bytes, message: bytes) -> bytes:
 
 
 class _CountingKey:
-    """Stands in for a cached private key; records every real signing."""
+    """Stands in for a parsed private key; records every real signing."""
 
     def __init__(self, key, signed: list):
         self._key, self._signed = key, signed
@@ -83,11 +86,13 @@ class _CountingKey:
 
 
 def _count_signings(monkeypatch) -> list:
-    """Wrap every cached private key; returns the list of signed messages."""
+    """Wrap the parsed key of every ``KeyPair``, made before or after;
+    returns the list of signed messages."""
     signed = []
-    for secret, (key, public) in list(primitives._private_keys.items()):
-        monkeypatch.setitem(primitives._private_keys, secret,
-                            (_CountingKey(key, signed), public))
+    monkeypatch.setattr(KeyPair, "private", property(
+        lambda keys: _CountingKey(vars(keys)["private"], signed),
+        lambda keys, key: vars(keys).__setitem__("private", key)),
+        raising=False)
     return signed
 
 
@@ -95,7 +100,7 @@ def test_lazy_and_eager_signatures_are_interchangeable(monkeypatch):
     kp = generate_keypair(SeededRng(5))
     msg = b"commit payload"
     signed = _count_signings(monkeypatch)
-    lazy = sign(kp.secret_key, msg)
+    lazy = sign(kp, msg)
     att = Attestation(witness=kp.public_key, txn_id=digest(b"txn"),
                       commit=digest(b"commit"), signature=lazy)
     moved = dataclasses.replace(att, revealed_verdict=Verdict.VALID)
@@ -104,19 +109,42 @@ def test_lazy_and_eager_signatures_are_interchangeable(monkeypatch):
     assert lazy == eager and hash(lazy) == hash(eager)
     assert {lazy, eager} == {eager}
     assert signed == [msg]  # computed once, on the first read
-    assert lazy != sign(kp.secret_key, b"another payload")
+    assert lazy != sign(kp, b"another payload")
     assert lazy != Signature(sig=eager.sig, signer=b"\x00" * 32)
 
 
 def test_signature_keeps_the_key_it_was_signed_with(monkeypatch):
     actor = DeviceActor(SeededRng(8))
     before = actor.keypair
-    signature = sign(before.secret_key, b"commit")
+    signature = sign(before, b"commit")
     actor.keypair = generate_keypair(SeededRng(9))  # rotate the identity
-    monkeypatch.setattr(primitives, "_private_keys", {})  # and every cached key
+    # and parse no key again: the signature signs with the keys it holds
+    monkeypatch.setattr(primitives, "Ed25519PrivateKey", None)
     assert signature.signer == before.public_key
     assert signature.sig == _eager(before.secret_key, b"commit")
     assert verify(before.public_key, b"commit", signature)
+
+
+def _module_state() -> int:
+    """Entries held by ``gdpsim.primitives``' module-level containers."""
+    return sum(len(value) for name, value in vars(primitives).items()
+               if not name.startswith("__")
+               and isinstance(value, (dict, list, set)))
+
+
+def test_keys_leave_with_their_world():
+    """A device's parsed key lives in its ``KeyPair``, so when a world is
+    freed its keys go with it, and no module state grows from one world to
+    the next."""
+    before = _module_state()
+    for seed in range(4):
+        world = run_world(mini_cfg(seed=seed))
+        keys = [weakref.ref(actor.keypair) for actor in world.actors.values()]
+        assert len(keys) > 10
+        del world
+        gc.collect()
+        assert [ref for ref in keys if ref() is not None] == []
+        assert _module_state() == before
 
 
 def _audit_cases():
@@ -124,16 +152,16 @@ def _audit_cases():
     that signature would have, and whether it is signed by construction)."""
     kp, other = generate_keypair(SeededRng(11)), generate_keypair(SeededRng(12))
     msg = b"vote message"
-    read = sign(kp.secret_key, msg)
+    read = sign(kp, msg)
     read.sig
-    reassigned = sign(other.secret_key, msg)
+    reassigned = sign(other, msg)
     reassigned.signer = kp.public_key
     actor = DeviceActor(SeededRng(13))
     before = actor.keypair
-    rotated = sign(before.secret_key, msg)
+    rotated = sign(before, msg)
     actor.keypair = generate_keypair(SeededRng(14))
     return {
-        "lazy": (kp.public_key, msg, sign(kp.secret_key, msg),
+        "lazy": (kp.public_key, msg, sign(kp, msg),
                  _eager(kp.secret_key, msg), True),
         "read_first": (kp.public_key, msg, read, _eager(kp.secret_key, msg),
                        False),
@@ -145,16 +173,16 @@ def _audit_cases():
                            Signature(sig=_eager(other.secret_key, msg),
                                      signer=kp.public_key),
                            _eager(other.secret_key, msg), False),
-        "other_key": (kp.public_key, msg, sign(other.secret_key, msg),
+        "other_key": (kp.public_key, msg, sign(other, msg),
                       _eager(other.secret_key, msg), False),
-        "other_message": (kp.public_key, msg, sign(kp.secret_key, b"other"),
+        "other_message": (kp.public_key, msg, sign(kp, b"other"),
                           _eager(kp.secret_key, b"other"), False),
         "signer_reassigned": (kp.public_key, msg, reassigned,
                               _eager(other.secret_key, msg), False),
         "rotated_old_key": (before.public_key, msg, rotated,
                             _eager(before.secret_key, msg), True),
         "rotated_new_key": (actor.keypair.public_key, msg,
-                            sign(before.secret_key, msg),
+                            sign(before, msg),
                             _eager(before.secret_key, msg), False),
     }
 

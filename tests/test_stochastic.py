@@ -153,8 +153,8 @@ def test_deep_inspect_catches_forged_attestation_signatures(world):
     # another witness's unread signature, and the witness's own key over
     # another message: the first fails on the signer, the second on the bytes
     first.signature, second.signature = second.signature, first.signature
-    secret = world.actors[third.witness].keypair.secret_key
-    third.signature = sign(secret, digest(b"another txn") + third.commit)
+    keys = world.actors[third.witness].keypair
+    third.signature = sign(keys, digest(b"another txn") + third.commit)
     assert deep_inspect_transaction(world, txn) is False
     assert set(last_inspection(world).detail["evidence"]) == {
         f"attestation signature invalid for {att.witness.hex()[:16]}"
@@ -231,12 +231,12 @@ def test_deep_inspection_decides_as_ed25519_on_eager_bytes(cases, others):
             att.signature = att.signature
             att.signature.sig
         elif case == "other_message":
-            att.signature = sign(actor.keypair.secret_key,
+            att.signature = sign(actor.keypair,
                                  digest(b"another txn") + att.commit)
         elif case in ("rotated", "rotated_resigned"):
             actor.keypair = generate_keypair(SeededRng(1000 + i))
             if case == "rotated_resigned":
-                att.signature = sign(actor.keypair.secret_key, message)
+                att.signature = sign(actor.keypair, message)
         elif case == "foreign_txn":
             atts[i] = txn.attestations[att.witness] = transmission.Attestation(
                 witness=att.witness, txn_id=digest(b"another txn"),

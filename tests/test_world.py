@@ -640,7 +640,8 @@ _MUTATORS = {"append", "extend", "insert", "remove", "pop", "popitem",
 
 # the class whose every construction sets an owned attribute
 _BUILT_BY = {"operator_group": "DeviceProfile", "commit": "Attestation",
-             "txn_id": "Attestation"}
+             "txn_id": "Attestation", "public_key": "KeyPair",
+             "secret_key": "KeyPair", "private": "KeyPair"}
 
 
 def _owned_writes(tree, attrs):
@@ -724,6 +725,30 @@ def test_an_attestation_is_bound_once_at_its_commit():
               "    print(att.commit + att.txn_id, c.commit_id)\n")
     assert _owned_writes(ast.parse(sample), _ATTESTATION_BINDING) == [
         (n, "f") for n in range(2, 8)]
+
+
+_KEY_BINDING = {"public_key", "secret_key", "private"}
+
+
+def test_a_keypair_is_built_only_from_its_parsed_key():
+    """``generate_keypair`` parses a secret once and builds its ``KeyPair``
+    from the parsed key, so ``public_key`` is ``private``'s own public half,
+    which ``signed_by_construction`` trusts. It alone builds one, and no
+    module writes a key field after."""
+    package = Path(gdpsim.__file__).parent
+    writers = sorted({(path.name, where)
+                      for path in sorted(package.glob("*.py"))
+                      for _, where in _owned_writes(
+                          ast.parse(path.read_text()), _KEY_BINDING)})
+    assert writers == [("primitives.py", "generate_keypair")]
+    sample = ("def f(keys, k):\n"
+              "    KeyPair(k, k, None)\n"
+              "    keys.private = k\n"
+              "    replace(keys, public_key=k)\n"
+              "    setattr(keys, 'secret_key', k)\n"
+              "    print(keys.private, keys.public_key)\n")
+    assert _owned_writes(ast.parse(sample), _KEY_BINDING) == [
+        (n, "f") for n in range(2, 6)]
 
 
 def _copies(tree):
