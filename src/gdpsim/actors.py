@@ -18,6 +18,8 @@ class DeviceActor:
     """Honest device: truthful witness, rule-following validator."""
 
     role = "honest"
+    # whether it races to answer a lagging device's sync first
+    eager_sync = False
 
     def __init__(self, rng: SeededRng, role: str = None):
         self.rng = rng
@@ -178,6 +180,7 @@ class ForgedSyncNode(DeviceActor):
     """Serves syntactically valid blocks with fabricated content and votes."""
 
     role = "forged_sync_node"
+    eager_sync = True
 
     def serve_sync(self, world, from_height: int):
         real = super().serve_sync(world, from_height)

@@ -186,13 +186,9 @@ class StreamBaseline:
             return max(0, n - 1 - fed)
         return ring[0][0] + n - fed + 1 if ring else math.inf
 
-    def stats(self) -> tuple:
-        """``(mean, sum of squared deviations)`` of a non-empty window."""
-        return self._moments(min(self.fed, self.window))
-
     def _moments(self, n: int) -> tuple:
-        """``stats`` of the last ``n`` samples, counting as zeros those that
-        a window not yet full lacks."""
+        """``(mean, sum of squared deviations)`` of the last ``n`` samples,
+        counting as zeros those that a window not yet full lacks."""
         if self.n_fractional == 0:
             s1 = self.s1
             return s1 / n, (n * self.s2 - s1 * s1) / n
@@ -202,16 +198,6 @@ class StreamBaseline:
             window[i - start] = x
         mean = float_sum(window) / n
         return mean, float_sum((x - mean) ** 2 for x in window)
-
-    def std(self) -> float:
-        n = min(self.fed, self.window)
-        if n < 2:
-            return 0.0
-        var = self.stats()[1] / (n - 1)
-        return math.sqrt(var) if var > 0 else 0.0
-
-    def warmed_up(self) -> bool:
-        return self.fed >= self.window
 
 
 def _t_quantile(p: float, df: int) -> float:

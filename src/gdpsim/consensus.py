@@ -18,6 +18,7 @@ from typing import Optional
 from .errors import (
     ChainIntegrityViolation,
     EmptyMempool,
+    NotAuthorized,
     NotProposer,
     UnknownParent,
 )
@@ -316,7 +317,6 @@ def validate_proposal(world, node: bytes, proposal: Proposal,
         raise NotProposer("proposer does not validate its own proposal")
     profile = world.devices.get(node)
     if profile is None or profile.status is not DeviceStatus.ACTIVE:
-        from .errors import NotAuthorized
         raise NotAuthorized(f"{node.hex()} is not an active node")
     return cast_vote(world, node, proposal,
                      honest_accept(world, node, proposal, checks), weight)

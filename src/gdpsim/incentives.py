@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import anomaly
-from .errors import InvalidProportion, SubjectBanned
+from .errors import InsufficientBond, InvalidProportion, SubjectBanned
 from .onboarding import DeviceStatus
 from .primitives import float_sum
 
@@ -232,7 +232,6 @@ def post_bond(world, owner: bytes, amount: float, cause: str) -> None:
     """Move liquid tokens into the world's bond escrow."""
     acct = world.stake_accounts[owner]
     if acct.liquid < amount:
-        from .errors import InsufficientBond
         raise InsufficientBond(f"{owner.hex()} has {acct.liquid}, needs {amount}")
     acct.liquid -= amount
     world.bond_escrow += amount

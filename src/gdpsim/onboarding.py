@@ -350,11 +350,3 @@ def revalidate_device(world, profile: DeviceProfile, tick: int,
         quarantine(world, profile.public_key, reason_ref=ref)
     return ok
 
-
-def record_feedback(world, subject: bytes, feedback: dict) -> int:
-    """Step 9: opaque feedback, appended with the current tick."""
-    hexed = world.hexes[subject]
-    entry = {"tick": world.tick, "subject": hexed, "feedback": feedback}
-    world.feedback_log.append(entry)
-    world.log.append(world.tick, "feedback", subject=hexed)
-    return len(world.feedback_log) - 1

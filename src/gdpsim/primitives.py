@@ -9,7 +9,6 @@ vectors so any port can reproduce the exact draw sequence.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidSignature
@@ -253,22 +252,10 @@ class SeededRng:
         return memoryview(z.to_bytes(16 * words, "big")).cast("Q")[::-2] \
             .tobytes()[:n]
 
-    def gauss(self, mu: float = 0.0, sigma: float = 1.0) -> float:
-        """One normal draw per call (Box-Muller, cosine branch)."""
-        u1 = 1.0 - self.random()  # avoid log(0)
-        u2 = self.random()
-        return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
     def choice(self, seq):
         if not seq:
             raise InsufficientPopulation("cannot choose from an empty sequence")
         return seq[self.below(len(seq))]
-
-    def shuffle(self, seq: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(seq) - 1, 0, -1):
-            j = self.below(i + 1)
-            seq[i], seq[j] = seq[j], seq[i]
 
     def sample(self, population, k: int) -> list:
         """k distinct items, uniform, without replacement."""
@@ -337,14 +324,6 @@ class FenwickWeights:
         while i <= n:
             tree[i] += units
             i += i & -i
-
-    def prefix_sum(self, i: int) -> int:
-        """Units held by the first ``i`` positions."""
-        tree, s = self._tree, 0
-        while i:
-            s += tree[i]
-            i &= i - 1
-        return s
 
     def draw(self, rng: SeededRng) -> int:
         """Position of one draw proportional to the weights (total > 0).

@@ -308,20 +308,6 @@ def aggregate_attestations(world, txn: DataTransaction) -> TxnStatus:
     return txn.status
 
 
-def aggregation_oracle(reveals: list, quorum: int) -> str:
-    """Brute-force restatement of the aggregation rule for enumeration tests.
-
-    ``reveals`` holds "valid", "invalid", or "missing" per panel seat.
-    """
-    valid = sum(1 for r in reveals if r == "valid")
-    invalid = len(reveals) - valid
-    if valid >= quorum:
-        return "Witnessed"
-    if invalid >= quorum:
-        return "Rejected"
-    return "Disputed"
-
-
 def _txn_to_arbitration(world, txn: DataTransaction) -> None:
     """Open a dispute against the sender; a sender that can no longer be a
     dispute party (banned, say) leaves the txn Disputed with the reason

@@ -232,7 +232,6 @@ class World:
         self.disputes: dict = {}           # open dispute id -> Dispute
         self.pending_verdicts: list = []
         self.verdict_registry: dict = {}
-        self.feedback_log: list = []
         self.baselines: dict = {}          # (family, pub) -> StreamBaseline
         # One txrate stream per device that has been active, owed a sample
         # (its count of txns created that tick) by each ``_per_tick_streams``
@@ -570,8 +569,7 @@ def _sync_lagging(world: World) -> None:
                    if world.height(p) > height0]
         if not sources:
             continue
-        # an adversarial propagator races to answer first
-        eager = [p for p in sources if world.actors[p].role == "forged_sync_node"]
+        eager = [p for p in sources if world.actors[p].eager_sync]
         pool = eager or sources
         source = world.rng_consensus.derive("sync", world.tick, target).choice(pool)
         head0 = consensus.node_head(world, target)

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -18,6 +19,51 @@ def pytest_addoption(parser):
 @pytest.fixture
 def update_goldens(request):
     return request.config.getoption("--update-goldens")
+
+
+def gauss(rng: SeededRng, mu: float = 0.0, sigma: float = 1.0) -> float:
+    """One normal draw per call (Box-Muller, cosine branch)."""
+    u1 = 1.0 - rng.random()  # avoid log(0)
+    u2 = rng.random()
+    return mu + sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
+def prefix_sum(weights, i: int) -> int:
+    """Units held by the first ``i`` positions of a ``FenwickWeights``."""
+    tree, s = weights._tree, 0
+    while i:
+        s += tree[i]
+        i &= i - 1
+    return s
+
+
+def stats(baseline) -> tuple:
+    """``(mean, sum of squared deviations)`` of a non-empty window."""
+    return baseline._moments(min(baseline.fed, baseline.window))
+
+
+def window_std(baseline) -> float:
+    """The sample standard deviation of a stream's window, 0 below two
+    samples."""
+    n = min(baseline.fed, baseline.window)
+    if n < 2:
+        return 0.0
+    var = stats(baseline)[1] / (n - 1)
+    return math.sqrt(var) if var > 0 else 0.0
+
+
+def aggregation_oracle(reveals: list, quorum: int) -> str:
+    """Brute-force restatement of the aggregation rule for enumeration tests.
+
+    ``reveals`` holds "valid", "invalid", or "missing" per panel seat.
+    """
+    valid = sum(1 for r in reveals if r == "valid")
+    invalid = len(reveals) - valid
+    if valid >= quorum:
+        return "Witnessed"
+    if invalid >= quorum:
+        return "Rejected"
+    return "Disputed"
 
 
 def mini_cfg(**overrides) -> ScenarioConfig:

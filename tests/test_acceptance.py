@@ -30,10 +30,11 @@ from gdpsim.metrics import (derive_metrics, replay_matches_world,
 from gdpsim.onboarding import DeviceStatus
 from gdpsim.primitives import SeededRng, digest
 from gdpsim.scenarios import BUILTIN_SCENARIOS, get_scenario
-from gdpsim.transmission import Verdict, aggregation_oracle
+from gdpsim.transmission import Verdict
 from gdpsim.world import build_world, run_world
 
-from conftest import mini_world, population_cfg, record_signature_reads
+from conftest import (aggregation_oracle, gauss, mini_world, population_cfg,
+                      record_signature_reads, stats)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DIGESTS_PATH = GOLDEN_DIR / "digests.json"
@@ -213,7 +214,7 @@ def test_criterion_6_anomaly_calibration():
     n = 100_000
     alerts = 0
     for i in range(n):
-        if baseline.feed(rng.gauss(), i)[1] is not None:
+        if baseline.feed(gauss(rng), i)[1] is not None:
             alerts += 1
     rate = alerts / (n - 100)
     expected = 2 * statistics.NormalDist().cdf(-3.0)
@@ -227,7 +228,7 @@ def test_criterion_6_anomaly_calibration():
         trial_rng = SeededRng(500_000 + seed)
         shift_at = 140
         for i in range(shift_at + 12):
-            x = trial_rng.gauss() + (5.0 if i >= shift_at else 0.0)
+            x = gauss(trial_rng) + (5.0 if i >= shift_at else 0.0)
             cp, _ = b.feed(x, i)
             if cp is not None and i >= shift_at:
                 if i - shift_at + 1 <= 10:
@@ -371,9 +372,9 @@ def _noisy_window_run() -> tuple:
     b = StreamBaseline("noisy", 100)
     z_scores = []
     for i in range(20_000):
-        z_scores += [repr(a.z_score) for a in b.feed(rng.gauss() * 1e3 + 0.1, i)
+        z_scores += [repr(a.z_score) for a in b.feed(gauss(rng) * 1e3 + 0.1, i)
                      if a is not None]
-    return repr(b.stats()[1]), z_scores
+    return repr(stats(b)[1]), z_scores
 
 
 def test_window_stats_do_not_depend_on_sum_rounding(monkeypatch):

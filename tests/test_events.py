@@ -513,17 +513,16 @@ def test_every_table_row_matches_csv_writer(tick, kind, actor, subject,
             assert row(*_fields(ev), texts, cells) == expected, name
 
 
-# values equal across types (1 == True == 1.0, 0.0 == -0.0) and strings
-# that read like them
-memo_values = st.sampled_from([0, 1, 2**70, True, False, 0.0, -0.0, 1.0,
-                               None, "", "1", "True", "0.0", "a,b", 'q"'])
-memo_texts = st.one_of(st.sampled_from(["", "1", "True", "a,b"]), memo_values)
+# ticks of the one type the log takes, and strings that read like them or
+# like the detail values (1 == True == 1.0, 0.0 == -0.0)
+memo_ticks = st.sampled_from([0, 1, 2**70])
+memo_texts = st.sampled_from(["", "1", "True", "0.0", "a,b", 'q"'])
 _full_detail = {key: 0 for key in ("stream", "alert_kind", "z_score", "value",
                                    "incentive_kind", "delta", "cause",
                                    "target_kind", "passed")}
 
 
-@given(st.lists(st.tuples(memo_values, memo_texts, memo_texts, memo_texts,
+@given(st.lists(st.tuples(memo_ticks, memo_texts, memo_texts, memo_texts,
                           row_details),
                 min_size=1, max_size=12))
 @example([(1, "k", "a", "s", _full_detail),
@@ -536,8 +535,9 @@ _full_detail = {key: 0 for key in ("stream", "alert_kind", "z_score", "value",
 def test_a_shared_cell_memo_builds_what_fresh_memos_build(rows):
     """A write shares one memo of ``_cell`` across the rows of all its
     batches; each row the log accepts must still equal the row built with a
-    fresh memo. The log refuses the rest (``1 == True``, ``0.0 == -0.0``),
-    so they reach no memo."""
+    fresh memo. Every drawn row is of the types the log accepts; the
+    examples also hold rows it refuses (``True`` and ``0.0`` ticks), which
+    reach no memo."""
     shared = events._Memo(events._cell)
     log = EventLog()
     for tick, kind, actor, subject, detail in rows:

@@ -322,17 +322,6 @@ def test_revalidation_compromised_quarantines(world):
     assert profile.status is DeviceStatus.QUARANTINED
 
 
-def test_feedback_log(world):
-    pub = next(iter(world.devices))
-    n = len(world.feedback_log)
-    onboarding.record_feedback(world, pub, {"note": "ok"})
-    onboarding.record_feedback(world, pub, {})  # empty record accepted
-    onboarding.record_feedback(world, pub, {"note": "same tick"})
-    assert len(world.feedback_log) == n + 3
-    assert world.feedback_log[n]["feedback"] == {"note": "ok"}
-    assert world.feedback_log[n + 1]["feedback"] == {}
-
-
 def test_no_profile_without_full_stage_sequence(world):
     # replay the build's event log: every finalized device passed through
     # challenge, mfa, and behavior scoring

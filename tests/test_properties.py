@@ -44,9 +44,8 @@ from gdpsim.primitives import (
     float_sum,
     sample_without_replacement,
 )
-from gdpsim.transmission import aggregation_oracle
-
-from conftest import fresh_actor, mini_world, onboard
+from conftest import (aggregation_oracle, fresh_actor, mini_world, onboard,
+                      prefix_sum, stats, window_std)
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -62,10 +61,10 @@ def test_window_stats_match_batch(stream, window):
         tail = stream[max(0, i + 1 - window):i + 1]
         mean = statistics.fmean(tail)
         scale = max(1.0, abs(mean))
-        assert abs(b.stats()[0] - mean) <= 1e-9 * scale
+        assert abs(stats(b)[0] - mean) <= 1e-9 * scale
         if len(tail) >= 2:
             std = statistics.stdev(tail)
-            assert abs(b.std() - std) <= 1e-9 * max(1.0, std)
+            assert abs(window_std(b) - std) <= 1e-9 * max(1.0, std)
 
 
 integral_floats = st.one_of(
@@ -85,7 +84,7 @@ def test_integral_window_stats_are_correctly_rounded(window, stream):
         n = len(tail)
         s1 = sum(tail)
         s2 = sum(v * v for v in tail)
-        assert b.stats() == (float(Fraction(s1, n)),
+        assert stats(b) == (float(Fraction(s1, n)),
                              float(Fraction(n * s2 - s1 * s1, n)))
 
 
@@ -267,10 +266,10 @@ def test_witness_weight_sums_are_exact(changes):
         unit = Fraction(1, 1 << tree.shift)
         exact = Fraction(0)
         for i, p in enumerate(devices):
-            assert tree.prefix_sum(i) * unit == exact
+            assert prefix_sum(tree, i) * unit == exact
             if world.devices[p].status is DeviceStatus.ACTIVE:
                 exact += Fraction(world.reputation_accounts[p].score)
-        assert tree.prefix_sum(len(devices)) * unit == tree.total * unit == exact
+        assert prefix_sum(tree, len(devices)) * unit == tree.total * unit == exact
         assert weights.unscored == {
             p for p in devices if world.reputation_accounts[p].score <= 0}
 
@@ -518,7 +517,7 @@ def _weights_state(weights):
     unit = Fraction(1, 1 << tree.shift)
     return (weights.pubs, weights.unscored,
             [v * unit for v in tree.values],
-            [tree.prefix_sum(i) * unit for i in range(len(tree.values) + 1)],
+            [prefix_sum(tree, i) * unit for i in range(len(tree.values) + 1)],
             tree.total * unit)
 
 
@@ -678,9 +677,9 @@ def test_masked_tree_draw_matches_sample_without_replacement(
 
 def _reference_observe(baseline, sample, tick, subject="", z_threshold=3.0):
     alert = None
-    if baseline.warmed_up():
-        std = baseline.std()
-        mean = baseline.stats()[0]
+    if baseline.fed >= baseline.window:
+        std = window_std(baseline)
+        mean = stats(baseline)[0]
         if std == 0.0:
             if sample != mean:
                 alert = AnomalyAlert(baseline.stream_id, tick, sample,
@@ -696,10 +695,10 @@ def _reference_observe(baseline, sample, tick, subject="", z_threshold=3.0):
 
 def _reference_detect_changepoint(baseline, sample, tick=0, subject="",
                                   drift=0.5, limit=5.0):
-    if not baseline.warmed_up():
+    if baseline.fed < baseline.window:
         return None
-    std = baseline.std()
-    z = 0.0 if std == 0.0 else (sample - baseline.stats()[0]) / std
+    std = window_std(baseline)
+    z = 0.0 if std == 0.0 else (sample - stats(baseline)[0]) / std
     baseline.cusum_pos = max(0.0, baseline.cusum_pos + z - drift)
     baseline.cusum_neg = max(0.0, baseline.cusum_neg - z - drift)
     if baseline.cusum_pos > limit or baseline.cusum_neg > limit:

@@ -370,7 +370,6 @@ def test_should_inspect_independent_of_draw_order():
     rng = SeededRng(12)
     targets = [f"txn-{i}" for i in range(500)]
     forward = {t: should_inspect(rng, 0.3, 7, t) for t in targets}
-    shuffled = list(targets)
-    SeededRng(99).shuffle(shuffled)
+    shuffled = SeededRng(99).sample(targets, len(targets))
     backward = {t: should_inspect(rng, 0.3, 7, t) for t in shuffled}
     assert forward == backward

@@ -18,7 +18,6 @@ from gdpsim.transmission import (
     TxnStatus,
     Verdict,
     aggregate_attestations,
-    aggregation_oracle,
     make_commit,
     open_panel,
     select_witnesses,
@@ -27,7 +26,7 @@ from gdpsim.transmission import (
     witness_reveal,
 )
 
-from conftest import mini_world
+from conftest import aggregation_oracle, mini_world
 
 
 def make_txn(world, payload=b"payload"):
